@@ -19,7 +19,6 @@ from .channel import (
 )
 from .errors import (
     ConfigError,
-    ConvergenceError,
     LayoutMismatchError,
     NotSymmetricError,
     PositivityError,
@@ -49,7 +48,6 @@ from .measures import (
     measure_record,
     mutual_information,
     rob_entropy_series,
-    subadditivity_margin,
     von_neumann_entropy,
 )
 from .rindler import (
@@ -72,7 +70,6 @@ __all__ = [
     "AccelerationParam",
     "CheckResult",
     "ConfigError",
-    "ConvergenceError",
     "DensityMatrix",
     "FactorLayout",
     "GeometricSums",
@@ -110,7 +107,6 @@ __all__ = [
     "rob_entropy_series",
     "run_sweep",
     "run_verify",
-    "subadditivity_margin",
     "sym_eigenvalues",
     "tensor_product",
     "to_csv",

@@ -22,6 +22,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import islice
+from typing import Iterator
 
 import numpy as np
 
@@ -41,14 +43,25 @@ def _alice_weight(r: float) -> np.ndarray:
     return np.diag([1.0, math.cosh(r)])
 
 
-def _scaled_ladder_powers(r: float, cfg: TruncationConfig) -> list[np.ndarray]:
-    """Q_n = (tanh^n r / sqrt(n!)) (bdag)^n for n = 0..n_max, by repeated application."""
+def _ladder_powers(
+    cfg: TruncationConfig, tanh_r: float | None = None
+) -> Iterator[np.ndarray]:
+    """(bdag)^n for n = 0, 1, ..., n_max, one repeated application per step.
+
+    With `tanh_r` each power carries its Kraus scalar,
+    Q_n = (tanh^n r / sqrt(n!)) (bdag)^n, accumulated as in the module
+    docstring.  Powers are produced lazily, so a caller that needs only
+    the n-th pays n steps.
+    """
     bdag = creation_matrix(cfg)
-    step = math.tanh(r) * bdag
-    powers = [np.eye(cfg.dim)]
+    step = bdag if tanh_r is None else tanh_r * bdag
+    power = np.eye(cfg.dim)
+    yield power
     for n in range(1, cfg.n_max + 1):
-        powers.append((step @ powers[-1]) / math.sqrt(n))
-    return powers
+        power = step @ power
+        if tanh_r is not None:
+            power = power / math.sqrt(n)
+        yield power
 
 
 def kraus_operator(n: int, r: float, cfg: TruncationConfig) -> np.ndarray:
@@ -62,7 +75,7 @@ def kraus_operator(n: int, r: float, cfg: TruncationConfig) -> np.ndarray:
         raise ConfigError(f"Kraus index {n} outside 0..{cfg.n_max}")
     if r < 0 or not math.isfinite(r):
         raise ConfigError(f"r must be finite and >= 0, got {r}")
-    ladder = _scaled_ladder_powers(r, cfg)[n]
+    ladder = next(islice(_ladder_powers(cfg, math.tanh(r)), n, None))
     return np.kron(_alice_weight(r), ladder) / math.cosh(r) ** 2
 
 
@@ -89,7 +102,7 @@ class KrausSet:
         alice = _alice_weight(r)
         inv_ch2 = 1.0 / math.cosh(r) ** 2
         ops = []
-        for ladder in _scaled_ladder_powers(r, cfg):
+        for ladder in _ladder_powers(cfg, math.tanh(r)):
             op = np.kron(alice, ladder) * inv_ch2
             op.setflags(write=False)
             ops.append(op)
@@ -103,10 +116,7 @@ class KrausSet:
         """
         if not 0 <= index <= self.cfg.n_max:
             raise ConfigError(f"Kraus index {index} outside 0..{self.cfg.n_max}")
-        bdag = creation_matrix(self.cfg)
-        power = np.eye(self.cfg.dim)
-        for _ in range(index):
-            power = bdag @ power
+        power = next(islice(_ladder_powers(self.cfg), index, None))
         bump = offset * np.kron(_alice_weight(self.r), power)
         ops = list(self.ops)
         ops[index] = ops[index] + bump
@@ -136,8 +146,12 @@ def apply_channel(rho: DensityMatrix, ks: KrausSet) -> DensityMatrix:
             f"layout {ks.layout}"
         )
     out = np.zeros_like(rho.mat)
+    # Reused buffers: fresh temporaries per operator cost page faults that
+    # rival the matmuls themselves at n_max = 256.
+    left, term = np.empty_like(out), np.empty_like(out)
     for op in ks.ops:
-        out += op @ rho.mat @ op.T
+        np.matmul(op, rho.mat, out=left)
+        out += np.matmul(left, op.T, out=term)
     return DensityMatrix(rho.layout, out)
 
 

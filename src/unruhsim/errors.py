@@ -17,9 +17,5 @@ class NotSymmetricError(UnruhSimError, ValueError):
     """A matrix that must be symmetric is not, beyond tolerance."""
 
 
-class ConvergenceError(UnruhSimError, RuntimeError):
-    """The eigensolver did not converge within its sweep cap."""
-
-
 class PositivityError(UnruhSimError, ValueError):
     """An eigenvalue fell below the negative tolerance window of a PSD matrix."""

@@ -23,7 +23,6 @@ import numpy as np
 
 from .errors import (
     ConfigError,
-    ConvergenceError,
     LayoutMismatchError,
     NotSymmetricError,
     PositivityError,
@@ -32,9 +31,6 @@ from .errors import (
 # Symmetry slack accepted when wrapping a matrix as a DensityMatrix.  Matches
 # the default TruncationConfig.abs_tol.
 SYMMETRY_TOL = 1e-10
-
-# Hard cap on cyclic Jacobi sweeps.
-MAX_JACOBI_SWEEPS = 100
 
 
 @dataclass(frozen=True)
@@ -49,22 +45,16 @@ class TruncationConfig:
     abs_tol : float
         Absolute tolerance used for symmetry checks, PSD clamping and
         trace/norm accounting.
-    eig_tol : float
-        Off-diagonal Frobenius-norm threshold at which the symmetric
-        eigensolver declares convergence.
     """
 
     n_max: int
     abs_tol: float = 1e-10
-    eig_tol: float = 1e-12
 
     def __post_init__(self) -> None:
         if self.n_max < 1:
             raise ConfigError(f"n_max must be >= 1, got {self.n_max}")
         if self.abs_tol <= 0.0:
             raise ConfigError(f"abs_tol must be positive, got {self.abs_tol}")
-        if self.eig_tol <= 0.0:
-            raise ConfigError(f"eig_tol must be positive, got {self.eig_tol}")
 
     @property
     def dim(self) -> int:
@@ -289,13 +279,11 @@ def partial_trace(rho: DensityMatrix, keep: Iterable[str]) -> DensityMatrix:
 def sym_eigenvalues(mat: np.ndarray, cfg: TruncationConfig) -> np.ndarray:
     """Eigenvalues of a real symmetric matrix, sorted descending.
 
-    Cyclic Jacobi rotations over the upper triangle, iterated until the
-    off-diagonal Frobenius norm drops below ``cfg.eig_tol`` or the sweep cap
-    of 100 is hit (ConvergenceError).  Input asymmetric beyond
-    ``cfg.abs_tol`` is rejected.  Eigenvalues inside the float-noise window
-    [-abs_tol, 0) are clamped to 0; genuinely negative eigenvalues pass
-    through untouched, so positivity enforcement stays with the callers that
-    require it.
+    LAPACK (``np.linalg.eigvalsh``) on the symmetrized input.  Input
+    asymmetric beyond ``cfg.abs_tol`` is rejected.  Eigenvalues inside the
+    float-noise window [-abs_tol, 0) are clamped to 0; genuinely negative
+    eigenvalues pass through untouched, so positivity enforcement stays with
+    the callers that require it.
     """
     a = np.asarray(mat, dtype=np.float64)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
@@ -303,46 +291,11 @@ def sym_eigenvalues(mat: np.ndarray, cfg: TruncationConfig) -> np.ndarray:
     skew = float(np.abs(a - a.T).max()) if a.size else 0.0
     if skew > cfg.abs_tol:
         raise NotSymmetricError(f"matrix asymmetry {skew:.3e} > abs_tol {cfg.abs_tol}")
-    n = a.shape[0]
-    if n == 1:
+    if a.shape[0] == 1:
         return a[:1, 0].copy()
-    a = 0.5 * (a + a.T)
-
-    for _ in range(MAX_JACOBI_SWEEPS):
-        off = math.sqrt(2.0) * float(np.linalg.norm(a[np.triu_indices(n, 1)]))
-        if off < cfg.eig_tol:
-            ev = np.sort(np.diag(a))[::-1].copy()
-            ev[(ev >= -cfg.abs_tol) & (ev < 0.0)] = 0.0
-            return ev
-        for p in range(n - 1):
-            for qoff in np.flatnonzero(a[p, p + 1 :]):
-                q = p + 1 + int(qoff)
-                apq = a[p, q]
-                g = 100.0 * abs(apq)
-                # classic auto-zero: rotation would be below rounding anyway
-                if abs(a[p, p]) + g == abs(a[p, p]) and abs(a[q, q]) + g == abs(
-                    a[q, q]
-                ):
-                    a[p, q] = a[q, p] = 0.0
-                    continue
-                theta = 0.5 * (a[q, q] - a[p, p]) / apq
-                t = math.copysign(1.0, theta) / (abs(theta) + math.hypot(theta, 1.0))
-                c = 1.0 / math.sqrt(t * t + 1.0)
-                s = t * c
-                colp = a[:, p].copy()
-                colq = a[:, q]
-                a[:, p] = c * colp - s * colq
-                a[:, q] = s * colp + c * colq
-                rowp = a[p, :].copy()
-                rowq = a[q, :]
-                a[p, :] = c * rowp - s * rowq
-                a[q, :] = s * rowp + c * rowq
-                a[p, q] = a[q, p] = 0.0
-    residual = math.sqrt(2.0) * float(np.linalg.norm(a[np.triu_indices(n, 1)]))
-    raise ConvergenceError(
-        f"Jacobi eigensolver: off-diagonal norm {residual:.3e} still above "
-        f"eig_tol {cfg.eig_tol} after {MAX_JACOBI_SWEEPS} sweeps"
-    )
+    ev = np.linalg.eigvalsh(0.5 * (a + a.T))[::-1].copy()
+    ev[(ev >= -cfg.abs_tol) & (ev < 0.0)] = 0.0
+    return ev
 
 
 @dataclass(frozen=True)

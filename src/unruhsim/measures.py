@@ -1,8 +1,10 @@
 """Scalar figures of merit along the acceleration axis.
 
-Entropies are in bits (log base 2) throughout.  Every quantity with a
-series expression also has an independent spectral route through the dense
-matrices, and the two are held together by tests rather than by fiat:
+Entropies are in bits (log base 2) throughout.  Sweep records
+(:func:`measure_record`) are computed from the 1-D mode weights c_n and d_n
+alone, O(N) work and memory per point.  Every quantity in a record also has
+an independent route through the dense matrices, kept here as the oracle
+that tests and `verify` hold the records against:
 
   - entanglement fidelity: closed form (1/4) sech^2 r (1 + sech r)^2 versus
     the operator-sum trace sum_n (Tr rho A_n)^2, where every n >= 1 trace
@@ -13,7 +15,10 @@ matrices, and the two are held together by tests rather than by fiat:
     division-free form of a_n (1 + n/sinh^2 r), exact at r = 0) versus the
     eigensolve of the traced reduction;
   - entropy exchange: S of the wedge-II reduction of the pure tripartite
-    state, which equals S(rho_AR) because the global state is pure.
+    state, which equals S(rho_AR) because the global state is pure.  The
+    reduction is diagonal with entries (c_k^2 + d_k^2)/2;
+  - Alice's entropy: her reduction is diag(||d||^2/2, ||c||^2/2) versus
+    the eigensolve of the tripartite state's reduction.
 
 Truncation grows adaptively with r: the mean occupation grows like
 sinh^2 r, so honest entropies at r = 3 need thousands of Fock levels.  The
@@ -24,23 +29,25 @@ below abs_tol, and is always reported.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .channel import KrausSet, bell_input_density
 from .errors import ConfigError
 from .fock import DensityMatrix, TruncationConfig, truncation_tail_bound
-from .rindler import ALICE, WEDGE_II, block_weights, tripartite_state
+from .rindler import (
+    WEDGE_II,
+    block_weights,
+    one_particle_mode_weights,
+    tripartite_state,
+    vacuum_mode_weights,
+)
 
-# Cap on adaptively grown truncation; dense vectors at this size stay tractable.
+# Cap on adaptively grown truncation; it bounds the length of a record's
+# series.  A row at the cap is not flagged: past r ~ 3.14 its tail exceeds
+# abs_tol.
 ADAPTIVE_N_CAP = 4096
-
-# Internal truncation for the operator-sum fidelity inside sweep records.
-# The quantity is exactly truncation independent (all n >= 1 traces vanish
-# and the n = 0 trace only touches occupations <= 1), so a fixed modest
-# cutoff is used instead of the record's adaptive one.
-_FIDELITY_N_MAX = 64
 
 # Probabilities below this are treated as exact zeros (0 log 0 = 0).
 _PROB_FLOOR = 1e-300
@@ -158,16 +165,6 @@ def mutual_information(r: float, cfg: TruncationConfig) -> float:
     return 1.0 + rob_entropy_series(r, cfg) - joint_entropy_series(r, cfg)
 
 
-def subadditivity_margin(r: float, cfg: TruncationConfig) -> float:
-    """S(rho_A) + S(rho_R) - S(rho_AR); nonnegative by sub-additivity.
-
-    Identical arithmetic to :func:`mutual_information`, kept as its own
-    entry point because the contract differs: this one carries the
-    margin >= -abs_tol requirement.
-    """
-    return mutual_information(r, cfg)
-
-
 def adaptive_n_max(
     r: float,
     base_n_max: int,
@@ -217,45 +214,43 @@ class MeasureRecord:
 def measure_record(
     r: float, cfg: TruncationConfig, adaptive: bool = True
 ) -> MeasureRecord:
-    """Evaluate the full record at one r.
+    """Evaluate the full record at one r from the mode weights alone.
 
     `cfg.n_max` is the base truncation; with `adaptive` the effective cutoff
     n_used grows until the geometric tail bound clears abs_tol (capped, see
-    :func:`adaptive_n_max`).  s_ar and s_r come from the series at n_used;
-    s_a is verified spectrally from the tripartite state; s_e is the entropy
-    of the exactly diagonal wedge-II reduction; tail is the state's actual
-    norm deficit.
+    :func:`adaptive_n_max`).  With c and d the vacuum and one-particle
+    weights at n_used: s_ar and s_r are the series; s_a is the entropy of
+    Alice's diagonal reduction diag(||d||^2/2, ||c||^2/2); s_e that of the
+    diagonal wedge-II reduction (c_k^2 + d_k^2)/2; tail is the state's norm
+    deficit 1 - (||c||^2 + ||d||^2)/2.  fe_kraus keeps the one nonzero
+    operator-sum term: on the input support A_0 = diag(1, cosh r) (x) 1
+    / cosh^2 r, so Tr(rho_in A_0) = (1 + cosh r) / (2 cosh^2 r).
     """
     n_used = (
         adaptive_n_max(r, cfg.n_max, cfg.abs_tol) if adaptive else cfg.n_max
     )
-    eff = TruncationConfig(n_max=n_used, abs_tol=cfg.abs_tol, eig_tol=cfg.eig_tol)
+    eff = replace(cfg, n_max=n_used)
+    c, _ = vacuum_mode_weights(r, eff)
+    d, _ = one_particle_mode_weights(r, eff)
+    norm_c, norm_d = float(c @ c), float(d @ d)
+    wedge_ii = 0.5 * c * c
+    wedge_ii[:-1] += 0.5 * d * d
 
-    fe_closed = entanglement_fidelity_closed(r)
-    fe_cfg = TruncationConfig(
-        n_max=min(n_used, _FIDELITY_N_MAX), abs_tol=cfg.abs_tol, eig_tol=cfg.eig_tol
-    )
-    fe_kraus = entanglement_fidelity_kraus(r, fe_cfg)
-
+    ch = math.cosh(r)
+    trace_0 = 0.5 * (1.0 + ch) / ch**2
     s_ar = joint_entropy_series(r, eff)
     s_r = rob_entropy_series(r, eff)
-
-    psi = tripartite_state(r, eff)
-    tail = psi.norm_deficit
-    s_a = von_neumann_entropy(psi.reduced_density((ALICE,)), eff)
-    s_e = entropy_from_probabilities(wedge_ii_probabilities(psi))
-
     mutual = 1.0 + s_r - s_ar
     return MeasureRecord(
         r=float(r),
-        fe_closed=fe_closed,
-        fe_kraus=fe_kraus,
+        fe_closed=entanglement_fidelity_closed(r),
+        fe_kraus=trace_0 * trace_0,
         s_ar=s_ar,
         s_r=s_r,
-        s_a=s_a,
-        s_e=s_e,
+        s_a=entropy_from_probabilities(np.array([norm_d, norm_c]) / 2.0),
+        s_e=entropy_from_probabilities(wedge_ii),
         mutual_info=mutual,
         subadd_margin=mutual,
-        tail=tail,
+        tail=1.0 - (norm_c + norm_d) / 2.0,
         n_used=n_used,
     )

@@ -49,7 +49,6 @@ class SweepConfig:
     adaptive: bool = True
     abs_tol: float = 1e-10
     output_format: str = "csv"
-    seedless: bool = True
 
     def __post_init__(self) -> None:
         if not (math.isfinite(self.r_min) and math.isfinite(self.r_max)):
@@ -71,8 +70,6 @@ class SweepConfig:
                 f"output_format must be one of {OUTPUT_FORMATS}, "
                 f"got {self.output_format!r}"
             )
-        if not self.seedless:
-            raise ConfigError("randomized sweeps are not supported")
 
     def truncation(self) -> TruncationConfig:
         return TruncationConfig(n_max=self.n_max, abs_tol=self.abs_tol)

@@ -19,7 +19,6 @@ from unruhsim import (
     partial_trace,
     rho_alice_rob,
     rob_entropy_series,
-    subadditivity_margin,
     tripartite_state,
     von_neumann_entropy,
 )
@@ -199,11 +198,6 @@ def test_mutual_information_decreasing():
     assert all(b <= a + 1e-10 for a, b in zip(vals, vals[1:]))
 
 
-def test_subadditivity_margin_is_mutual_information():
-    for r in (0.0, 0.7, 2.1):
-        assert subadditivity_margin(r, CFG) == mutual_information(r, CFG)
-
-
 @pytest.mark.parametrize("r", [0.5, 1.5])
 def test_alice_entropy_is_one_bit(r):
     cfg = TruncationConfig(adaptive_n_max(r, 64, 1e-10))
@@ -243,6 +237,20 @@ def test_adaptive_truncation_respects_cap():
 # ---------------------------------------------------------------- records
 
 
+@pytest.mark.parametrize("r", [0.0, 0.5, 1.5, 2.5])
+def test_measure_record_matches_dense_routes(r):
+    rec = measure_record(r, TruncationConfig(64))
+    eff = TruncationConfig(rec.n_used)
+    psi = tripartite_state(r, eff)
+    s_a = von_neumann_entropy(psi.reduced_density((ALICE,)), eff)
+    s_e = entropy_from_probabilities(wedge_ii_probabilities(psi))
+    fe_kraus = entanglement_fidelity_kraus(r, TruncationConfig(64))
+    assert abs(rec.s_a - s_a) <= 1e-10
+    assert abs(rec.s_e - s_e) <= 1e-12
+    assert abs(rec.tail - psi.norm_deficit) <= 1e-12
+    assert abs(rec.fe_kraus - fe_kraus) <= 1e-12
+
+
 def test_measure_record_consistency():
     rec = measure_record(1.0, TruncationConfig(64))
     assert abs(rec.fe_closed - rec.fe_kraus) <= max(1e-10, rec.tail)
@@ -257,3 +265,45 @@ def test_measure_record_fixed_truncation():
     rec = measure_record(2.5, TruncationConfig(32), adaptive=False)
     assert rec.n_used == 32
     assert rec.tail > 1e-10  # honest about the insufficient cutoff
+
+
+# ---------------------------------------------------------------- 50-digit anchors
+
+
+def _mp_reference(mpmath, r):
+    """Untruncated S(rho_AR), S(rho_R) in bits and the fidelity, at 50 digits.
+
+    Sums the block traces lambda_n = a_n (1 + (n+1)/cosh^2 r) and Rob's
+    occupations p_n = a_n + n a_{n-1}/cosh^2 r until a_n < 1e-60.  Without
+    truncation the wedge-II marginal (c_n^2 + d_n^2)/2 is lambda_n, so the
+    joint entropy is also the entropy exchange.
+    """
+    with mpmath.workdps(50):
+        r = mpmath.mpf(r)
+        ch2 = mpmath.cosh(r) ** 2
+        q = mpmath.tanh(r) ** 2
+        floor = mpmath.mpf(10) ** -60
+        joint = rob = mpmath.mpf(0)
+        a_prev, a, n = mpmath.mpf(0), 1 / (2 * ch2), 0
+        while a > floor:
+            lam = a * (1 + (n + 1) / ch2)
+            p = a + n * a_prev / ch2
+            joint -= lam * mpmath.log(lam)
+            rob -= p * mpmath.log(p)
+            a_prev, a, n = a, a * q, n + 1
+        sech = 1 / mpmath.sqrt(ch2)
+        fidelity = sech**2 * (1 + sech) ** 2 / 4
+        ln2 = mpmath.log(2)
+        return float(joint / ln2), float(rob / ln2), float(fidelity)
+
+
+@pytest.mark.parametrize("r", [0.5, 1.5, 3.0])
+def test_record_matches_high_precision_reference(r):
+    mpmath = pytest.importorskip("mpmath")
+    s_joint, s_rob, fidelity = _mp_reference(mpmath, r)
+    rec = measure_record(r, TruncationConfig(256))
+    assert abs(rec.s_ar - s_joint) <= 1e-8
+    assert abs(rec.s_e - s_joint) <= 1e-8
+    assert abs(rec.s_r - s_rob) <= 1e-8
+    assert abs(rec.fe_closed - fidelity) <= 1e-12
+    assert abs(rec.fe_kraus - fidelity) <= 1e-12

@@ -1,4 +1,5 @@
 import json
+import sys
 
 import numpy as np
 import pytest
@@ -6,7 +7,10 @@ import pytest
 from unruhsim import (
     ConfigError,
     KrausScalarFault,
+    KrausSet,
     SweepConfig,
+    TruncationConfig,
+    entropy_exchange,
     run_sweep,
     run_verify,
     to_csv,
@@ -32,7 +36,6 @@ SMALL = SweepConfig(r_min=0.0, r_max=1.2, points=9, n_max=32)
         {"n_max": 4},
         {"abs_tol": 0.0},
         {"output_format": "xml"},
-        {"seedless": False},
     ],
 )
 def test_sweep_config_rejects_invalid(kwargs):
@@ -86,6 +89,27 @@ def test_json_schema_fields():
     assert doc["config"]["n_max"] == SMALL.n_max
     assert len(doc["rows"]) == len(records)
     assert tuple(doc["rows"][0].keys()) == CSV_COLUMNS
+
+
+def test_sweep_does_not_touch_dense_routes(monkeypatch):
+    # records come from the 1-D mode weights; the dense Kraus family, the
+    # tripartite state and the eigensolver are oracle routes only
+    def refuse(*args, **kwargs):
+        raise AssertionError("dense oracle route called")
+
+    monkeypatch.setattr(KrausSet, "build", refuse)
+    dense = ("tripartite_state", "sym_eigenvalues", "wedge_ii_probabilities")
+    for name, module in list(sys.modules.items()):
+        if name.partition(".")[0] == "unruhsim":
+            for attr in dense:
+                if hasattr(module, attr):
+                    monkeypatch.setattr(module, attr, refuse)
+    with pytest.raises(AssertionError, match="dense oracle"):
+        entropy_exchange(0.5, TruncationConfig(8))
+
+    records = run_sweep(SweepConfig(r_max=3.0, points=5, n_max=16))
+    assert len(records) == 5
+    assert records[-1].n_used > 16
 
 
 def test_sweep_deterministic():
