@@ -43,31 +43,50 @@ def _alice_weight(r: float) -> np.ndarray:
     return np.diag([1.0, math.cosh(r)])
 
 
-def _ladder_powers(
-    cfg: TruncationConfig, tanh_r: float | None = None
-) -> Iterator[np.ndarray]:
-    """(bdag)^n for n = 0, 1, ..., n_max, one repeated application per step.
+def _ladder_powers(cfg: TruncationConfig, tanh_r: float) -> Iterator[np.ndarray]:
+    """Q_n = (tanh^n r / sqrt(n!)) (bdag)^n as dense matrices, n = 0..n_max.
 
-    With `tanh_r` each power carries its Kraus scalar,
-    Q_n = (tanh^n r / sqrt(n!)) (bdag)^n, accumulated as in the module
-    docstring.  Powers are produced lazily, so a caller that needs only
-    the n-th pays n steps.
+    Accumulated as in the module docstring.  Powers are produced lazily, so
+    a caller that needs only the n-th pays n steps.
     """
-    bdag = creation_matrix(cfg)
-    step = bdag if tanh_r is None else tanh_r * bdag
+    step = tanh_r * creation_matrix(cfg)
     power = np.eye(cfg.dim)
     yield power
     for n in range(1, cfg.n_max + 1):
-        power = step @ power
-        if tanh_r is not None:
-            power = power / math.sqrt(n)
+        power = step @ power / math.sqrt(n)
         yield power
+
+
+def _ladder_diagonals(
+    n_max: int, tanh_r: float | None = None
+) -> Iterator[np.ndarray]:
+    """The one nonzero sub-diagonal of (bdag)^n, n = 0..n_max.
+
+    Entry m of the n-th array is <m+n| (bdag)^n |m>, length n_max + 1 - n.
+    With `tanh_r` each carries its Kraus scalar as Q_n does in
+    :func:`_ladder_powers`: the recurrence q_n[m] = (tanh r sqrt(m+n))
+    q_{n-1}[m] / sqrt(n) is the dense one restricted to its nonzeros, with
+    the operations in the same order, so every entry is bitwise equal to
+    the matching entry of the dense power.
+    """
+    step = np.sqrt(np.arange(1, n_max + 1, dtype=np.float64))
+    if tanh_r is not None:
+        step = tanh_r * step
+    diag = np.ones(n_max + 1)
+    yield diag
+    for n in range(1, n_max + 1):
+        diag = step[n - 1 :] * diag[:-1]
+        if tanh_r is not None:
+            diag = diag / math.sqrt(n)
+        yield diag
 
 
 def kraus_operator(n: int, r: float, cfg: TruncationConfig) -> np.ndarray:
     """The n-th Kraus operator as a dense matrix on Alice x wedge I.
 
-    Actions on the initial subspace:
+    Built from :func:`~unruhsim.fock.creation_matrix` by dense products, so
+    it is an independent reference for the sub-diagonals of
+    :class:`KrausSet`.  Actions on the initial subspace:
         A_n |0,1> = (tanh^n r / cosh^2 r) sqrt(n+1) |0, n+1>
         A_n |1,0> = (tanh^n r / cosh r) |1, n>
     """
@@ -76,20 +95,25 @@ def kraus_operator(n: int, r: float, cfg: TruncationConfig) -> np.ndarray:
     if r < 0 or not math.isfinite(r):
         raise ConfigError(f"r must be finite and >= 0, got {r}")
     ladder = next(islice(_ladder_powers(cfg, math.tanh(r)), n, None))
-    return np.kron(_alice_weight(r), ladder) / math.cosh(r) ** 2
+    return np.kron(_alice_weight(r), ladder) * (1.0 / math.cosh(r) ** 2)
 
 
 @dataclass(frozen=True)
 class KrausSet:
     """The full family {A_n, n = 0..n_max} at fixed r and truncation.
 
-    Immutable after construction; the operator arrays are read-only.  The
-    index range is tied to the Fock truncation so one knob governs both.
+    A_n maps |a, m> to |a, m+n> and nothing else, so it is stored as its
+    one nonzero sub-diagonal: ``diagonals[n]`` has shape (2, n_max + 1 - n)
+    with ``diagonals[n][a, m] = <a, m+n| A_n |a, m>``.  The whole family
+    takes 8 (n_max + 1)(n_max + 2) bytes.  Immutable after construction;
+    the arrays are read-only.  The index range is tied to the Fock
+    truncation so one knob governs both.  Dense matrices come from
+    :func:`kraus_operator`.
     """
 
     r: float
     cfg: TruncationConfig
-    ops: tuple[np.ndarray, ...]
+    diagonals: tuple[np.ndarray, ...]
 
     @property
     def layout(self) -> FactorLayout:
@@ -99,14 +123,14 @@ class KrausSet:
     def build(cls, r: float, cfg: TruncationConfig) -> "KrausSet":
         if r < 0 or not math.isfinite(r):
             raise ConfigError(f"r must be finite and >= 0, got {r}")
-        alice = _alice_weight(r)
+        alice = np.diag(_alice_weight(r))[:, None]
         inv_ch2 = 1.0 / math.cosh(r) ** 2
-        ops = []
-        for ladder in _ladder_powers(cfg, math.tanh(r)):
-            op = np.kron(alice, ladder) * inv_ch2
-            op.setflags(write=False)
-            ops.append(op)
-        return cls(r=r, cfg=cfg, ops=tuple(ops))
+        diagonals = []
+        for ladder in _ladder_diagonals(cfg.n_max, math.tanh(r)):
+            diag = alice * ladder * inv_ch2
+            diag.setflags(write=False)
+            diagonals.append(diag)
+        return cls(r=r, cfg=cfg, diagonals=tuple(diagonals))
 
     def with_scalar_offset(self, index: int, offset: float) -> "KrausSet":
         """Copy with the scalar prefactor of A_index shifted by `offset`.
@@ -116,12 +140,12 @@ class KrausSet:
         """
         if not 0 <= index <= self.cfg.n_max:
             raise ConfigError(f"Kraus index {index} outside 0..{self.cfg.n_max}")
-        power = next(islice(_ladder_powers(self.cfg), index, None))
-        bump = offset * np.kron(_alice_weight(self.r), power)
-        ops = list(self.ops)
-        ops[index] = ops[index] + bump
-        ops[index].setflags(write=False)
-        return KrausSet(r=self.r, cfg=self.cfg, ops=tuple(ops))
+        power = next(islice(_ladder_diagonals(self.cfg.n_max), index, None))
+        alice = np.diag(_alice_weight(self.r))[:, None]
+        diagonals = list(self.diagonals)
+        diagonals[index] = diagonals[index] + offset * (alice * power)
+        diagonals[index].setflags(write=False)
+        return KrausSet(r=self.r, cfg=self.cfg, diagonals=tuple(diagonals))
 
 
 def bell_input_density(cfg: TruncationConfig) -> DensityMatrix:
@@ -137,22 +161,24 @@ def bell_input_density(cfg: TruncationConfig) -> DensityMatrix:
 def apply_channel(rho: DensityMatrix, ks: KrausSet) -> DensityMatrix:
     """Operator-sum application sum_n A_n rho A_n^T, ascending n.
 
-    For inputs supported on span{|0,1>, |1,0>} the output trace equals the
-    input trace minus the geometric truncation tail.
+    A_n moves the (a, m) row and column of rho to (a, m+n) and scales them
+    by its sub-diagonal, so each term is one broadcast product: O(N^3)
+    work in all, O(N^2) memory.  For inputs supported on span{|0,1>, |1,0>}
+    the output trace equals the input trace minus the geometric truncation
+    tail.
     """
     if rho.layout != ks.layout:
         raise LayoutMismatchError(
             f"density matrix layout {rho.layout} does not match channel "
             f"layout {ks.layout}"
         )
-    out = np.zeros_like(rho.mat)
-    # Reused buffers: fresh temporaries per operator cost page faults that
-    # rival the matmuls themselves at n_max = 256.
-    left, term = np.empty_like(out), np.empty_like(out)
-    for op in ks.ops:
-        np.matmul(op, rho.mat, out=left)
-        out += np.matmul(left, op.T, out=term)
-    return DensityMatrix(rho.layout, out)
+    dim = ks.cfg.dim
+    rho4 = rho.mat.reshape(2, dim, 2, dim)
+    out = np.zeros_like(rho4)
+    for n, d in enumerate(ks.diagonals):
+        k = dim - n
+        out[:, n:, :, n:] += d[:, :, None, None] * rho4[:, :k, :, :k] * d[None, None]
+    return DensityMatrix(rho.layout, out.reshape(rho.mat.shape))
 
 
 def trace_preservation_defect(ks: KrausSet, probe: StateVector) -> float:
@@ -170,21 +196,23 @@ def trace_preservation_defect(ks: KrausSet, probe: StateVector) -> float:
         )
     if abs(probe.norm_sq - 1.0) > 1e-8:
         raise ConfigError(f"probe must be normalized, norm^2 = {probe.norm_sq}")
+    amps = probe.amps.reshape(2, ks.cfg.dim)
     total = 0.0
-    for op in ks.ops:
-        image = op @ probe.amps
-        total += float(image @ image)
+    for d in ks.diagonals:
+        image = d * amps[:, : d.shape[1]]
+        total += float(np.vdot(image, image))
     return abs(total - 1.0)
 
 
 def completeness_operator(ks: KrausSet) -> np.ndarray:
-    """sum_n A_n^T A_n, ascending n.
+    """sum_n A_n^T A_n, ascending n, as a dense matrix.
 
-    Diagonal in the product basis; without truncation the entry at Alice
+    Diagonal in the product basis, since each A_n maps basis states to
+    multiples of basis states; without truncation the entry at Alice
     occupation a and mode occupation m is cosh^(2(m+a-1)) r, so it equals 1
     exactly at (0,1) and (1,0), the initial-state subspace.
     """
-    out = np.zeros_like(ks.ops[0])
-    for op in ks.ops:
-        out += op.T @ op
-    return out
+    diag = np.zeros((2, ks.cfg.dim))
+    for d in ks.diagonals:
+        diag[:, : d.shape[1]] += d * d
+    return np.diag(diag.ravel())

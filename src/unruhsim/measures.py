@@ -45,8 +45,8 @@ from .rindler import (
 )
 
 # Cap on adaptively grown truncation; it bounds the length of a record's
-# series.  A row at the cap is not flagged: past r ~ 3.14 its tail exceeds
-# abs_tol.
+# series.  Past r ~ 3.14 the tail bound at the cap exceeds the default
+# abs_tol, and measure_record refuses such an r.
 ADAPTIVE_N_CAP = 4096
 
 # Probabilities below this are treated as exact zeros (0 log 0 = 0).
@@ -80,16 +80,23 @@ def entanglement_fidelity_closed(r: float) -> float:
 
 
 def input_overlap_traces(r: float, cfg: TruncationConfig) -> np.ndarray:
-    """Tr(rho_in A_n) for every n, computed from the dense operators.
+    """Tr(rho_in A_n) for every n, computed from the Kraus sub-diagonals.
 
-    Only n = 0 survives: A_n with n >= 1 moves the mode occupation, so its
-    matrix elements on the initial-state support are structural zeros and
-    the trace is exactly 0.0, not merely small.  The n = 0 value is
+    Tr(rho A_n) = sum_{a,m} <a,m|rho|a,m+n> <a,m+n|A_n|a,m>.  Only n = 0
+    survives: the input is supported on |0,1> and |1,0>, so its entries
+    n >= 1 levels apart within an Alice block are zero and the trace comes
+    out exactly 0.0, not merely small.  The n = 0 value is
     (1/2) sech r (1 + sech r).
     """
     ks = KrausSet.build(r, cfg)
-    rho = bell_input_density(cfg)
-    return np.array([float((rho.mat * op.T).sum()) for op in ks.ops])
+    rho4 = bell_input_density(cfg).mat.reshape(2, cfg.dim, 2, cfg.dim)
+    alice_blocks = np.einsum("iaib->iab", rho4)
+    return np.array(
+        [
+            float((np.diagonal(alice_blocks, n, axis1=1, axis2=2) * d).sum())
+            for n, d in enumerate(ks.diagonals)
+        ]
+    )
 
 
 def entanglement_fidelity_kraus(r: float, cfg: TruncationConfig) -> float:
@@ -217,21 +224,32 @@ def measure_record(
     """Evaluate the full record at one r from the mode weights alone.
 
     `cfg.n_max` is the base truncation; with `adaptive` the effective cutoff
-    n_used grows until the geometric tail bound clears abs_tol (capped, see
-    :func:`adaptive_n_max`).  With c and d the vacuum and one-particle
+    n_used grows until the geometric tail bound clears abs_tol, and an r
+    whose bound still exceeds abs_tol at the cap (see
+    :func:`adaptive_n_max`) is refused with ConfigError rather than
+    returned unconverged.  With c and d the vacuum and one-particle
     weights at n_used: s_ar and s_r are the series; s_a is the entropy of
     Alice's diagonal reduction diag(||d||^2/2, ||c||^2/2); s_e that of the
     diagonal wedge-II reduction (c_k^2 + d_k^2)/2; tail is the state's norm
-    deficit 1 - (||c||^2 + ||d||^2)/2.  fe_kraus keeps the one nonzero
-    operator-sum term: on the input support A_0 = diag(1, cosh r) (x) 1
-    / cosh^2 r, so Tr(rho_in A_0) = (1 + cosh r) / (2 cosh^2 r).
+    deficit, the mean of the exact weights the two truncated branches
+    discard; subadd_margin is s_a + s_r - s_ar.  fe_kraus keeps the one
+    nonzero operator-sum term: on the input support A_0 = diag(1, cosh r)
+    (x) 1 / cosh^2 r, so Tr(rho_in A_0) = (1 + cosh r) / (2 cosh^2 r).
     """
     n_used = (
         adaptive_n_max(r, cfg.n_max, cfg.abs_tol) if adaptive else cfg.n_max
     )
+    if adaptive:
+        bound = truncation_tail_bound(r, n_used)
+        if bound >= cfg.abs_tol:
+            raise ConfigError(
+                f"r = {r:g} needs a cutoff above the adaptive cap n_max = "
+                f"{n_used}: there the tail bound {bound:.3e} is not below "
+                f"abs_tol = {cfg.abs_tol:g}"
+            )
     eff = replace(cfg, n_max=n_used)
-    c, _ = vacuum_mode_weights(r, eff)
-    d, _ = one_particle_mode_weights(r, eff)
+    c, tail_c = vacuum_mode_weights(r, eff)
+    d, tail_d = one_particle_mode_weights(r, eff)
     norm_c, norm_d = float(c @ c), float(d @ d)
     wedge_ii = 0.5 * c * c
     wedge_ii[:-1] += 0.5 * d * d
@@ -240,17 +258,17 @@ def measure_record(
     trace_0 = 0.5 * (1.0 + ch) / ch**2
     s_ar = joint_entropy_series(r, eff)
     s_r = rob_entropy_series(r, eff)
-    mutual = 1.0 + s_r - s_ar
+    s_a = entropy_from_probabilities(np.array([norm_d, norm_c]) / 2.0)
     return MeasureRecord(
         r=float(r),
         fe_closed=entanglement_fidelity_closed(r),
         fe_kraus=trace_0 * trace_0,
         s_ar=s_ar,
         s_r=s_r,
-        s_a=entropy_from_probabilities(np.array([norm_d, norm_c]) / 2.0),
+        s_a=s_a,
         s_e=entropy_from_probabilities(wedge_ii),
-        mutual_info=mutual,
-        subadd_margin=mutual,
-        tail=1.0 - (norm_c + norm_d) / 2.0,
+        mutual_info=1.0 + s_r - s_ar,
+        subadd_margin=s_a + s_r - s_ar,
+        tail=(tail_c + tail_d) / 2.0,
         n_used=n_used,
     )

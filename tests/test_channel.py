@@ -80,12 +80,46 @@ def test_kraus_action_on_initial_subspace(n):
     assert np.allclose(image, expected, atol=1e-15)
 
 
+def sub_diagonals(op, n, dim):
+    """The n-th sub-diagonal of each Alice block of a dense operator, (2, dim - n)."""
+    blocks = op.reshape(2, dim, 2, dim)
+    return np.stack([np.diagonal(blocks[a, :, a, :], -n) for a in (0, 1)])
+
+
 def test_kraus_set_matches_single_operators():
     r, cfg = 0.9, TruncationConfig(8)
     ks = KrausSet.build(r, cfg)
-    assert len(ks.ops) == cfg.n_max + 1
-    for n, op in enumerate(ks.ops):
-        assert np.allclose(op, kraus_operator(n, r, cfg), atol=1e-15)
+    assert len(ks.diagonals) == cfg.n_max + 1
+    for n, diag in enumerate(ks.diagonals):
+        assert diag.shape == (2, cfg.dim - n)
+        assert not diag.flags.writeable
+        expected = sub_diagonals(kraus_operator(n, r, cfg), n, cfg.dim)
+        assert np.allclose(diag, expected, atol=1e-15)
+
+
+@pytest.mark.parametrize("n_max", [8, 48])
+@pytest.mark.parametrize("r", [0.0, 0.3, 0.8, 1.5, 2.5])
+def test_kraus_diagonals_are_the_dense_operators(n_max, r):
+    # the stored sub-diagonal is the whole dense operator: equal bit for bit
+    # on that sub-diagonal of each Alice block and exactly 0 everywhere else
+    cfg = TruncationConfig(n_max)
+    ks = KrausSet.build(r, cfg)
+    for n, diag in enumerate(ks.diagonals):
+        op = kraus_operator(n, r, cfg)
+        assert np.array_equal(diag, sub_diagonals(op, n, cfg.dim))
+        m = np.arange(cfg.dim - n)
+        rest = op.copy()
+        for a in (0, 1):
+            rest[a * cfg.dim + m + n, a * cfg.dim + m] = 0.0
+        assert np.all(rest == 0.0)
+
+
+def test_kraus_set_memory_is_quadratic():
+    # 8 (N+1)(N+2) bytes, about 0.53 MB at N = 256; N+1 dense operators
+    # would take 32 (N+1)^3, about 543 MB
+    cfg = TruncationConfig(256)
+    total = sum(d.nbytes for d in KrausSet.build(1.0, cfg).diagonals)
+    assert total == 8 * (cfg.n_max + 1) * (cfg.n_max + 2)
 
 
 def test_kraus_scalar_offset_fault_helper():
@@ -95,9 +129,10 @@ def test_kraus_scalar_offset_fault_helper():
     bump = 1e-3 * np.kron(
         _alice_weight(r), np.linalg.matrix_power(creation_matrix(cfg), 2)
     )
-    assert np.allclose(faulted.ops[2], ks.ops[2] + bump, atol=1e-15)
+    expected = ks.diagonals[2] + sub_diagonals(bump, 2, cfg.dim)
+    assert np.allclose(faulted.diagonals[2], expected, atol=1e-15)
     for n in (0, 1, 3, 4, 5, 6):
-        assert np.array_equal(faulted.ops[n], ks.ops[n])
+        assert np.array_equal(faulted.diagonals[n], ks.diagonals[n])
 
 
 # ---------------------------------------------------------------- channel map
@@ -114,6 +149,26 @@ def test_channel_is_identity_without_acceleration():
     rho = DensityMatrix(joint_layout(cfg), rho_mat)
     out = apply_channel(rho, KrausSet.build(0.0, cfg))
     assert np.allclose(out.mat, rho.mat, atol=1e-14)
+
+
+@pytest.mark.parametrize("r", [0.0, 0.3])
+def test_channel_matches_dense_operator_sum(r):
+    # a generic input, not just the Bell state; r stays small because
+    # entries off the initial subspace grow like cosh^(2m) r
+    cfg = TruncationConfig(12)
+    rng = np.random.default_rng(7)
+    m = rng.standard_normal((2 * cfg.dim, 2 * cfg.dim))
+    rho_mat = m @ m.T
+    rho_mat /= np.trace(rho_mat)
+    from unruhsim import DensityMatrix
+
+    rho = DensityMatrix(joint_layout(cfg), rho_mat)
+    expected = sum(
+        kraus_operator(n, r, cfg) @ rho_mat @ kraus_operator(n, r, cfg).T
+        for n in range(cfg.n_max + 1)
+    )
+    out = apply_channel(rho, KrausSet.build(r, cfg))
+    assert np.abs(out.mat - expected).max() <= 1e-14 * np.abs(expected).max()
 
 
 def test_channel_matches_analytic_reduction():

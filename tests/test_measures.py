@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from unruhsim import (
+    ConfigError,
     DensityMatrix,
     FactorLayout,
     PositivityError,
@@ -255,7 +256,8 @@ def test_measure_record_consistency():
     rec = measure_record(1.0, TruncationConfig(64))
     assert abs(rec.fe_closed - rec.fe_kraus) <= max(1e-10, rec.tail)
     assert rec.s_a == pytest.approx(1.0, abs=1e-10)
-    assert rec.subadd_margin == rec.mutual_info
+    margin = rec.s_a + rec.s_r - rec.s_ar
+    assert rec.subadd_margin == pytest.approx(margin, abs=1e-14)
     assert rec.mutual_info == pytest.approx(1.0 + rec.s_r - rec.s_ar, abs=1e-14)
     assert abs(rec.s_e - rec.s_ar) <= 1e-8  # purification identity
     assert rec.n_used >= 64
@@ -265,6 +267,15 @@ def test_measure_record_fixed_truncation():
     rec = measure_record(2.5, TruncationConfig(32), adaptive=False)
     assert rec.n_used == 32
     assert rec.tail > 1e-10  # honest about the insufficient cutoff
+
+
+@pytest.mark.parametrize("r", [4.0, 5.0])
+def test_measure_record_refuses_r_past_the_cap(r):
+    # the cutoff would stop at the cap with an unconverged series
+    with pytest.raises(ConfigError, match="cap"):
+        measure_record(r, TruncationConfig(256))
+    # a fixed cutoff is the caller's choice and reports its tail instead
+    assert measure_record(r, TruncationConfig(256), adaptive=False).tail > 1e-10
 
 
 # ---------------------------------------------------------------- 50-digit anchors

@@ -65,6 +65,13 @@ def test_sweep_first_row_without_acceleration():
     assert first.subadd_margin == pytest.approx(2.0, abs=1e-10)
 
 
+def test_default_sweep_tail_is_exact():
+    # the tail is the exact discarded weight, never a negative cancellation
+    cfg = SweepConfig()
+    for rec in run_sweep(cfg):
+        assert 0.0 <= rec.tail <= cfg.abs_tol
+
+
 def test_csv_schema_and_precision():
     records = run_sweep(SMALL)
     text = to_csv(records)
@@ -202,6 +209,19 @@ def test_cli_point(capsys):
 
 def test_cli_point_rejects_negative(capsys):
     assert main(["point", "--r", "-1.0"]) == 2
+
+
+@pytest.mark.parametrize(
+    "args", [["point", "--r", "4"], ["point", "--r", "5"], ["sweep", "--r-max", "4"]]
+)
+def test_cli_refuses_r_past_the_cap(args, capsys):
+    assert main(args) == 2
+    assert "cap" in capsys.readouterr().err
+
+
+def test_cli_default_sweep_exits_zero(capsys):
+    assert main(["sweep", "--r-max", "3"]) == 0
+    assert len(capsys.readouterr().out.splitlines()) == 2 + SweepConfig().points
 
 
 def test_cli_config_error_exits_two(capsys):
