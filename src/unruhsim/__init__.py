@@ -27,15 +27,11 @@ from .errors import (
 from .fock import (
     DensityMatrix,
     FactorLayout,
-    GeometricSums,
     StateVector,
     TruncationConfig,
-    basis_state,
     creation_matrix,
-    geometric_closed_forms,
     partial_trace,
     sym_eigenvalues,
-    tensor_product,
     truncation_tail_bound,
 )
 from .measures import (
@@ -72,7 +68,6 @@ __all__ = [
     "ConfigError",
     "DensityMatrix",
     "FactorLayout",
-    "GeometricSums",
     "KrausScalarFault",
     "KrausSet",
     "LayoutMismatchError",
@@ -86,14 +81,12 @@ __all__ = [
     "UnruhSimError",
     "adaptive_n_max",
     "apply_channel",
-    "basis_state",
     "bell_input_density",
     "completeness_operator",
     "creation_matrix",
     "entanglement_fidelity_closed",
     "entanglement_fidelity_kraus",
     "entropy_exchange",
-    "geometric_closed_forms",
     "joint_entropy_series",
     "kraus_operator",
     "measure_record",
@@ -108,7 +101,6 @@ __all__ = [
     "run_sweep",
     "run_verify",
     "sym_eigenvalues",
-    "tensor_product",
     "to_csv",
     "to_json",
     "trace_preservation_defect",

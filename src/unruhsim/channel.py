@@ -184,8 +184,8 @@ def apply_channel(rho: DensityMatrix, ks: KrausSet) -> DensityMatrix:
 def trace_preservation_defect(ks: KrausSet, probe: StateVector) -> float:
     """| sum_n <probe| A_n^T A_n |probe> - 1 |.
 
-    For normalized probes inside span{|0,1>, |1,0>} this is bounded by the
-    geometric tail (n_max + 2)(tanh^2 r)^(n_max+1).  Probes outside that
+    For normalized probes inside span{|0,1>, |1,0>} this is bounded, up to
+    rounding, by `truncation_tail_bound(r, n_max)`.  Probes outside that
     subspace are allowed and expose that the map is trace preserving only
     on the initial subspace: |1,1> for instance yields sum = cosh^2 r, i.e.
     a defect of sinh^2 r (up to tail).

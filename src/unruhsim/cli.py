@@ -15,7 +15,6 @@ import sys
 from dataclasses import asdict
 
 from .errors import ConfigError
-from .fock import TruncationConfig
 from .measures import measure_record
 from .sweep import OUTPUT_FORMATS, SweepConfig, render, run_sweep
 from .verify import first_failure, run_verify
@@ -27,11 +26,6 @@ def _add_config_args(sp: argparse.ArgumentParser) -> None:
     sp.add_argument("--points", type=int, default=200, help="grid size (default 200)")
     sp.add_argument(
         "--n-max", type=int, default=256, help="base Fock truncation (default 256)"
-    )
-    sp.add_argument(
-        "--no-adaptive",
-        action="store_true",
-        help="freeze the truncation at --n-max instead of growing it with r",
     )
     sp.add_argument(
         "--tol", type=float, default=1e-10, help="absolute tolerance (default 1e-10)"
@@ -71,7 +65,6 @@ def _config_from_args(args: argparse.Namespace) -> SweepConfig:
         r_max=args.r_max,
         points=args.points,
         n_max=args.n_max,
-        adaptive=not args.no_adaptive,
         abs_tol=args.tol,
         output_format=getattr(args, "format", "csv"),
     )
@@ -100,10 +93,7 @@ def _cmd_verify(cfg: SweepConfig) -> int:
 
 
 def _cmd_point(cfg: SweepConfig, r: float) -> int:
-    if r < 0:
-        raise ConfigError(f"--r must be >= 0, got {r}")
-    trunc = TruncationConfig(n_max=cfg.n_max, abs_tol=cfg.abs_tol)
-    rec = measure_record(r, trunc, adaptive=cfg.adaptive)
+    rec = measure_record(r, cfg.truncation())
     labels = {
         "r": "acceleration parameter",
         "fe_closed": "entanglement fidelity (closed form)",

@@ -3,21 +3,21 @@
 Everything downstream works in a finite-dimensional slice of the bosonic
 Fock space: each mode keeps occupations 0..n_max, so one mode lives in
 dimension n_max + 1.  States and density matrices carry an explicit
-`FactorLayout` so that tensor products and partial traces can be done by
-label instead of by hand-counted index arithmetic.
+`FactorLayout` so that partial traces can be done by label instead of by
+hand-counted index arithmetic.
 
 All amplitudes in this problem are real and nonnegative, so states are
 real vectors and density matrices are real symmetric.  Truncation is never
 hidden: a state whose squared norm falls short of 1 reports the deficit
-instead of renormalizing, and the closed-form geometric tails that bound
-those deficits are available from :func:`geometric_closed_forms`.
+instead of renormalizing, and :func:`truncation_tail_bound` bounds those
+deficits in closed form.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
@@ -110,10 +110,6 @@ class FactorLayout:
             tuple(self.dims[k] for k in kept),
             tuple(self.labels[k] for k in kept),
         )
-
-    @staticmethod
-    def concat(a: "FactorLayout", b: "FactorLayout") -> "FactorLayout":
-        return FactorLayout(a.dims + b.dims, a.labels + b.labels)
 
 
 def _frozen_array(data, shape=None) -> np.ndarray:
@@ -228,31 +224,6 @@ def creation_matrix(cfg: TruncationConfig) -> np.ndarray:
     return mat
 
 
-def tensor_product(a, b):
-    """Kronecker composition of two states, density matrices, or raw arrays.
-
-    StateVector x StateVector and DensityMatrix x DensityMatrix concatenate
-    their factor layouts; plain ndarrays must agree in rank (both vectors or
-    both matrices).  Anything else is a layout mismatch.
-    """
-    if isinstance(a, StateVector) and isinstance(b, StateVector):
-        layout = FactorLayout.concat(a.layout, b.layout)
-        return StateVector(layout, np.kron(a.amps, b.amps))
-    if isinstance(a, DensityMatrix) and isinstance(b, DensityMatrix):
-        layout = FactorLayout.concat(a.layout, b.layout)
-        return DensityMatrix(layout, np.kron(a.mat, b.mat))
-    if isinstance(a, np.ndarray) and isinstance(b, np.ndarray):
-        if a.ndim != b.ndim or a.ndim not in (1, 2):
-            raise LayoutMismatchError(
-                f"cannot combine arrays of rank {a.ndim} and {b.ndim}"
-            )
-        return np.kron(a, b)
-    raise LayoutMismatchError(
-        f"operands must be two StateVectors, two DensityMatrices, or two "
-        f"ndarrays, got {type(a).__name__} and {type(b).__name__}"
-    )
-
-
 def partial_trace(rho: DensityMatrix, keep: Iterable[str]) -> DensityMatrix:
     """Trace out every factor not named in `keep`.
 
@@ -298,71 +269,17 @@ def sym_eigenvalues(mat: np.ndarray, cfg: TruncationConfig) -> np.ndarray:
     return ev
 
 
-@dataclass(frozen=True)
-class GeometricSums:
-    """Closed forms, partial sums, and tails of the two squeezing series.
-
-    ``vacuum``   : (1/cosh^2 r) * sum_n (tanh^2 r)^n          = 1
-    ``one_particle`` : (1/cosh^4 r) * sum_n (n+1)(tanh^2 r)^n = 1
-
-    The partial sums run to n_max.  `tail_vacuum` and `tail_one_particle`
-    are the exact remainders; `tail_one_particle_bound` is the simpler
-    (n_max + 2) q^(n_max + 1) majorant used for truncation budgeting.
-    """
-
-    closed_vacuum: float
-    closed_one_particle: float
-    partial_vacuum: float
-    partial_one_particle: float
-    tail_vacuum: float
-    tail_one_particle: float
-    tail_one_particle_bound: float
-
-
-def geometric_closed_forms(r: float, cfg: TruncationConfig) -> GeometricSums:
-    """Evaluate the normalized geometric series that certify trace budgets.
-
-    With q = tanh^2 r, the normalized vacuum series sums to exactly 1 with
-    remainder q^(n_max+1) past the cutoff; the weighted one-particle series
-    also sums to 1 with remainder q^(N+1) * ((N+2) - (N+1) q), which the
-    bound (N+2) q^(N+1) majorizes.
-    """
-    if r < 0 or not math.isfinite(r):
-        raise ConfigError(f"acceleration parameter must be finite and >= 0, got {r}")
-    q = math.tanh(r) ** 2
-    big_n = cfg.n_max
-    n = np.arange(big_n + 1)
-    qn = q**n
-    partial_vac = float(qn.sum()) / math.cosh(r) ** 2
-    partial_one = float(((n + 1) * qn).sum()) / math.cosh(r) ** 4
-    tail_vac = q ** (big_n + 1)
-    tail_one = q ** (big_n + 1) * ((big_n + 2) - (big_n + 1) * q)
-    return GeometricSums(
-        closed_vacuum=1.0,
-        closed_one_particle=1.0,
-        partial_vacuum=partial_vac,
-        partial_one_particle=partial_one,
-        tail_vacuum=tail_vac,
-        tail_one_particle=tail_one,
-        tail_one_particle_bound=(big_n + 2) * q ** (big_n + 1),
-    )
-
-
 def truncation_tail_bound(r: float, n_max: int) -> float:
-    """(n_max + 2) (tanh^2 r)^(n_max + 1): majorant for every series tail here."""
+    """Bound on the weight a cutoff at n_max drops, with q = tanh^2 r.
+
+    The larger of (n_max + 2) q^(n_max + 1), which majorizes the vacuum
+    branch's tail q^(n_max + 1) and the remainder of an (n_max + 1)-term
+    one-particle series, and q^n_max ((n_max + 1) - n_max q), the exact
+    weight the one-particle branch drops because it keeps only n_max
+    levels.  The first term wins for q >= 1/2; the second for q < 1/2.
+    """
     q = math.tanh(r) ** 2
-    return (n_max + 2) * q ** (n_max + 1)
-
-
-def basis_state(layout: FactorLayout, occupations: Sequence[int]) -> StateVector:
-    """Unit StateVector at the given multi-index."""
-    if len(occupations) != len(layout.dims):
-        raise LayoutMismatchError(
-            f"{len(occupations)} occupations for {len(layout.dims)} factors"
-        )
-    for occ, d in zip(occupations, layout.dims):
-        if not 0 <= occ < d:
-            raise LayoutMismatchError(f"occupation {occ} outside factor of dim {d}")
-    amps = np.zeros(layout.dim)
-    amps[int(np.ravel_multi_index(tuple(occupations), layout.dims))] = 1.0
-    return StateVector(layout, amps)
+    return max(
+        (n_max + 2) * q ** (n_max + 1),
+        q**n_max * ((n_max + 1) - n_max * q),
+    )

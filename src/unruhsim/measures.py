@@ -21,9 +21,10 @@ that tests and `verify` hold the records against:
     the eigensolve of the tripartite state's reduction.
 
 Truncation grows adaptively with r: the mean occupation grows like
-sinh^2 r, so honest entropies at r = 3 need thousands of Fock levels.  The
-effective cutoff is chosen so the tail bound (N+2)(tanh^2 r)^(N+1) drops
-below abs_tol, and is always reported.
+sinh^2 r, so honest entropies at r = 3 need thousands of Fock levels.
+:func:`adaptive_n_max` alone chooses the effective cutoff, the smallest one
+whose tail bound drops below abs_tol, and refuses an r that no cutoff up to
+the cap certifies.  The cutoff is always reported.
 """
 
 from __future__ import annotations
@@ -46,7 +47,7 @@ from .rindler import (
 
 # Cap on adaptively grown truncation; it bounds the length of a record's
 # series.  Past r ~ 3.14 the tail bound at the cap exceeds the default
-# abs_tol, and measure_record refuses such an r.
+# abs_tol, and adaptive_n_max refuses such an r.
 ADAPTIVE_N_CAP = 4096
 
 # Probabilities below this are treated as exact zeros (0 log 0 = 0).
@@ -172,25 +173,30 @@ def mutual_information(r: float, cfg: TruncationConfig) -> float:
     return 1.0 + rob_entropy_series(r, cfg) - joint_entropy_series(r, cfg)
 
 
-def adaptive_n_max(
-    r: float,
-    base_n_max: int,
-    abs_tol: float,
-    cap: int = ADAPTIVE_N_CAP,
-) -> int:
-    """Effective truncation for the given r.
+def adaptive_n_max(r: float, base_n_max: int, abs_tol: float) -> int:
+    """Certified truncation for the given r.
 
-    The smallest N with (N+2)(tanh^2 r)^(N+1) < abs_tol, never below the
-    configured base and never above max(base, cap).  Growth beyond the base
-    only happens when the tail bound demands it (large r).
+    The smallest N >= base_n_max with truncation_tail_bound(r, N) < abs_tol,
+    searched up to max(base_n_max, ADAPTIVE_N_CAP).  Growth beyond the base
+    only happens when the tail bound demands it (large r).  Raises
+    ConfigError for an r that is negative or not finite, and for one whose
+    bound at that ceiling is not below abs_tol, rather than returning an
+    uncertified cutoff.
     """
+    if r < 0 or not math.isfinite(r):
+        raise ConfigError(f"r must be finite and >= 0, got {r}")
     if abs_tol <= 0:
         raise ConfigError(f"abs_tol must be positive, got {abs_tol}")
-    ceiling = max(base_n_max, cap)
     if truncation_tail_bound(r, base_n_max) < abs_tol:
         return base_n_max
-    if truncation_tail_bound(r, ceiling) >= abs_tol:
-        return ceiling
+    ceiling = max(base_n_max, ADAPTIVE_N_CAP)
+    bound = truncation_tail_bound(r, ceiling)
+    if bound >= abs_tol:
+        raise ConfigError(
+            f"r = {r:g} needs a cutoff above the adaptive cap n_max = "
+            f"{ceiling}: there the tail bound {bound:.3e} is not below "
+            f"abs_tol = {abs_tol:g}"
+        )
     lo, hi = base_n_max, ceiling
     while lo < hi:
         mid = (lo + hi) // 2
@@ -218,35 +224,22 @@ class MeasureRecord:
     n_used: int
 
 
-def measure_record(
-    r: float, cfg: TruncationConfig, adaptive: bool = True
-) -> MeasureRecord:
+def measure_record(r: float, cfg: TruncationConfig) -> MeasureRecord:
     """Evaluate the full record at one r from the mode weights alone.
 
-    `cfg.n_max` is the base truncation; with `adaptive` the effective cutoff
-    n_used grows until the geometric tail bound clears abs_tol, and an r
-    whose bound still exceeds abs_tol at the cap (see
-    :func:`adaptive_n_max`) is refused with ConfigError rather than
-    returned unconverged.  With c and d the vacuum and one-particle
-    weights at n_used: s_ar and s_r are the series; s_a is the entropy of
-    Alice's diagonal reduction diag(||d||^2/2, ||c||^2/2); s_e that of the
-    diagonal wedge-II reduction (c_k^2 + d_k^2)/2; tail is the state's norm
+    `cfg.n_max` is the base truncation; the effective cutoff n_used is
+    :func:`adaptive_n_max`, which refuses with ConfigError an r it cannot
+    certify rather than letting it be returned unconverged.  With c and d
+    the vacuum and one-particle weights at n_used: s_ar and s_r are the
+    series; s_a is the entropy of Alice's diagonal reduction
+    diag(||d||^2/2, ||c||^2/2); s_e that of the diagonal wedge-II
+    reduction (c_k^2 + d_k^2)/2; tail is the state's norm
     deficit, the mean of the exact weights the two truncated branches
     discard; subadd_margin is s_a + s_r - s_ar.  fe_kraus keeps the one
     nonzero operator-sum term: on the input support A_0 = diag(1, cosh r)
     (x) 1 / cosh^2 r, so Tr(rho_in A_0) = (1 + cosh r) / (2 cosh^2 r).
     """
-    n_used = (
-        adaptive_n_max(r, cfg.n_max, cfg.abs_tol) if adaptive else cfg.n_max
-    )
-    if adaptive:
-        bound = truncation_tail_bound(r, n_used)
-        if bound >= cfg.abs_tol:
-            raise ConfigError(
-                f"r = {r:g} needs a cutoff above the adaptive cap n_max = "
-                f"{n_used}: there the tail bound {bound:.3e} is not below "
-                f"abs_tol = {cfg.abs_tol:g}"
-            )
+    n_used = adaptive_n_max(r, cfg.n_max, cfg.abs_tol)
     eff = replace(cfg, n_max=n_used)
     c, tail_c = vacuum_mode_weights(r, eff)
     d, tail_d = one_particle_mode_weights(r, eff)

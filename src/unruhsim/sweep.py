@@ -46,7 +46,6 @@ class SweepConfig:
     r_max: float = 3.0
     points: int = 200
     n_max: int = 256
-    adaptive: bool = True
     abs_tol: float = 1e-10
     output_format: str = "csv"
 
@@ -83,7 +82,7 @@ def r_grid(cfg: SweepConfig) -> np.ndarray:
 def run_sweep(cfg: SweepConfig) -> list[MeasureRecord]:
     """One record per grid point, evaluated in increasing r."""
     trunc = cfg.truncation()
-    return [measure_record(float(r), trunc, adaptive=cfg.adaptive) for r in r_grid(cfg)]
+    return [measure_record(float(r), trunc) for r in r_grid(cfg)]
 
 
 def _fmt(value: float) -> str:

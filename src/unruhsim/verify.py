@@ -201,11 +201,9 @@ def _check_records(cfg: SweepConfig, records) -> list[CheckResult]:
 
 
 def _check_tail_bound(cfg: SweepConfig) -> CheckResult:
-    n_used = (
-        adaptive_n_max(cfg.r_max, cfg.n_max, cfg.abs_tol)
-        if cfg.adaptive
-        else cfg.n_max
-    )
+    # adaptive_n_max refuses an r it cannot certify; the bound is evaluated
+    # again here as a cross-check of the cutoff it returns
+    n_used = adaptive_n_max(cfg.r_max, cfg.n_max, cfg.abs_tol)
     bound = truncation_tail_bound(cfg.r_max, n_used)
     ok = bound < cfg.abs_tol
     detail = f"n_used={n_used} at r={cfg.r_max:g}"

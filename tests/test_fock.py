@@ -14,12 +14,9 @@ from unruhsim import (
     PositivityError,
     StateVector,
     TruncationConfig,
-    basis_state,
     creation_matrix,
-    geometric_closed_forms,
     partial_trace,
     sym_eigenvalues,
-    tensor_product,
     truncation_tail_bound,
 )
 
@@ -87,44 +84,6 @@ def test_number_operator_identity():
     num = bdag.T @ bdag
     expected = np.diag(list(range(1, CFG.n_max + 1)) + [0])
     assert np.allclose(num, expected, atol=1e-12)
-
-
-# ---------------------------------------------------------------- tensor
-
-
-def test_tensor_product_identity_case():
-    assert np.array_equal(tensor_product(np.eye(2), np.eye(3)), np.eye(6))
-
-
-def test_tensor_product_basis_composition():
-    a = basis_state(FactorLayout((2,), ("x",)), (0,))
-    b = basis_state(FactorLayout((3,), ("y",)), (1,))
-    prod = tensor_product(a, b)
-    assert prod.layout.labels == ("x", "y")
-    assert prod.reshaped()[0, 1] == 1.0
-    assert prod.norm_sq == 1.0
-
-
-def test_tensor_product_kron_oracle():
-    # brute-force Kronecker expansion of (bdag on dim 4) x identity(2)
-    bdag = creation_matrix(TruncationConfig(3))
-    eye2 = np.eye(2)
-    prod = tensor_product(bdag, eye2)
-    expected = np.zeros((8, 8))
-    for i in range(4):
-        for j in range(4):
-            for k in range(2):
-                for l in range(2):
-                    expected[2 * i + k, 2 * j + l] = bdag[i, j] * eye2[k, l]
-    assert np.array_equal(prod, expected)
-    assert prod[2 * 1 + 0, 2 * 0 + 0] == 1.0
-
-
-def test_tensor_product_mismatch_rejected():
-    with pytest.raises(LayoutMismatchError):
-        tensor_product(np.zeros(3), np.zeros((2, 2)))
-    with pytest.raises(LayoutMismatchError):
-        tensor_product(basis_state(FactorLayout((2,), ("x",)), (0,)), np.eye(2))
 
 
 # ---------------------------------------------------------------- partial trace
@@ -263,63 +222,16 @@ def test_sym_eigenvalue_sum_equals_trace(dim, seed):
     assert ev[-1] >= -CFG.abs_tol
 
 
-# ---------------------------------------------------------------- geometric series
-
-
-def test_geometric_closed_forms_at_zero():
-    sums = geometric_closed_forms(0.0, TruncationConfig(4))
-    assert sums.partial_vacuum == 1.0
-    assert sums.partial_one_particle == 1.0
-    assert sums.tail_vacuum == 0.0
-    assert sums.tail_one_particle == 0.0
-
-
-def test_geometric_partial_sums_converge():
-    sums = geometric_closed_forms(1.0, TruncationConfig(64))
-    assert abs(sums.partial_vacuum - 1.0) < 1e-12
-    assert abs(sums.partial_one_particle - 1.0) < 1e-12
-
-
-def test_geometric_tails_match_direct_summation():
-    r, n_max = 1.0, 16
-    sums = geometric_closed_forms(r, TruncationConfig(n_max))
-    q = math.tanh(r) ** 2
-    n = np.arange(n_max + 1, 10 * n_max + 1)
-    direct_vac = float((q**n).sum()) / math.cosh(r) ** 2
-    direct_one = float(((n + 1) * q**n).sum()) / math.cosh(r) ** 4
-    assert sums.tail_vacuum == pytest.approx(direct_vac, rel=1e-10)
-    assert sums.tail_one_particle == pytest.approx(direct_one, rel=1e-10)
-    assert sums.tail_one_particle_bound >= sums.tail_one_particle
-    # partial + exact tail reconstructs the closed form
-    assert sums.partial_vacuum + sums.tail_vacuum == pytest.approx(1.0, abs=1e-14)
-    assert sums.partial_one_particle + sums.tail_one_particle == pytest.approx(
-        1.0, abs=1e-13
-    )
-
-
-def test_geometric_partial_sums_monotone_in_cutoff():
-    r = 0.9
-    prev_vac, prev_one = -1.0, -1.0
-    for n_max in (2, 4, 8, 16, 32, 64):
-        sums = geometric_closed_forms(r, TruncationConfig(n_max))
-        assert sums.partial_vacuum > prev_vac
-        assert sums.partial_one_particle > prev_one
-        assert sums.partial_vacuum <= 1.0 + 1e-15
-        assert sums.partial_one_particle <= 1.0 + 1e-15
-        prev_vac, prev_one = sums.partial_vacuum, sums.partial_one_particle
+# ---------------------------------------------------------------- tail bound
 
 
 def test_truncation_tail_bound_formula():
     assert truncation_tail_bound(0.0, 16) == 0.0
     q = math.tanh(1.2) ** 2
     assert truncation_tail_bound(1.2, 16) == pytest.approx(18 * q**17, rel=1e-14)
+    # below q = 1/2 the n_max-level one-particle branch's exact tail is larger
+    q = math.tanh(0.3) ** 2
+    assert truncation_tail_bound(0.3, 8) == pytest.approx(
+        q**8 * (9 - 8 * q), rel=1e-14
+    )
 
-
-def test_basis_state_bounds():
-    lay = FactorLayout((2, 3), ("a", "b"))
-    vec = basis_state(lay, (1, 2))
-    assert vec.reshaped()[1, 2] == 1.0
-    with pytest.raises(LayoutMismatchError):
-        basis_state(lay, (1, 3))
-    with pytest.raises(LayoutMismatchError):
-        basis_state(lay, (1,))

@@ -21,6 +21,7 @@ from unruhsim import (
     rho_alice_rob,
     rob_entropy_series,
     tripartite_state,
+    truncation_tail_bound,
     von_neumann_entropy,
 )
 from unruhsim.measures import (
@@ -222,8 +223,6 @@ def test_adaptive_truncation_grows_with_acceleration():
 
 
 def test_adaptive_truncation_meets_tail_target():
-    from unruhsim import truncation_tail_bound
-
     for r in (1.5, 2.2, 3.0):
         n = adaptive_n_max(r, 64, 1e-10)
         assert truncation_tail_bound(r, n) < 1e-10
@@ -231,8 +230,15 @@ def test_adaptive_truncation_meets_tail_target():
 
 
 def test_adaptive_truncation_respects_cap():
-    assert adaptive_n_max(3.0, 8, 1e-10, cap=100) == 100
+    with pytest.raises(ConfigError, match="cap"):
+        adaptive_n_max(4.0, 8, 1e-10)
     assert adaptive_n_max(3.0, 8, 1e-10) <= ADAPTIVE_N_CAP
+
+
+@pytest.mark.parametrize("r", [-1.0, math.inf, math.nan])
+def test_adaptive_truncation_rejects_invalid_r(r):
+    with pytest.raises(ConfigError, match="finite and >= 0"):
+        adaptive_n_max(r, 64, 1e-10)
 
 
 # ---------------------------------------------------------------- records
@@ -263,19 +269,21 @@ def test_measure_record_consistency():
     assert rec.n_used >= 64
 
 
-def test_measure_record_fixed_truncation():
-    rec = measure_record(2.5, TruncationConfig(32), adaptive=False)
-    assert rec.n_used == 32
-    assert rec.tail > 1e-10  # honest about the insufficient cutoff
-
-
 @pytest.mark.parametrize("r", [4.0, 5.0])
 def test_measure_record_refuses_r_past_the_cap(r):
     # the cutoff would stop at the cap with an unconverged series
     with pytest.raises(ConfigError, match="cap"):
         measure_record(r, TruncationConfig(256))
-    # a fixed cutoff is the caller's choice and reports its tail instead
-    assert measure_record(r, TruncationConfig(256), adaptive=False).tail > 1e-10
+
+
+@pytest.mark.parametrize("base", [1, 8, 256])
+def test_record_tail_is_certified(base):
+    # every accepted cutoff bounds the weight the record actually drops,
+    # including below q = 1/2 where the one-particle branch's tail dominates
+    for r in np.linspace(0.0, 3.0, 121)[1:]:
+        rec = measure_record(float(r), TruncationConfig(base))
+        bound = truncation_tail_bound(float(r), rec.n_used)
+        assert 0.0 <= rec.tail <= bound < 1e-10
 
 
 # ---------------------------------------------------------------- 50-digit anchors

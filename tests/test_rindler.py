@@ -21,7 +21,7 @@ from unruhsim import (
     truncation_tail_bound,
     vacuum_mode_weights,
 )
-from unruhsim.fock import creation_matrix, tensor_product
+from unruhsim.fock import creation_matrix
 from unruhsim.rindler import ALICE, WEDGE_I, WEDGE_II, block_weights
 
 
@@ -129,6 +129,18 @@ def test_vacuum_norm_deficit_is_geometric_tail():
     assert 1.0 - float(c @ c) == pytest.approx(direct, rel=1e-9)
 
 
+@pytest.mark.parametrize("r, n_max", [(0.3, 8), (1.0, 32)])
+def test_one_particle_norm_deficit_is_exact_tail(r, n_max):
+    cfg = TruncationConfig(n_max)
+    d, tail = one_particle_mode_weights(r, cfg)
+    # oracle: sum the dropped weights d_n^2, n >= n_max, directly
+    n = np.arange(n_max, 400)
+    direct = float(((n + 1) * math.tanh(r) ** (2 * n)).sum()) / math.cosh(r) ** 4
+    assert tail == pytest.approx(direct, rel=1e-9)
+    assert float(d @ d) + direct == pytest.approx(1.0, abs=1e-14)
+    assert truncation_tail_bound(r, n_max) >= tail
+
+
 def test_one_particle_weights_no_squeezing():
     cfg = TruncationConfig(6)
     d, tail = one_particle_mode_weights(0.0, cfg)
@@ -153,9 +165,7 @@ def test_one_particle_weights_matrix_apply_oracle():
     np.fill_diagonal(vac, c)
     bdag = creation_matrix(cfg)
     eye = np.eye(cfg.dim)
-    op = math.cosh(r) * tensor_product(bdag, eye) - math.sinh(r) * tensor_product(
-        eye, bdag.T
-    )
+    op = math.cosh(r) * np.kron(bdag, eye) - math.sinh(r) * np.kron(eye, bdag.T)
     excited = (op @ vac.reshape(-1)).reshape(cfg.dim, cfg.dim)
     d, _ = one_particle_mode_weights(r, cfg)
     for n in range(cfg.n_max):

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from unruhsim import (
+    CheckResult,
     ConfigError,
     KrausScalarFault,
     KrausSet,
@@ -138,13 +139,11 @@ def test_verify_passes_on_sane_config():
 
 
 def test_verify_reports_insufficient_truncation():
-    # with adaptivity off, n_max = 8 cannot cover r = 3: the tail-bound
-    # check must fail instead of silently passing
-    cfg = SweepConfig(points=5, n_max=8, adaptive=False)
-    results = run_verify(cfg, names=("truncation-tail-bound",))
-    assert len(results) == 1
-    assert not results[0].passed
-    assert "insufficient truncation" in results[0].detail
+    # no cutoff up to the cap certifies r = 4: the tail-bound check refuses
+    # the configuration instead of silently passing
+    cfg = SweepConfig(r_max=4.0, points=5)
+    with pytest.raises(ConfigError, match="cap"):
+        run_verify(cfg, names=("truncation-tail-bound",))
 
 
 @pytest.mark.parametrize("index", [0, 1, 5, 48])
@@ -219,6 +218,11 @@ def test_cli_refuses_r_past_the_cap(args, capsys):
     assert "cap" in capsys.readouterr().err
 
 
+def test_cli_point_rejects_non_finite_r(capsys):
+    assert main(["point", "--r", "inf"]) == 2
+    assert "r must be finite and >= 0" in capsys.readouterr().err
+
+
 def test_cli_default_sweep_exits_zero(capsys):
     assert main(["sweep", "--r-max", "3"]) == 0
     assert len(capsys.readouterr().out.splitlines()) == 2 + SweepConfig().points
@@ -235,14 +239,21 @@ def test_cli_usage_error_exits_two():
     assert exc.value.code == 2
 
 
-def test_cli_verify_exit_codes(capsys):
+def test_cli_no_adaptive_flag_is_gone():
+    with pytest.raises(SystemExit) as exc:
+        main(["sweep", "--no-adaptive"])
+    assert exc.value.code == 2
+
+
+def test_cli_verify_exit_codes(capsys, monkeypatch):
     ok = main(["verify", "--r-max", "1.5", "--points", "7", "--n-max", "64"])
     assert ok == 0
     out = capsys.readouterr().out
     assert "all" in out and "checks passed" in out
 
-    bad = main(["verify", "--r-max", "3.0", "--points", "5", "--n-max", "8",
-                "--no-adaptive"])
+    failing = CheckResult("truncation-tail-bound", False, 1.0, 1e-10)
+    monkeypatch.setattr("unruhsim.cli.run_verify", lambda cfg: [failing])
+    bad = main(["verify"])
     assert bad == 1
     out = capsys.readouterr().out
-    assert "truncation-tail-bound" in out
+    assert "FAILED (first failing check: truncation-tail-bound)" in out
