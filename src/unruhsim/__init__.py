@@ -47,13 +47,10 @@ from .measures import (
     von_neumann_entropy,
 )
 from .rindler import (
-    AccelerationParam,
-    RindlerPoint,
     omega_from_r,
     one_particle_mode_weights,
     r_from_omega,
     rho_alice_rob,
-    rindler_to_minkowski,
     tripartite_state,
     vacuum_mode_weights,
 )
@@ -63,7 +60,6 @@ from .verify import CheckResult, KrausScalarFault, run_verify
 __version__ = "0.1.0"
 
 __all__ = [
-    "AccelerationParam",
     "CheckResult",
     "ConfigError",
     "DensityMatrix",
@@ -74,7 +70,6 @@ __all__ = [
     "MeasureRecord",
     "NotSymmetricError",
     "PositivityError",
-    "RindlerPoint",
     "StateVector",
     "SweepConfig",
     "TruncationConfig",
@@ -96,7 +91,6 @@ __all__ = [
     "partial_trace",
     "r_from_omega",
     "rho_alice_rob",
-    "rindler_to_minkowski",
     "rob_entropy_series",
     "run_sweep",
     "run_verify",

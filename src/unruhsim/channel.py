@@ -35,7 +35,7 @@ from .fock import (
     TruncationConfig,
     creation_matrix,
 )
-from .rindler import joint_layout
+from .rindler import check_r, joint_layout
 
 
 def _alice_weight(r: float) -> np.ndarray:
@@ -92,8 +92,7 @@ def kraus_operator(n: int, r: float, cfg: TruncationConfig) -> np.ndarray:
     """
     if not 0 <= n <= cfg.n_max:
         raise ConfigError(f"Kraus index {n} outside 0..{cfg.n_max}")
-    if r < 0 or not math.isfinite(r):
-        raise ConfigError(f"r must be finite and >= 0, got {r}")
+    check_r(r)
     ladder = next(islice(_ladder_powers(cfg, math.tanh(r)), n, None))
     return np.kron(_alice_weight(r), ladder) * (1.0 / math.cosh(r) ** 2)
 
@@ -121,8 +120,7 @@ class KrausSet:
 
     @classmethod
     def build(cls, r: float, cfg: TruncationConfig) -> "KrausSet":
-        if r < 0 or not math.isfinite(r):
-            raise ConfigError(f"r must be finite and >= 0, got {r}")
+        check_r(r)
         alice = np.diag(_alice_weight(r))[:, None]
         inv_ch2 = 1.0 / math.cosh(r) ** 2
         diagonals = []

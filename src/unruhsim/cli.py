@@ -25,9 +25,6 @@ def _add_config_args(sp: argparse.ArgumentParser) -> None:
     sp.add_argument("--r-max", type=float, default=3.0, help="grid end (default 3)")
     sp.add_argument("--points", type=int, default=200, help="grid size (default 200)")
     sp.add_argument(
-        "--n-max", type=int, default=256, help="base Fock truncation (default 256)"
-    )
-    sp.add_argument(
         "--tol", type=float, default=1e-10, help="absolute tolerance (default 1e-10)"
     )
 
@@ -64,7 +61,6 @@ def _config_from_args(args: argparse.Namespace) -> SweepConfig:
         r_min=args.r_min,
         r_max=args.r_max,
         points=args.points,
-        n_max=args.n_max,
         abs_tol=args.tol,
         output_format=getattr(args, "format", "csv"),
     )
@@ -93,7 +89,7 @@ def _cmd_verify(cfg: SweepConfig) -> int:
 
 
 def _cmd_point(cfg: SweepConfig, r: float) -> int:
-    rec = measure_record(r, cfg.truncation())
+    rec = measure_record(r, cfg.abs_tol)
     labels = {
         "r": "acceleration parameter",
         "fe_closed": "entanglement fidelity (closed form)",

@@ -30,7 +30,7 @@ the cap certifies.  The cutoff is always reported.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -40,6 +40,7 @@ from .fock import DensityMatrix, TruncationConfig, truncation_tail_bound
 from .rindler import (
     WEDGE_II,
     block_weights,
+    check_r,
     one_particle_mode_weights,
     tripartite_state,
     vacuum_mode_weights,
@@ -74,8 +75,7 @@ def entanglement_fidelity_closed(r: float) -> float:
 
     Equals 1 at r = 0 and decreases strictly to 0 as the acceleration grows.
     """
-    if r < 0 or not math.isfinite(r):
-        raise ConfigError(f"r must be finite and >= 0, got {r}")
+    check_r(r)
     sech = 1.0 / math.cosh(r)
     return 0.25 * sech**2 * (1.0 + sech) ** 2
 
@@ -116,8 +116,7 @@ def joint_entropy_series(r: float, cfg: TruncationConfig) -> float:
     The nonzero eigenvalues of the joint state are the rank-1 block traces
     lambda_n = a_n (1 + (n+1)/cosh^2 r); the series sums them to n_max.
     """
-    if r < 0 or not math.isfinite(r):
-        raise ConfigError(f"r must be finite and >= 0, got {r}")
+    check_r(r)
     a = block_weights(r, cfg)
     n = np.arange(cfg.n_max + 1)
     lam = a * (1.0 + (n + 1.0) / math.cosh(r) ** 2)
@@ -131,8 +130,7 @@ def rob_entropy_series(r: float, cfg: TruncationConfig) -> float:
     division-free form p_m = a_m + m a_{m-1} / cosh^2 r (via a_{m-1} =
     a_m / tanh^2 r) is exact there and is what gets summed.
     """
-    if r < 0 or not math.isfinite(r):
-        raise ConfigError(f"r must be finite and >= 0, got {r}")
+    check_r(r)
     a = block_weights(r, cfg)
     p = a.copy()
     m = np.arange(1, cfg.n_max + 1)
@@ -173,31 +171,25 @@ def mutual_information(r: float, cfg: TruncationConfig) -> float:
     return 1.0 + rob_entropy_series(r, cfg) - joint_entropy_series(r, cfg)
 
 
-def adaptive_n_max(r: float, base_n_max: int, abs_tol: float) -> int:
+def adaptive_n_max(r: float, abs_tol: float) -> int:
     """Certified truncation for the given r.
 
-    The smallest N >= base_n_max with truncation_tail_bound(r, N) < abs_tol,
-    searched up to max(base_n_max, ADAPTIVE_N_CAP).  Growth beyond the base
-    only happens when the tail bound demands it (large r).  Raises
-    ConfigError for an r that is negative or not finite, and for one whose
-    bound at that ceiling is not below abs_tol, rather than returning an
-    uncertified cutoff.
+    The smallest N >= 1 with truncation_tail_bound(r, N) < abs_tol,
+    searched up to ADAPTIVE_N_CAP.  Raises ConfigError for an r that is
+    negative or not finite, and for one whose bound at the cap is not below
+    abs_tol, rather than returning an uncertified cutoff.
     """
-    if r < 0 or not math.isfinite(r):
-        raise ConfigError(f"r must be finite and >= 0, got {r}")
+    check_r(r)
     if abs_tol <= 0:
         raise ConfigError(f"abs_tol must be positive, got {abs_tol}")
-    if truncation_tail_bound(r, base_n_max) < abs_tol:
-        return base_n_max
-    ceiling = max(base_n_max, ADAPTIVE_N_CAP)
-    bound = truncation_tail_bound(r, ceiling)
+    bound = truncation_tail_bound(r, ADAPTIVE_N_CAP)
     if bound >= abs_tol:
         raise ConfigError(
             f"r = {r:g} needs a cutoff above the adaptive cap n_max = "
-            f"{ceiling}: there the tail bound {bound:.3e} is not below "
+            f"{ADAPTIVE_N_CAP}: there the tail bound {bound:.3e} is not below "
             f"abs_tol = {abs_tol:g}"
         )
-    lo, hi = base_n_max, ceiling
+    lo, hi = 1, ADAPTIVE_N_CAP
     while lo < hi:
         mid = (lo + hi) // 2
         if truncation_tail_bound(r, mid) < abs_tol:
@@ -224,23 +216,22 @@ class MeasureRecord:
     n_used: int
 
 
-def measure_record(r: float, cfg: TruncationConfig) -> MeasureRecord:
+def measure_record(r: float, abs_tol: float) -> MeasureRecord:
     """Evaluate the full record at one r from the mode weights alone.
 
-    `cfg.n_max` is the base truncation; the effective cutoff n_used is
-    :func:`adaptive_n_max`, which refuses with ConfigError an r it cannot
-    certify rather than letting it be returned unconverged.  With c and d
-    the vacuum and one-particle weights at n_used: s_ar and s_r are the
-    series; s_a is the entropy of Alice's diagonal reduction
-    diag(||d||^2/2, ||c||^2/2); s_e that of the diagonal wedge-II
-    reduction (c_k^2 + d_k^2)/2; tail is the state's norm
-    deficit, the mean of the exact weights the two truncated branches
+    The cutoff n_used is :func:`adaptive_n_max`, which refuses with
+    ConfigError an r it cannot certify rather than letting it be returned
+    unconverged.  With c and d the vacuum and one-particle weights at
+    n_used: s_ar and s_r are the series; s_a is the entropy of Alice's
+    diagonal reduction diag(||d||^2/2, ||c||^2/2); s_e that of the
+    diagonal wedge-II reduction (c_k^2 + d_k^2)/2; tail is the state's
+    norm deficit, the mean of the exact weights the two truncated branches
     discard; subadd_margin is s_a + s_r - s_ar.  fe_kraus keeps the one
     nonzero operator-sum term: on the input support A_0 = diag(1, cosh r)
     (x) 1 / cosh^2 r, so Tr(rho_in A_0) = (1 + cosh r) / (2 cosh^2 r).
     """
-    n_used = adaptive_n_max(r, cfg.n_max, cfg.abs_tol)
-    eff = replace(cfg, n_max=n_used)
+    n_used = adaptive_n_max(r, abs_tol)
+    eff = TruncationConfig(n_used, abs_tol)
     c, tail_c = vacuum_mode_weights(r, eff)
     d, tail_d = one_particle_mode_weights(r, eff)
     norm_c, norm_d = float(c @ c), float(d @ d)

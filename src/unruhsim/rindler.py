@@ -20,7 +20,6 @@ a_n = (tanh^2 r)^n / (2 cosh^2 r) on the pair {|1,n>, |0,n+1>}.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -31,6 +30,12 @@ TWO_PI = 2.0 * math.pi
 
 # Factor labels used throughout: Alice's qubit and the two Rindler wedges.
 ALICE, WEDGE_I, WEDGE_II = "A", "I", "II"
+
+
+def check_r(r: float) -> None:
+    """Raise ConfigError unless r is finite and >= 0."""
+    if r < 0 or not math.isfinite(r):
+        raise ConfigError(f"r must be finite and >= 0, got {r}")
 
 
 def r_from_omega(omega: float) -> float:
@@ -51,78 +56,6 @@ def omega_from_r(r: float) -> float:
     return -math.log(math.tanh(r)) / TWO_PI
 
 
-@dataclass(frozen=True)
-class AccelerationParam:
-    """Acceleration bookkeeping: r, Omega and the dimensional inputs.
-
-    Natural units (c = 1) unless a `c` is supplied.  When both r and omega
-    are present they must satisfy tanh r = exp(-2 pi Omega) to within `tol`.
-    """
-
-    r: float
-    omega: float | None = None
-    accel: float | None = None
-    k_mag: float | None = None
-    c: float = 1.0
-    tol: float = 1e-10
-
-    def __post_init__(self) -> None:
-        if self.r < 0 or not math.isfinite(self.r):
-            raise ConfigError(f"r must be finite and >= 0, got {self.r}")
-        if self.omega is not None:
-            if not self.omega > 0:
-                raise ConfigError(f"omega must be > 0, got {self.omega}")
-            gap = abs(math.tanh(self.r) - math.exp(-TWO_PI * self.omega))
-            if gap > self.tol:
-                raise ConfigError(
-                    f"tanh r and exp(-2 pi omega) disagree by {gap:.3e}"
-                )
-
-    @classmethod
-    def from_r(cls, r: float) -> "AccelerationParam":
-        return cls(r=r, omega=omega_from_r(r) if r > 0 else None)
-
-    @classmethod
-    def from_omega(cls, omega: float) -> "AccelerationParam":
-        return cls(r=r_from_omega(omega), omega=omega)
-
-    @classmethod
-    def from_acceleration(
-        cls, accel: float, k_mag: float, c: float = 1.0
-    ) -> "AccelerationParam":
-        if accel <= 0 or k_mag <= 0 or c <= 0:
-            raise ConfigError("acceleration, wave vector and c must all be > 0")
-        omega = k_mag * c / accel
-        return cls(
-            r=r_from_omega(omega), omega=omega, accel=accel, k_mag=k_mag, c=c
-        )
-
-
-@dataclass(frozen=True)
-class RindlerPoint:
-    """A point (eta, zeta) in Rindler wedge I for an observer of acceleration a."""
-
-    eta: float
-    zeta: float
-    accel: float = 1.0
-
-    def __post_init__(self) -> None:
-        if not self.accel > 0:
-            raise ConfigError(f"acceleration must be > 0, got {self.accel}")
-
-
-def rindler_to_minkowski(p: RindlerPoint) -> tuple[float, float]:
-    """Map Rindler coordinates to inertial (t, z).
-
-    t = a^-1 exp(a zeta) sinh(a eta),  z = a^-1 exp(a zeta) cosh(a eta).
-    The image satisfies z^2 - t^2 = a^-2 exp(2 a zeta) > 0, i.e. it stays
-    inside wedge I.
-    """
-    a = p.accel
-    scale = math.exp(a * p.zeta) / a
-    return scale * math.sinh(a * p.eta), scale * math.cosh(a * p.eta)
-
-
 def vacuum_mode_weights(
     r: float, cfg: TruncationConfig
 ) -> tuple[np.ndarray, float]:
@@ -131,8 +64,7 @@ def vacuum_mode_weights(
     Returns (weights for n = 0..n_max, tail) where tail = (tanh^2 r)^(n_max+1)
     is exactly the squared weight dropped by the truncation.
     """
-    if r < 0 or not math.isfinite(r):
-        raise ConfigError(f"r must be finite and >= 0, got {r}")
+    check_r(r)
     n = np.arange(cfg.n_max + 1)
     weights = math.tanh(r) ** n / math.cosh(r)
     tail = math.tanh(r) ** (2 * (cfg.n_max + 1))
@@ -149,8 +81,7 @@ def one_particle_mode_weights(
     q^n_max ((n_max+1) - n_max q) with q = tanh^2 r; it joins the reported
     tail rather than being silently renormalized away.
     """
-    if r < 0 or not math.isfinite(r):
-        raise ConfigError(f"r must be finite and >= 0, got {r}")
+    check_r(r)
     n = np.arange(cfg.n_max)
     weights = np.sqrt(n + 1.0) * math.tanh(r) ** n / math.cosh(r) ** 2
     q = math.tanh(r) ** 2
@@ -199,8 +130,7 @@ def rho_alice_rob(r: float, cfg: TruncationConfig) -> DensityMatrix:
     At the truncation edge only the |1,n_max> diagonal survives, matching
     the partial trace of the truncated tripartite state entrywise.
     """
-    if r < 0 or not math.isfinite(r):
-        raise ConfigError(f"r must be finite and >= 0, got {r}")
+    check_r(r)
     layout = joint_layout(cfg)
     dim = cfg.dim
     mat = np.zeros((2 * dim, 2 * dim))

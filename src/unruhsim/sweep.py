@@ -16,10 +16,13 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .errors import ConfigError
-from .fock import TruncationConfig
 from .measures import MeasureRecord, measure_record
 
 SCHEMA = "unruh-sweep/1"
+
+# Largest accepted grid.  With every row's cutoff at most ADAPTIVE_N_CAP
+# levels, it bounds the work and the buffered output of any sweep.
+MAX_POINTS = 100_000
 
 CSV_COLUMNS = (
     "r",
@@ -45,7 +48,6 @@ class SweepConfig:
     r_min: float = 0.0
     r_max: float = 3.0
     points: int = 200
-    n_max: int = 256
     abs_tol: float = 1e-10
     output_format: str = "csv"
 
@@ -58,10 +60,10 @@ class SweepConfig:
             raise ConfigError(
                 f"need r_min < r_max, got [{self.r_min}, {self.r_max}]"
             )
-        if self.points < 2:
-            raise ConfigError(f"points must be >= 2, got {self.points}")
-        if self.n_max < 8:
-            raise ConfigError(f"n_max must be >= 8, got {self.n_max}")
+        if not 2 <= self.points <= MAX_POINTS:
+            raise ConfigError(
+                f"points must be in [2, {MAX_POINTS}], got {self.points}"
+            )
         if self.abs_tol <= 0:
             raise ConfigError(f"abs_tol must be positive, got {self.abs_tol}")
         if self.output_format not in OUTPUT_FORMATS:
@@ -69,9 +71,6 @@ class SweepConfig:
                 f"output_format must be one of {OUTPUT_FORMATS}, "
                 f"got {self.output_format!r}"
             )
-
-    def truncation(self) -> TruncationConfig:
-        return TruncationConfig(n_max=self.n_max, abs_tol=self.abs_tol)
 
 
 def r_grid(cfg: SweepConfig) -> np.ndarray:
@@ -81,8 +80,7 @@ def r_grid(cfg: SweepConfig) -> np.ndarray:
 
 def run_sweep(cfg: SweepConfig) -> list[MeasureRecord]:
     """One record per grid point, evaluated in increasing r."""
-    trunc = cfg.truncation()
-    return [measure_record(float(r), trunc) for r in r_grid(cfg)]
+    return [measure_record(float(r), cfg.abs_tol) for r in r_grid(cfg)]
 
 
 def _fmt(value: float) -> str:
@@ -90,10 +88,14 @@ def _fmt(value: float) -> str:
     return f"{value:.11e}"
 
 
+def _row(rec: MeasureRecord) -> dict:
+    return {col: getattr(rec, col) for col in CSV_COLUMNS}
+
+
 def to_csv(records: list[MeasureRecord]) -> str:
     lines = [f"# schema: {SCHEMA}", ",".join(CSV_COLUMNS)]
     for rec in records:
-        row = asdict(rec)
+        row = _row(rec)
         cells = [
             str(row[col]) if col == "n_used" else _fmt(row[col])
             for col in CSV_COLUMNS
@@ -106,9 +108,7 @@ def to_json(cfg: SweepConfig, records: list[MeasureRecord]) -> str:
     doc = {
         "schema": SCHEMA,
         "config": asdict(cfg),
-        "rows": [
-            {col: asdict(rec)[col] for col in CSV_COLUMNS} for rec in records
-        ],
+        "rows": [_row(rec) for rec in records],
     }
     return json.dumps(doc, indent=2) + "\n"
 

@@ -125,8 +125,7 @@ def _check_trace_preservation(cfg: SweepConfig) -> CheckResult:
 
 
 def _check_entropy_series_vs_spectral(cfg: SweepConfig) -> CheckResult:
-    n_max = min(cfg.n_max, _ENTROPY_N_MAX)
-    trunc = TruncationConfig(n_max, abs_tol=cfg.abs_tol)
+    trunc = TruncationConfig(_ENTROPY_N_MAX, abs_tol=cfg.abs_tol)
     rho = rho_alice_rob(_ENTROPY_R, trunc)
     gap_joint = abs(
         joint_entropy_series(_ENTROPY_R, trunc) - von_neumann_entropy(rho, trunc)
@@ -203,7 +202,7 @@ def _check_records(cfg: SweepConfig, records) -> list[CheckResult]:
 def _check_tail_bound(cfg: SweepConfig) -> CheckResult:
     # adaptive_n_max refuses an r it cannot certify; the bound is evaluated
     # again here as a cross-check of the cutoff it returns
-    n_used = adaptive_n_max(cfg.r_max, cfg.n_max, cfg.abs_tol)
+    n_used = adaptive_n_max(cfg.r_max, cfg.abs_tol)
     bound = truncation_tail_bound(cfg.r_max, n_used)
     ok = bound < cfg.abs_tol
     detail = f"n_used={n_used} at r={cfg.r_max:g}"

@@ -150,10 +150,9 @@ def test_criterion_10_subadditivity(default_records):
 
 
 def test_criterion_11_mutual_information_limits():
-    trunc = TruncationConfig(DEFAULT.n_max, abs_tol=DEFAULT.abs_tol)
-    rec0 = measure_record(0.0, trunc)
+    rec0 = measure_record(0.0, DEFAULT.abs_tol)
     assert abs(rec0.mutual_info - 2.0) <= 1e-10
-    rec3 = measure_record(3.0, trunc)
+    rec3 = measure_record(3.0, DEFAULT.abs_tol)
     assert rec3.n_used >= 2048
     assert 1.0 < rec3.mutual_info < 1.1
     _passed(

@@ -117,7 +117,7 @@ def test_joint_entropy_series_vs_spectral():
 def test_joint_entropy_peak_exceeds_two_bits():
     peaks = []
     for r in np.linspace(0.0, 3.0, 31):
-        n = adaptive_n_max(r, 64, 1e-10)
+        n = adaptive_n_max(r, 1e-10)
         peaks.append(joint_entropy_series(r, TruncationConfig(n)))
     assert max(peaks) > 2.0
 
@@ -195,14 +195,14 @@ def test_mutual_information_without_acceleration():
 def test_mutual_information_decreasing():
     vals = []
     for r in np.linspace(0.0, 3.0, 25):
-        n = adaptive_n_max(r, 64, 1e-10)
+        n = adaptive_n_max(r, 1e-10)
         vals.append(mutual_information(r, TruncationConfig(n)))
     assert all(b <= a + 1e-10 for a, b in zip(vals, vals[1:]))
 
 
 @pytest.mark.parametrize("r", [0.5, 1.5])
 def test_alice_entropy_is_one_bit(r):
-    cfg = TruncationConfig(adaptive_n_max(r, 64, 1e-10))
+    cfg = TruncationConfig(adaptive_n_max(r, 1e-10))
     psi = tripartite_state(r, cfg)
     s_a = von_neumann_entropy(psi.reduced_density((ALICE,)), cfg)
     assert s_a == pytest.approx(1.0, abs=1e-10)
@@ -211,34 +211,30 @@ def test_alice_entropy_is_one_bit(r):
 # ---------------------------------------------------------------- adaptive truncation
 
 
-def test_adaptive_truncation_keeps_base_when_sufficient():
-    assert adaptive_n_max(0.5, 256, 1e-10) == 256
-
-
 def test_adaptive_truncation_grows_with_acceleration():
     grid = np.linspace(0.0, 3.0, 16)
-    used = [adaptive_n_max(r, 64, 1e-10) for r in grid]
+    used = [adaptive_n_max(r, 1e-10) for r in grid]
     assert all(b >= a for a, b in zip(used, used[1:]))
     assert used[-1] >= 2048
 
 
 def test_adaptive_truncation_meets_tail_target():
-    for r in (1.5, 2.2, 3.0):
-        n = adaptive_n_max(r, 64, 1e-10)
+    for r in (0.1, 0.5, 1.5, 2.2, 3.0):
+        n = adaptive_n_max(r, 1e-10)
         assert truncation_tail_bound(r, n) < 1e-10
         assert truncation_tail_bound(r, n - 1) >= 1e-10
 
 
 def test_adaptive_truncation_respects_cap():
     with pytest.raises(ConfigError, match="cap"):
-        adaptive_n_max(4.0, 8, 1e-10)
-    assert adaptive_n_max(3.0, 8, 1e-10) <= ADAPTIVE_N_CAP
+        adaptive_n_max(4.0, 1e-10)
+    assert adaptive_n_max(3.0, 1e-10) <= ADAPTIVE_N_CAP
 
 
 @pytest.mark.parametrize("r", [-1.0, math.inf, math.nan])
 def test_adaptive_truncation_rejects_invalid_r(r):
     with pytest.raises(ConfigError, match="finite and >= 0"):
-        adaptive_n_max(r, 64, 1e-10)
+        adaptive_n_max(r, 1e-10)
 
 
 # ---------------------------------------------------------------- records
@@ -246,7 +242,7 @@ def test_adaptive_truncation_rejects_invalid_r(r):
 
 @pytest.mark.parametrize("r", [0.0, 0.5, 1.5, 2.5])
 def test_measure_record_matches_dense_routes(r):
-    rec = measure_record(r, TruncationConfig(64))
+    rec = measure_record(r, 1e-10)
     eff = TruncationConfig(rec.n_used)
     psi = tripartite_state(r, eff)
     s_a = von_neumann_entropy(psi.reduced_density((ALICE,)), eff)
@@ -259,31 +255,32 @@ def test_measure_record_matches_dense_routes(r):
 
 
 def test_measure_record_consistency():
-    rec = measure_record(1.0, TruncationConfig(64))
+    rec = measure_record(1.0, 1e-10)
     assert abs(rec.fe_closed - rec.fe_kraus) <= max(1e-10, rec.tail)
     assert rec.s_a == pytest.approx(1.0, abs=1e-10)
     margin = rec.s_a + rec.s_r - rec.s_ar
     assert rec.subadd_margin == pytest.approx(margin, abs=1e-14)
     assert rec.mutual_info == pytest.approx(1.0 + rec.s_r - rec.s_ar, abs=1e-14)
     assert abs(rec.s_e - rec.s_ar) <= 1e-8  # purification identity
-    assert rec.n_used >= 64
+    assert truncation_tail_bound(1.0, rec.n_used) < 1e-10
 
 
 @pytest.mark.parametrize("r", [4.0, 5.0])
 def test_measure_record_refuses_r_past_the_cap(r):
     # the cutoff would stop at the cap with an unconverged series
     with pytest.raises(ConfigError, match="cap"):
-        measure_record(r, TruncationConfig(256))
+        measure_record(r, 1e-10)
 
 
-@pytest.mark.parametrize("base", [1, 8, 256])
-def test_record_tail_is_certified(base):
+def test_record_tail_is_certified():
     # every accepted cutoff bounds the weight the record actually drops,
     # including below q = 1/2 where the one-particle branch's tail dominates
     for r in np.linspace(0.0, 3.0, 121)[1:]:
-        rec = measure_record(float(r), TruncationConfig(base))
+        rec = measure_record(float(r), 1e-10)
         bound = truncation_tail_bound(float(r), rec.n_used)
         assert 0.0 <= rec.tail <= bound < 1e-10
+        # and it is the smallest cutoff that certifies the row
+        assert rec.n_used == 1 or truncation_tail_bound(float(r), rec.n_used - 1) >= 1e-10
 
 
 # ---------------------------------------------------------------- 50-digit anchors
@@ -320,7 +317,7 @@ def _mp_reference(mpmath, r):
 def test_record_matches_high_precision_reference(r):
     mpmath = pytest.importorskip("mpmath")
     s_joint, s_rob, fidelity = _mp_reference(mpmath, r)
-    rec = measure_record(r, TruncationConfig(256))
+    rec = measure_record(r, 1e-10)
     assert abs(rec.s_ar - s_joint) <= 1e-8
     assert abs(rec.s_e - s_joint) <= 1e-8
     assert abs(rec.s_r - s_rob) <= 1e-8

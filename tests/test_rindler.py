@@ -4,25 +4,28 @@ import numpy as np
 import pytest
 
 from unruhsim import (
-    AccelerationParam,
     ConfigError,
     DensityMatrix,
-    RindlerPoint,
+    KrausSet,
     TruncationConfig,
+    adaptive_n_max,
     bell_input_density,
+    entanglement_fidelity_closed,
+    joint_entropy_series,
+    kraus_operator,
     omega_from_r,
     one_particle_mode_weights,
     partial_trace,
     r_from_omega,
     rho_alice_rob,
-    rindler_to_minkowski,
+    rob_entropy_series,
     sym_eigenvalues,
     tripartite_state,
     truncation_tail_bound,
     vacuum_mode_weights,
 )
 from unruhsim.fock import creation_matrix
-from unruhsim.rindler import ALICE, WEDGE_I, WEDGE_II, block_weights
+from unruhsim.rindler import ALICE, WEDGE_I, WEDGE_II, block_weights, check_r
 
 
 # ---------------------------------------------------------------- parameterization
@@ -52,51 +55,24 @@ def test_omega_round_trip():
         assert omega_from_r(r_from_omega(x)) == pytest.approx(x, abs=1e-12)
 
 
-def test_acceleration_param_consistency():
-    p = AccelerationParam.from_omega(0.2)
-    assert math.tanh(p.r) == pytest.approx(math.exp(-2 * math.pi * 0.2), abs=1e-14)
-    p2 = AccelerationParam.from_acceleration(accel=2.0, k_mag=0.5, c=1.0)
-    assert p2.omega == pytest.approx(0.25)
-    with pytest.raises(ConfigError):
-        AccelerationParam(r=1.0, omega=1.0)  # wildly inconsistent pair
-    with pytest.raises(ConfigError):
-        AccelerationParam(r=-0.1)
-
-
-# ---------------------------------------------------------------- coordinates
-
-
-def test_rindler_map_at_zero_time():
-    t, z = rindler_to_minkowski(RindlerPoint(eta=0.0, zeta=0.7, accel=2.0))
-    assert t == 0.0
-    assert z == pytest.approx(math.exp(2.0 * 0.7) / 2.0, rel=1e-14)
-
-
-def test_rindler_map_unit_point():
-    t, z = rindler_to_minkowski(RindlerPoint(eta=1.0, zeta=0.0, accel=1.0))
-    assert t == pytest.approx(1.17520, abs=1e-5)
-    assert z == pytest.approx(1.54308, abs=1e-5)
-    assert t == pytest.approx(math.sinh(1.0), rel=1e-14)
-    assert z == pytest.approx(math.cosh(1.0), rel=1e-14)
-
-
-def test_rindler_map_hyperbolic_invariant():
-    for eta, zeta, a in [
-        (0.3, -0.2, 1.0),
-        (-1.1, 0.5, 0.7),
-        (2.0, 0.0, 1.3),
-        (-0.4, -0.9, 2.2),
-    ]:
-        t, z = rindler_to_minkowski(RindlerPoint(eta, zeta, a))
-        assert z > abs(t)  # image stays in the right wedge
-        assert z * z - t * t == pytest.approx(
-            math.exp(2 * a * zeta) / a**2, rel=1e-12
-        )
-
-
-def test_rindler_point_rejects_nonpositive_acceleration():
-    with pytest.raises(ConfigError):
-        RindlerPoint(0.0, 0.0, accel=0.0)
+@pytest.mark.parametrize("r", [-1.0, math.inf, math.nan])
+def test_every_r_entry_point_rejects_invalid_r(r):
+    # one guard, one message, at every function that takes r
+    cfg = TruncationConfig(8)
+    for call in (
+        lambda: check_r(r),
+        lambda: vacuum_mode_weights(r, cfg),
+        lambda: one_particle_mode_weights(r, cfg),
+        lambda: rho_alice_rob(r, cfg),
+        lambda: kraus_operator(0, r, cfg),
+        lambda: KrausSet.build(r, cfg),
+        lambda: entanglement_fidelity_closed(r),
+        lambda: joint_entropy_series(r, cfg),
+        lambda: rob_entropy_series(r, cfg),
+        lambda: adaptive_n_max(r, 1e-10),
+    ):
+        with pytest.raises(ConfigError, match="r must be finite and >= 0"):
+            call()
 
 
 # ---------------------------------------------------------------- mode expansions

@@ -18,10 +18,10 @@ from unruhsim import (
     to_json,
 )
 from unruhsim.cli import main
-from unruhsim.sweep import CSV_COLUMNS, SCHEMA, r_grid, render
+from unruhsim.sweep import CSV_COLUMNS, MAX_POINTS, SCHEMA, r_grid, render
 from unruhsim.verify import first_failure
 
-SMALL = SweepConfig(r_min=0.0, r_max=1.2, points=9, n_max=32)
+SMALL = SweepConfig(r_min=0.0, r_max=1.2, points=9)
 
 
 # ---------------------------------------------------------------- config
@@ -34,7 +34,7 @@ SMALL = SweepConfig(r_min=0.0, r_max=1.2, points=9, n_max=32)
         {"r_min": 2.0, "r_max": 1.0},
         {"r_min": 1.0, "r_max": 1.0},
         {"points": 1},
-        {"n_max": 4},
+        {"points": MAX_POINTS + 1},
         {"abs_tol": 0.0},
         {"output_format": "xml"},
     ],
@@ -94,7 +94,7 @@ def test_json_schema_fields():
     doc = json.loads(to_json(SMALL, records))
     assert doc["schema"] == SCHEMA
     assert doc["config"]["points"] == SMALL.points
-    assert doc["config"]["n_max"] == SMALL.n_max
+    assert tuple(doc["config"]) == ("r_min", "r_max", "points", "abs_tol", "output_format")
     assert len(doc["rows"]) == len(records)
     assert tuple(doc["rows"][0].keys()) == CSV_COLUMNS
 
@@ -115,9 +115,9 @@ def test_sweep_does_not_touch_dense_routes(monkeypatch):
     with pytest.raises(AssertionError, match="dense oracle"):
         entropy_exchange(0.5, TruncationConfig(8))
 
-    records = run_sweep(SweepConfig(r_max=3.0, points=5, n_max=16))
+    records = run_sweep(SweepConfig(r_max=3.0, points=5))
     assert len(records) == 5
-    assert records[-1].n_used > 16
+    assert records[-1].n_used == 3134
 
 
 def test_sweep_deterministic():
@@ -130,12 +130,19 @@ def test_sweep_deterministic():
 
 
 def test_verify_passes_on_sane_config():
-    cfg = SweepConfig(r_min=0.0, r_max=2.0, points=21, n_max=64)
-    results = run_verify(cfg)
-    assert first_failure(results) is None
-    names = [res.name for res in results]
-    assert "channel-vs-analytic" in names
-    assert "truncation-tail-bound" in names
+    # every check, the spectral ones included, holds at any tolerance whose
+    # cutoffs stay under the cap
+    for cfg in (
+        SweepConfig(r_min=0.0, r_max=2.0, points=21),
+        SweepConfig(points=21, abs_tol=1e-6),
+        SweepConfig(r_max=2.0, points=21, abs_tol=1e-12),
+    ):
+        results = run_verify(cfg)
+        assert first_failure(results) is None, first_failure(results)
+        names = [res.name for res in results]
+        assert len(names) == 10
+        assert "channel-vs-analytic" in names
+        assert "truncation-tail-bound" in names
 
 
 def test_verify_reports_insufficient_truncation():
@@ -148,7 +155,7 @@ def test_verify_reports_insufficient_truncation():
 
 @pytest.mark.parametrize("index", [0, 1, 5, 48])
 def test_verify_fault_injection_detected(index):
-    cfg = SweepConfig(points=5, n_max=64)
+    cfg = SweepConfig(points=5)
     fault = KrausScalarFault(index=index, offset=1e-3)
     results = run_verify(cfg, fault=fault, names=("channel-vs-analytic",))
     assert len(results) == 1
@@ -156,7 +163,7 @@ def test_verify_fault_injection_detected(index):
 
 
 def test_verify_unfaulted_channel_check_passes():
-    cfg = SweepConfig(points=5, n_max=64)
+    cfg = SweepConfig(points=5)
     results = run_verify(cfg, names=("channel-vs-analytic",))
     assert results[0].passed
 
@@ -171,7 +178,6 @@ def test_cli_sweep_to_file(tmp_path):
             "sweep",
             "--r-max", "1.0",
             "--points", "5",
-            "--n-max", "32",
             "--output", str(out),
         ]
     )
@@ -182,7 +188,7 @@ def test_cli_sweep_to_file(tmp_path):
 
 
 def test_cli_sweep_json_stdout(capsys):
-    code = main(["sweep", "--r-max", "1.0", "--points", "3", "--n-max", "32",
+    code = main(["sweep", "--r-max", "1.0", "--points", "3",
                  "--format", "json"])
     assert code == 0
     doc = json.loads(capsys.readouterr().out)
@@ -191,7 +197,7 @@ def test_cli_sweep_json_stdout(capsys):
 
 
 def test_cli_sweep_deterministic_files(tmp_path):
-    args = ["sweep", "--r-max", "1.5", "--points", "7", "--n-max", "32"]
+    args = ["sweep", "--r-max", "1.5", "--points", "7"]
     out_a, out_b = tmp_path / "a.csv", tmp_path / "b.csv"
     assert main(args + ["--output", str(out_a)]) == 0
     assert main(args + ["--output", str(out_b)]) == 0
@@ -199,11 +205,18 @@ def test_cli_sweep_deterministic_files(tmp_path):
 
 
 def test_cli_point(capsys):
-    code = main(["point", "--r", "0.5", "--n-max", "32"])
+    code = main(["point", "--r", "0.5"])
     assert code == 0
     out = capsys.readouterr().out
     assert "entanglement fidelity (closed form)" in out
     assert "effective truncation" in out
+
+
+@pytest.mark.parametrize("r, n_used", [("0.1", 6), ("3", 3134)])
+def test_cli_point_reports_the_certified_cutoff(r, n_used, capsys):
+    assert main(["point", "--r", r]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[-1].split() == ["effective", "truncation", str(n_used)]
 
 
 def test_cli_point_rejects_negative(capsys):
@@ -240,13 +253,20 @@ def test_cli_usage_error_exits_two():
 
 
 def test_cli_no_adaptive_flag_is_gone():
-    with pytest.raises(SystemExit) as exc:
-        main(["sweep", "--no-adaptive"])
-    assert exc.value.code == 2
+    # neither the fixed-cutoff switch nor the base cutoff is an option
+    for argv in (
+        ["sweep", "--no-adaptive"],
+        ["sweep", "--n-max", "8"],
+        ["point", "--r", "1", "--n-max", "8"],
+        ["verify", "--n-max", "8"],
+    ):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
 
 
 def test_cli_verify_exit_codes(capsys, monkeypatch):
-    ok = main(["verify", "--r-max", "1.5", "--points", "7", "--n-max", "64"])
+    ok = main(["verify", "--r-max", "1.5", "--points", "7"])
     assert ok == 0
     out = capsys.readouterr().out
     assert "all" in out and "checks passed" in out
