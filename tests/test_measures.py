@@ -272,7 +272,8 @@ def test_measure_record_refuses_r_past_the_cap(r):
         measure_record(r, 1e-10)
 
 
-def test_record_tail_is_certified():
+@pytest.mark.parametrize("fixed", [1, 8, 256])
+def test_record_tail_is_certified(fixed):
     # every accepted cutoff bounds the weight the record actually drops,
     # including below q = 1/2 where the one-particle branch's tail dominates
     for r in np.linspace(0.0, 3.0, 121)[1:]:
@@ -281,6 +282,8 @@ def test_record_tail_is_certified():
         assert 0.0 <= rec.tail <= bound < 1e-10
         # and it is the smallest cutoff that certifies the row
         assert rec.n_used == 1 or truncation_tail_bound(float(r), rec.n_used - 1) >= 1e-10
+        # so a fixed cutoff certifies the row exactly when it reaches the record's
+        assert (truncation_tail_bound(float(r), fixed) < 1e-10) == (fixed >= rec.n_used)
 
 
 # ---------------------------------------------------------------- 50-digit anchors
