@@ -42,7 +42,6 @@ from .measures import (
     entropy_exchange,
     joint_entropy_series,
     measure_record,
-    mutual_information,
     rob_entropy_series,
     von_neumann_entropy,
 )
@@ -85,7 +84,6 @@ __all__ = [
     "joint_entropy_series",
     "kraus_operator",
     "measure_record",
-    "mutual_information",
     "omega_from_r",
     "one_particle_mode_weights",
     "partial_trace",

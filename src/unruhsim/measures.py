@@ -162,15 +162,6 @@ def entropy_exchange(r: float, cfg: TruncationConfig) -> float:
     return von_neumann_entropy(rho_env, cfg)
 
 
-def mutual_information(r: float, cfg: TruncationConfig) -> float:
-    """Total correlation S(rho_A) + S(rho_R) - S(rho_AR) in bits.
-
-    Alice's marginal is diag(1/2, 1/2) for every r, so S(rho_A) = 1 is
-    substituted here; the sweep verifies it spectrally alongside.
-    """
-    return 1.0 + rob_entropy_series(r, cfg) - joint_entropy_series(r, cfg)
-
-
 def adaptive_n_max(r: float, abs_tol: float) -> int:
     """Certified truncation for the given r.
 

@@ -131,24 +131,22 @@ def rho_alice_rob(r: float, cfg: TruncationConfig) -> DensityMatrix:
     the partial trace of the truncated tripartite state entrywise.
     """
     check_r(r)
-    layout = joint_layout(cfg)
     dim = cfg.dim
     mat = np.zeros((2 * dim, 2 * dim))
     q = math.tanh(r) ** 2
     ch = math.cosh(r)
-
-    def flat(alice: int, m: int) -> int:
-        return alice * dim + m
-
-    for n in range(cfg.n_max + 1):
-        a_n = q**n / (2.0 * ch**2)
-        mat[flat(1, n), flat(1, n)] += a_n
-        if n + 1 <= cfg.n_max:
-            cross = a_n * math.sqrt(n + 1.0) / ch
-            mat[flat(0, n + 1), flat(0, n + 1)] += a_n * (n + 1) / ch**2
-            mat[flat(1, n), flat(0, n + 1)] += cross
-            mat[flat(0, n + 1), flat(1, n)] += cross
-    return DensityMatrix(layout, mat)
+    # scalar pow per level: numpy's array power can differ by an ulp, and
+    # the block-by-block assembly in the tests is matched bit for bit
+    a = np.fromiter((q**n for n in range(dim)), np.float64, dim) / (2.0 * ch**2)
+    one = dim + np.arange(dim)  # flat index of |1,n>, n = 0..n_max
+    mat[one, one] = a
+    n = np.arange(cfg.n_max)  # blocks whose |0,n+1> fits
+    zero = n + 1  # flat index of |0,n+1>
+    cross = a[:-1] * np.sqrt(n + 1.0) / ch
+    mat[zero, zero] = a[:-1] * (n + 1) / ch**2
+    mat[one[:-1], zero] = cross
+    mat[zero, one[:-1]] = cross
+    return DensityMatrix(joint_layout(cfg), mat)
 
 
 def block_weights(r: float, cfg: TruncationConfig) -> np.ndarray:

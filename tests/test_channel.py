@@ -5,6 +5,7 @@ import pytest
 
 from unruhsim import (
     ConfigError,
+    DensityMatrix,
     KrausSet,
     LayoutMismatchError,
     TruncationConfig,
@@ -144,11 +145,15 @@ def test_channel_is_identity_without_acceleration():
     m = rng.standard_normal((2 * cfg.dim, 2 * cfg.dim))
     rho_mat = m @ m.T
     rho_mat /= np.trace(rho_mat)
-    from unruhsim import DensityMatrix
-
     rho = DensityMatrix(joint_layout(cfg), rho_mat)
     out = apply_channel(rho, KrausSet.build(0.0, cfg))
     assert np.allclose(out.mat, rho.mat, atol=1e-14)
+
+
+def dense_operator_sum(rho_mat, r, cfg):
+    """sum_n A_n rho A_n^T from the dense single operators."""
+    ops = (kraus_operator(n, r, cfg) for n in range(cfg.n_max + 1))
+    return sum(op @ rho_mat @ op.T for op in ops)
 
 
 @pytest.mark.parametrize("r", [0.0, 0.3])
@@ -160,19 +165,104 @@ def test_channel_matches_dense_operator_sum(r):
     m = rng.standard_normal((2 * cfg.dim, 2 * cfg.dim))
     rho_mat = m @ m.T
     rho_mat /= np.trace(rho_mat)
-    from unruhsim import DensityMatrix
-
     rho = DensityMatrix(joint_layout(cfg), rho_mat)
-    expected = sum(
-        kraus_operator(n, r, cfg) @ rho_mat @ kraus_operator(n, r, cfg).T
-        for n in range(cfg.n_max + 1)
-    )
+    expected = dense_operator_sum(rho_mat, r, cfg)
     out = apply_channel(rho, KrausSet.build(r, cfg))
     assert np.abs(out.mat - expected).max() <= 1e-14 * np.abs(expected).max()
 
 
+def windowed_input(cfg, lo, hi, alice=(0, 1), seed=11):
+    """A random PSD input supported on Fock levels lo..hi-1 of the given Alice blocks."""
+    rng = np.random.default_rng(seed)
+    idx = np.concatenate([a * cfg.dim + np.arange(lo, hi) for a in alice])
+    m = rng.standard_normal((idx.size, idx.size))
+    block = m @ m.T
+    rho_mat = np.zeros((2 * cfg.dim, 2 * cfg.dim))
+    rho_mat[np.ix_(idx, idx)] = block / np.trace(block)
+    return DensityMatrix(joint_layout(cfg), rho_mat)
+
+
+@pytest.mark.parametrize(
+    "lo, hi, alice",
+    [(3, 8, (0, 1)), (5, 6, (0, 1)), (8, 13, (0, 1)), (3, 8, (1,))],
+    ids=["3-8", "5-6", "8-end", "alice-1-only"],
+)
+@pytest.mark.parametrize("r", [0.3, 0.8])
+def test_channel_on_windowed_input(lo, hi, alice, r):
+    # the operator sum of an input on levels [lo, hi) matches the dense
+    # operators, and is exactly 0 wherever no A_n can carry the window:
+    # (a, m1; b, m2) needs a, b in the input's Alice blocks, m1, m2 >= lo
+    # and |m1 - m2| <= hi - 1 - lo, since A_n shifts both sides by n
+    cfg = TruncationConfig(12)
+    rho = windowed_input(cfg, lo, hi, alice)
+    expected = dense_operator_sum(rho.mat, r, cfg)
+    out = apply_channel(rho, KrausSet.build(r, cfg))
+    assert np.abs(out.mat - expected).max() <= 1e-14 * np.abs(expected).max()
+
+    a = np.isin(np.arange(2), alice)
+    m = np.arange(cfg.dim)
+    levels = (
+        (m[:, None] >= lo) & (m[None, :] >= lo)
+        & (np.abs(m[:, None] - m[None, :]) <= hi - 1 - lo)
+    )
+    reach = a[:, None, None, None] & levels[None, :, None, :] & a[None, None, :, None]
+    out4 = out.mat.reshape(2, cfg.dim, 2, cfg.dim)
+    assert np.all(out4[~reach] == 0.0)
+    assert np.count_nonzero(out4[reach]) > 0
+
+
+def test_channel_maps_zero_to_zero():
+    cfg = TruncationConfig(12)
+    zero = DensityMatrix(joint_layout(cfg), np.zeros((2 * cfg.dim, 2 * cfg.dim)))
+    out = apply_channel(zero, KrausSet.build(0.8, cfg))
+    assert np.all(out.mat == 0.0)
+
+
+def test_channel_window_spans_rows_and_columns():
+    # symmetry is only enforced to 1e-10, so an input may be nonzero in
+    # column (0, 7) while row (0, 7) is all zero; the window must still reach it
+    cfg = TruncationConfig(12)
+    rho_mat = np.zeros((2 * cfg.dim, 2 * cfg.dim))
+    rho_mat[2, 7] = 1e-11
+    rho = DensityMatrix(joint_layout(cfg), rho_mat)
+    r = 0.8
+    expected = dense_operator_sum(rho_mat, r, cfg)
+    out = apply_channel(rho, KrausSet.build(r, cfg))
+    assert np.abs(out.mat - expected).max() <= 1e-14 * np.abs(expected).max()
+
+
+def full_width_operator_sum(rho, ks):
+    """Every term of the operator sum over all N+1 levels, O(N^3) in all."""
+    dim = ks.cfg.dim
+    rho4 = rho.mat.reshape(2, dim, 2, dim)
+    out = np.zeros_like(rho4)
+    for n, d in enumerate(ks.diagonals):
+        k = dim - n
+        out[:, n:, :, n:] += d[:, :, None, None] * rho4[:, :k, :, :k] * d[None, None]
+    return out.reshape(rho.mat.shape)
+
+
+@pytest.mark.parametrize("n_max", [48, 256])
+def test_channel_window_is_bitwise_full_width(n_max):
+    # every product the window skips is an exact 0.0, so restricting the
+    # Bell input's terms to levels {0, 1} changes no bit of the output
+    cfg = TruncationConfig(n_max)
+    rho = bell_input_density(cfg)
+    for r in (0.0, 0.46, 1.3, 2.5):
+        ks = KrausSet.build(r, cfg)
+        assert np.array_equal(apply_channel(rho, ks).mat, full_width_operator_sum(rho, ks))
+
+
 def test_channel_matches_analytic_reduction():
     r, cfg = 0.8, TruncationConfig(48)
+    out = apply_channel(bell_input_density(cfg), KrausSet.build(r, cfg))
+    assert np.abs(out.mat - rho_alice_rob(r, cfg).mat).max() <= 1e-10
+
+
+@pytest.mark.parametrize("r", [0.5, 2.0])
+def test_channel_matches_analytic_reduction_at_large_cutoff(r):
+    # O(N) for the Bell input; a full-width sum at N = 1024 would take seconds
+    cfg = TruncationConfig(1024)
     out = apply_channel(bell_input_density(cfg), KrausSet.build(r, cfg))
     assert np.abs(out.mat - rho_alice_rob(r, cfg).mat).max() <= 1e-10
 

@@ -16,7 +16,6 @@ from unruhsim import (
     entropy_exchange,
     joint_entropy_series,
     measure_record,
-    mutual_information,
     partial_trace,
     rho_alice_rob,
     rob_entropy_series,
@@ -189,14 +188,11 @@ def test_wedge_marginal_is_exact_spectrum():
 
 
 def test_mutual_information_without_acceleration():
-    assert mutual_information(0.0, CFG) == pytest.approx(2.0, abs=1e-10)
+    assert measure_record(0.0, 1e-10).mutual_info == pytest.approx(2.0, abs=1e-10)
 
 
 def test_mutual_information_decreasing():
-    vals = []
-    for r in np.linspace(0.0, 3.0, 25):
-        n = adaptive_n_max(r, 1e-10)
-        vals.append(mutual_information(r, TruncationConfig(n)))
+    vals = [measure_record(r, 1e-10).mutual_info for r in np.linspace(0.0, 3.0, 25)]
     assert all(b <= a + 1e-10 for a, b in zip(vals, vals[1:]))
 
 

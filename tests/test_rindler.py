@@ -227,6 +227,31 @@ def test_rho_alice_rob_small_case_oracle():
     assert np.abs(traced.mat - rho_alice_rob(r, cfg).mat).max() <= 1e-10
 
 
+def _rho_alice_rob_loop(r, cfg):
+    """The block-by-block assembly, one 2x2 block per Python iteration."""
+    dim = cfg.dim
+    mat = np.zeros((2 * dim, 2 * dim))
+    q = math.tanh(r) ** 2
+    ch = math.cosh(r)
+    for n in range(cfg.n_max + 1):
+        a_n = q**n / (2.0 * ch**2)
+        mat[dim + n, dim + n] += a_n
+        if n + 1 <= cfg.n_max:
+            cross = a_n * math.sqrt(n + 1.0) / ch
+            mat[n + 1, n + 1] += a_n * (n + 1) / ch**2
+            mat[dim + n, n + 1] += cross
+            mat[n + 1, dim + n] += cross
+    return mat
+
+
+@pytest.mark.parametrize("n_max", [1, 8, 256])
+@pytest.mark.parametrize("r", [0.0, 0.46, 1.3, 2.5])
+def test_rho_alice_rob_matches_block_loop(n_max, r):
+    # the index-array assembly does the loop's arithmetic, entry for entry
+    cfg = TruncationConfig(n_max)
+    assert np.array_equal(rho_alice_rob(r, cfg).mat, _rho_alice_rob_loop(r, cfg))
+
+
 def test_rho_alice_rob_spectrum_is_block_traces():
     r, cfg = 0.9, TruncationConfig(32)
     rho = rho_alice_rob(r, cfg)
