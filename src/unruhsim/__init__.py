@@ -46,9 +46,7 @@ from .measures import (
     von_neumann_entropy,
 )
 from .rindler import (
-    omega_from_r,
     one_particle_mode_weights,
-    r_from_omega,
     rho_alice_rob,
     tripartite_state,
     vacuum_mode_weights,
@@ -84,10 +82,8 @@ __all__ = [
     "joint_entropy_series",
     "kraus_operator",
     "measure_record",
-    "omega_from_r",
     "one_particle_mode_weights",
     "partial_trace",
-    "r_from_omega",
     "rho_alice_rob",
     "rob_entropy_series",
     "run_sweep",

@@ -201,6 +201,11 @@ def trace_preservation_defect(ks: KrausSet, probe: StateVector) -> float:
     subspace are allowed and expose that the map is trace preserving only
     on the initial subspace: |1,1> for instance yields sum = cosh^2 r, i.e.
     a defect of sinh^2 r (up to tail).
+
+    As in :func:`apply_channel`, each term covers only the Fock window
+    lo..hi of the probe's support, so sub-diagonal entries far from it,
+    which overflow to inf at large n_max and r, never meet a zero
+    amplitude and turn the sum into NaN.
     """
     if probe.layout != ks.layout:
         raise LayoutMismatchError(
@@ -208,10 +213,16 @@ def trace_preservation_defect(ks: KrausSet, probe: StateVector) -> float:
         )
     if abs(probe.norm_sq - 1.0) > 1e-8:
         raise ConfigError(f"probe must be normalized, norm^2 = {probe.norm_sq}")
-    amps = probe.amps.reshape(2, ks.cfg.dim)
+    dim = ks.cfg.dim
+    amps = probe.amps.reshape(2, dim)
+    live = np.flatnonzero((amps != 0.0).any(axis=0))
+    lo, hi = int(live[0]), int(live[-1])
     total = 0.0
-    for d in ks.diagonals:
-        image = d * amps[:, : d.shape[1]]
+    for n, d in enumerate(ks.diagonals):
+        top = min(hi + 1, dim - n)
+        if top <= lo:
+            break
+        image = d[:, lo:top] * amps[:, lo:top]
         total += float(np.vdot(image, image))
     return abs(total - 1.0)
 

@@ -20,13 +20,18 @@ from .sweep import OUTPUT_FORMATS, SweepConfig, render, run_sweep
 from .verify import first_failure, run_verify
 
 
+def _add_tol_arg(sp: argparse.ArgumentParser) -> None:
+    sp.add_argument(
+        "--tol", type=float, default=1e-10,
+        help="absolute tolerance in (0, 1) (default 1e-10)",
+    )
+
+
 def _add_config_args(sp: argparse.ArgumentParser) -> None:
     sp.add_argument("--r-min", type=float, default=0.0, help="grid start (default 0)")
     sp.add_argument("--r-max", type=float, default=3.0, help="grid end (default 3)")
     sp.add_argument("--points", type=int, default=200, help="grid size (default 200)")
-    sp.add_argument(
-        "--tol", type=float, default=1e-10, help="absolute tolerance (default 1e-10)"
-    )
+    _add_tol_arg(sp)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -50,8 +55,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_config_args(verify_p)
 
     point_p = sub.add_parser("point", help="evaluate a single acceleration value")
-    _add_config_args(point_p)
     point_p.add_argument("--r", type=float, required=True, help="acceleration value")
+    _add_tol_arg(point_p)
 
     return parser
 
@@ -88,8 +93,8 @@ def _cmd_verify(cfg: SweepConfig) -> int:
     return 1
 
 
-def _cmd_point(cfg: SweepConfig, r: float) -> int:
-    rec = measure_record(r, cfg.abs_tol)
+def _cmd_point(r: float, abs_tol: float) -> int:
+    rec = measure_record(r, abs_tol)
     labels = {
         "r": "acceleration parameter",
         "fe_closed": "entanglement fidelity (closed form)",
@@ -112,13 +117,13 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if args.command == "point":
+            return _cmd_point(args.r, args.tol)
         cfg = _config_from_args(args)
         if args.command == "sweep":
             return _cmd_sweep(cfg, args.output)
         if args.command == "verify":
             return _cmd_verify(cfg)
-        if args.command == "point":
-            return _cmd_point(cfg, args.r)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

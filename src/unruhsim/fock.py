@@ -33,6 +33,12 @@ from .errors import (
 SYMMETRY_TOL = 1e-10
 
 
+def check_abs_tol(abs_tol: float) -> None:
+    """Raise ConfigError unless 0 < abs_tol < 1; NaN and inf fail too."""
+    if not 0.0 < abs_tol < 1.0:
+        raise ConfigError(f"abs_tol must be in (0, 1), got {abs_tol}")
+
+
 @dataclass(frozen=True)
 class TruncationConfig:
     """Numerical policy shared by every series and matrix.
@@ -44,7 +50,7 @@ class TruncationConfig:
         dimension ``n_max + 1``.
     abs_tol : float
         Absolute tolerance used for symmetry checks, PSD clamping and
-        trace/norm accounting.
+        trace/norm accounting; must lie in (0, 1).
     """
 
     n_max: int
@@ -53,8 +59,7 @@ class TruncationConfig:
     def __post_init__(self) -> None:
         if self.n_max < 1:
             raise ConfigError(f"n_max must be >= 1, got {self.n_max}")
-        if self.abs_tol <= 0.0:
-            raise ConfigError(f"abs_tol must be positive, got {self.abs_tol}")
+        check_abs_tol(self.abs_tol)
 
     @property
     def dim(self) -> int:
@@ -125,8 +130,8 @@ class StateVector:
     """Real amplitudes over a labeled tensor-product basis.
 
     The constructor takes ownership of `amps` and marks it read-only.  The
-    squared norm may fall below 1 by the truncation tail; it is reported by
-    :attr:`norm_deficit`, never repaired by renormalization.
+    squared norm may fall below 1 by the truncation tail; the deficit is
+    ``1 - norm_sq``, never repaired by renormalization.
     """
 
     layout: FactorLayout
@@ -147,11 +152,6 @@ class StateVector:
     @property
     def norm_sq(self) -> float:
         return float(self.amps @ self.amps)
-
-    @property
-    def norm_deficit(self) -> float:
-        """Truncation tail ``1 - ||psi||^2`` (may be a tiny negative rounding)."""
-        return 1.0 - self.norm_sq
 
     def reshaped(self) -> np.ndarray:
         """Amplitudes as an ndarray with one axis per factor."""

@@ -36,7 +36,7 @@ import numpy as np
 
 from .channel import KrausSet, bell_input_density
 from .errors import ConfigError
-from .fock import DensityMatrix, TruncationConfig, truncation_tail_bound
+from .fock import DensityMatrix, TruncationConfig, check_abs_tol, truncation_tail_bound
 from .rindler import (
     WEDGE_II,
     block_weights,
@@ -167,12 +167,12 @@ def adaptive_n_max(r: float, abs_tol: float) -> int:
 
     The smallest N >= 1 with truncation_tail_bound(r, N) < abs_tol,
     searched up to ADAPTIVE_N_CAP.  Raises ConfigError for an r that is
-    negative or not finite, and for one whose bound at the cap is not below
-    abs_tol, rather than returning an uncertified cutoff.
+    negative or not finite, for an abs_tol outside (0, 1), and for an r
+    whose bound at the cap is not below abs_tol, rather than returning an
+    uncertified cutoff.
     """
     check_r(r)
-    if abs_tol <= 0:
-        raise ConfigError(f"abs_tol must be positive, got {abs_tol}")
+    check_abs_tol(abs_tol)
     bound = truncation_tail_bound(r, ADAPTIVE_N_CAP)
     if bound >= abs_tol:
         raise ConfigError(

@@ -26,8 +26,6 @@ import numpy as np
 from .errors import ConfigError
 from .fock import DensityMatrix, FactorLayout, StateVector, TruncationConfig
 
-TWO_PI = 2.0 * math.pi
-
 # Factor labels used throughout: Alice's qubit and the two Rindler wedges.
 ALICE, WEDGE_I, WEDGE_II = "A", "I", "II"
 
@@ -36,24 +34,6 @@ def check_r(r: float) -> None:
     """Raise ConfigError unless r is finite and >= 0."""
     if r < 0 or not math.isfinite(r):
         raise ConfigError(f"r must be finite and >= 0, got {r}")
-
-
-def r_from_omega(omega: float) -> float:
-    """Squeezing parameter from the dimensionless frequency Omega = |k|c/a.
-
-    r = artanh(exp(-2 pi Omega)); finite and positive for Omega > 0, and
-    vanishing in the stationary limit Omega -> infinity.
-    """
-    if not omega > 0:
-        raise ConfigError(f"omega must be > 0 (r would be infinite), got {omega}")
-    return math.atanh(math.exp(-TWO_PI * omega))
-
-
-def omega_from_r(r: float) -> float:
-    """Inverse of :func:`r_from_omega`; requires r > 0."""
-    if not r > 0:
-        raise ConfigError(f"r must be > 0 to recover a finite omega, got {r}")
-    return -math.log(math.tanh(r)) / TWO_PI
 
 
 def vacuum_mode_weights(

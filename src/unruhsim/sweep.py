@@ -16,6 +16,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .errors import ConfigError
+from .fock import check_abs_tol
 from .measures import MeasureRecord, measure_record
 
 SCHEMA = "unruh-sweep/1"
@@ -64,8 +65,7 @@ class SweepConfig:
             raise ConfigError(
                 f"points must be in [2, {MAX_POINTS}], got {self.points}"
             )
-        if self.abs_tol <= 0:
-            raise ConfigError(f"abs_tol must be positive, got {self.abs_tol}")
+        check_abs_tol(self.abs_tol)
         if self.output_format not in OUTPUT_FORMATS:
             raise ConfigError(
                 f"output_format must be one of {OUTPUT_FORMATS}, "

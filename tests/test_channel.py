@@ -304,6 +304,24 @@ def test_defect_bounded_on_initial_subspace():
             assert trace_preservation_defect(ks, vec) <= bound
 
 
+@pytest.mark.parametrize("n_max", [3134, 4096])
+def test_defect_stays_finite_where_the_build_overflows(n_max):
+    # at r = 3 the sub-diagonals far from the initial subspace overflow to
+    # inf; the defect sums only the probe's window, so they never meet a
+    # zero amplitude and the defect stays a number under the tail bound
+    r, cfg = 3.0, TruncationConfig(n_max)
+    with pytest.warns(RuntimeWarning, match="overflow"):
+        ks = KrausSet.build(r, cfg)
+    assert not all(np.isfinite(d).all() for d in ks.diagonals)
+    inv_sqrt2 = 1.0 / math.sqrt(2.0)
+    for vec in (
+        probe(cfg, ((0, 1), 1.0)),
+        probe(cfg, ((1, 0), 1.0)),
+        probe(cfg, ((0, 1), inv_sqrt2), ((1, 0), inv_sqrt2)),
+    ):
+        assert trace_preservation_defect(ks, vec) <= truncation_tail_bound(r, n_max)
+
+
 def test_defect_closed_form_for_vacuum_branch():
     # the |1,0> branch sums a pure geometric series: defect is exactly q^(n_max+1)
     r, cfg = 1.5, TruncationConfig(64)

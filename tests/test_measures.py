@@ -246,7 +246,7 @@ def test_measure_record_matches_dense_routes(r):
     fe_kraus = entanglement_fidelity_kraus(r, TruncationConfig(64))
     assert abs(rec.s_a - s_a) <= 1e-10
     assert abs(rec.s_e - s_e) <= 1e-12
-    assert abs(rec.tail - psi.norm_deficit) <= 1e-12
+    assert abs(rec.tail - (1 - psi.norm_sq)) <= 1e-12
     assert abs(rec.fe_kraus - fe_kraus) <= 1e-12
 
 

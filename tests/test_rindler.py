@@ -13,10 +13,8 @@ from unruhsim import (
     entanglement_fidelity_closed,
     joint_entropy_series,
     kraus_operator,
-    omega_from_r,
     one_particle_mode_weights,
     partial_trace,
-    r_from_omega,
     rho_alice_rob,
     rob_entropy_series,
     sym_eigenvalues,
@@ -29,30 +27,6 @@ from unruhsim.rindler import ALICE, WEDGE_I, WEDGE_II, block_weights, check_r
 
 
 # ---------------------------------------------------------------- parameterization
-
-
-def test_r_from_omega_stationary_limit():
-    assert r_from_omega(50.0) < 1e-130
-
-
-def test_r_from_omega_half_tanh_point():
-    omega = math.log(2.0) / (2.0 * math.pi)
-    r = r_from_omega(omega)
-    assert math.tanh(r) == pytest.approx(0.5, abs=1e-14)
-    assert r == pytest.approx(math.atanh(0.5), abs=1e-14)
-    assert r == pytest.approx(0.549306, abs=1e-6)
-
-
-def test_r_from_omega_rejects_nonpositive():
-    with pytest.raises(ConfigError):
-        r_from_omega(0.0)
-    with pytest.raises(ConfigError):
-        r_from_omega(-1.0)
-
-
-def test_omega_round_trip():
-    for x in np.linspace(0.05, 5.0, 25):
-        assert omega_from_r(r_from_omega(x)) == pytest.approx(x, abs=1e-12)
 
 
 @pytest.mark.parametrize("r", [-1.0, math.inf, math.nan])
@@ -174,7 +148,7 @@ def test_tripartite_norm_deficit_is_mean_of_tails():
     psi = tripartite_state(r, cfg)
     _, tail_vac = vacuum_mode_weights(r, cfg)
     _, tail_one = one_particle_mode_weights(r, cfg)
-    assert psi.norm_deficit == pytest.approx(0.5 * (tail_vac + tail_one), abs=1e-12)
+    assert 1 - psi.norm_sq == pytest.approx(0.5 * (tail_vac + tail_one), abs=1e-12)
 
 
 def test_tripartite_reductions_to_alice():

@@ -1,4 +1,5 @@
 import json
+import math
 import sys
 
 import numpy as np
@@ -11,6 +12,7 @@ from unruhsim import (
     KrausSet,
     SweepConfig,
     TruncationConfig,
+    adaptive_n_max,
     entropy_exchange,
     run_sweep,
     run_verify,
@@ -42,6 +44,18 @@ SMALL = SweepConfig(r_min=0.0, r_max=1.2, points=9)
 def test_sweep_config_rejects_invalid(kwargs):
     with pytest.raises(ConfigError):
         SweepConfig(**kwargs)
+
+
+@pytest.mark.parametrize("tol", [math.nan, math.inf, 1.0, 0.0, -1e-10])
+def test_every_tolerance_entry_point_rejects_tol_outside_unit_interval(tol):
+    # one guard, one message, at every place that takes abs_tol
+    for call in (
+        lambda: SweepConfig(abs_tol=tol),
+        lambda: TruncationConfig(8, abs_tol=tol),
+        lambda: adaptive_n_max(1.0, tol),
+    ):
+        with pytest.raises(ConfigError, match=r"abs_tol must be in \(0, 1\)"):
+            call()
 
 
 def test_grid_endpoints_exact():
@@ -168,6 +182,51 @@ def test_verify_unfaulted_channel_check_passes():
     assert results[0].passed
 
 
+@pytest.mark.parametrize("offset", [math.nan, math.inf, -math.inf])
+def test_verify_non_finite_fault_fails(offset):
+    # a NaN anywhere in the comparison must fail the check, never pass it
+    fault = KrausScalarFault(index=1, offset=offset)
+    with np.errstate(invalid="ignore", over="ignore"):
+        [res] = run_verify(SweepConfig(points=5), fault=fault,
+                           names=("channel-vs-analytic",))
+    assert math.isnan(res.worst)
+    assert not res.passed
+    assert res.line().startswith("FAIL")
+
+
+@pytest.mark.parametrize(
+    "worst, passed",
+    [(-1.0, True), (0.5e-10, True), (1e-10, False), (2e-10, False),
+     (math.nan, False), (math.inf, False)],
+)
+def test_check_result_passes_only_below_tol(worst, passed):
+    assert CheckResult("x", worst, 1e-10).passed is passed
+
+
+def test_verify_reports_signed_excess_against_positive_tol():
+    # every check reports its largest excess over a positive (or zero) tol;
+    # subadditivity's margin appears negated, so a healthy run reads < 0
+    results = run_verify(SMALL)
+    assert all(res.tol >= 0 for res in results)
+    [sub] = [res for res in results if res.name == "subadditivity"]
+    margins = [rec.subadd_margin for rec in run_sweep(SMALL)]
+    assert sub.worst == -min(margins) < 0
+    assert sub.tol == SMALL.abs_tol
+
+
+def test_verify_names_follow_the_fixed_order():
+    names = ("truncation-tail-bound", "channel-vs-analytic", "alice-entropy")
+    results = run_verify(SMALL, names=names)
+    assert [res.name for res in results] == [
+        "channel-vs-analytic", "alice-entropy", "truncation-tail-bound"
+    ]
+
+
+def test_verify_rejects_unknown_check_name():
+    with pytest.raises(ConfigError, match="no-such-check"):
+        run_verify(SMALL, names=("channel-vs-analytic", "no-such-check"))
+
+
 # ---------------------------------------------------------------- CLI
 
 
@@ -265,13 +324,33 @@ def test_cli_no_adaptive_flag_is_gone():
         assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("tol", ["nan", "inf", "1"])
+@pytest.mark.parametrize(
+    "command", [["sweep"], ["verify"], ["point", "--r", "1"], ["point", "--r", "3.5"]]
+)
+def test_cli_refuses_tol_outside_unit_interval(command, tol, capsys):
+    assert main(command + ["--tol", tol]) == 2
+    assert "abs_tol must be in (0, 1)" in capsys.readouterr().err
+
+
+def test_cli_point_takes_only_r_and_tol(capsys):
+    assert main(["point", "--r", "1", "--tol", "1e-6"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[-1].split() == ["effective", "truncation", "31"]
+    for flag in (["--r-min", "5"], ["--r-max", "2"], ["--points", "1"]):
+        with pytest.raises(SystemExit) as exc:
+            main(["point", "--r", "1"] + flag)
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+
 def test_cli_verify_exit_codes(capsys, monkeypatch):
     ok = main(["verify", "--r-max", "1.5", "--points", "7"])
     assert ok == 0
     out = capsys.readouterr().out
     assert "all" in out and "checks passed" in out
 
-    failing = CheckResult("truncation-tail-bound", False, 1.0, 1e-10)
+    failing = CheckResult("truncation-tail-bound", 1.0, 1e-10)
     monkeypatch.setattr("unruhsim.cli.run_verify", lambda cfg: [failing])
     bad = main(["verify"])
     assert bad == 1
