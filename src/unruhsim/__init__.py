@@ -42,6 +42,7 @@ from .measures import (
     entropy_exchange,
     joint_entropy_series,
     measure_record,
+    measure_records,
     rob_entropy_series,
     von_neumann_entropy,
 )
@@ -82,6 +83,7 @@ __all__ = [
     "joint_entropy_series",
     "kraus_operator",
     "measure_record",
+    "measure_records",
     "one_particle_mode_weights",
     "partial_trace",
     "rho_alice_rob",

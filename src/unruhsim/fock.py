@@ -187,7 +187,7 @@ class DensityMatrix:
         d = self.layout.dim
         mat = _frozen_array(self.mat, shape=(d, d))
         skew = float(np.abs(mat - mat.T).max())
-        if skew > SYMMETRY_TOL:
+        if not skew <= SYMMETRY_TOL:  # a NaN skew fails too
             raise NotSymmetricError(f"matrix asymmetry {skew:.3e} > {SYMMETRY_TOL}")
         object.__setattr__(self, "mat", mat)
 
@@ -260,7 +260,7 @@ def sym_eigenvalues(mat: np.ndarray, cfg: TruncationConfig) -> np.ndarray:
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise NotSymmetricError(f"expected a square matrix, got shape {a.shape}")
     skew = float(np.abs(a - a.T).max()) if a.size else 0.0
-    if skew > cfg.abs_tol:
+    if not skew <= cfg.abs_tol:  # a NaN skew fails too
         raise NotSymmetricError(f"matrix asymmetry {skew:.3e} > abs_tol {cfg.abs_tol}")
     if a.shape[0] == 1:
         return a[:1, 0].copy()

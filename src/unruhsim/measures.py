@@ -1,10 +1,13 @@
 """Scalar figures of merit along the acceleration axis.
 
 Entropies are in bits (log base 2) throughout.  Sweep records
-(:func:`measure_record`) are computed from the 1-D mode weights c_n and d_n
-alone, O(N) work and memory per point.  Every quantity in a record also has
-an independent route through the dense matrices, kept here as the oracle
-that tests and `verify` hold the records against:
+(:func:`measure_records`; :func:`measure_record` is its one-point case) are
+computed from the 1-D mode weights c_n and d_n alone, O(N) work per point.
+Consecutive grid points share one numpy pass over their levels, in blocks
+of at most 4096 levels (32 KB per array), and every field comes out bitwise
+equal to the per-row series below at the same cutoff.  Every quantity in a
+record also has an independent route through the dense matrices, kept here
+as the oracle that tests and `verify` hold the records against:
 
   - entanglement fidelity: closed form (1/4) sech^2 r (1 + sech r)^2 versus
     the operator-sum trace sum_n (Tr rho A_n)^2, where every n >= 1 trace
@@ -22,29 +25,24 @@ that tests and `verify` hold the records against:
 
 Truncation grows adaptively with r: the mean occupation grows like
 sinh^2 r, so honest entropies at r = 3 need thousands of Fock levels.
-:func:`adaptive_n_max` alone chooses the effective cutoff, the smallest one
-whose tail bound drops below abs_tol, and refuses an r that no cutoff up to
-the cap certifies.  The cutoff is always reported.
+:func:`adaptive_n_max` defines the effective cutoff, the smallest one whose
+tail bound drops below abs_tol, and refuses an r that no cutoff up to the
+cap certifies; a sweep finds the same cutoffs with one bisection over all
+its points.  The cutoff is always reported.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Iterable
 
 import numpy as np
 
 from .channel import KrausSet, bell_input_density
 from .errors import ConfigError
 from .fock import DensityMatrix, TruncationConfig, check_abs_tol, truncation_tail_bound
-from .rindler import (
-    WEDGE_II,
-    block_weights,
-    check_r,
-    one_particle_mode_weights,
-    tripartite_state,
-    vacuum_mode_weights,
-)
+from .rindler import WEDGE_II, block_weights, check_r, tripartite_state
 
 # Cap on adaptively grown truncation; it bounds the length of a record's
 # series.  Past r ~ 3.14 the tail bound at the cap exceeds the default
@@ -53,6 +51,11 @@ ADAPTIVE_N_CAP = 4096
 
 # Probabilities below this are treated as exact zeros (0 log 0 = 0).
 _PROB_FLOOR = 1e-300
+
+# Largest number of Fock levels (summed over rows) that measure_records
+# evaluates in one numpy pass: 32 KB per float64 array.  A row with more
+# levels is a block of its own.
+_BLOCK_LEVELS = 4096
 
 
 def entropy_from_probabilities(probs: np.ndarray) -> float:
@@ -208,42 +211,155 @@ class MeasureRecord:
 
 
 def measure_record(r: float, abs_tol: float) -> MeasureRecord:
-    """Evaluate the full record at one r from the mode weights alone.
+    """The record at one r: :func:`measure_records` of a one-point grid."""
+    return measure_records([r], abs_tol)[0]
 
-    The cutoff n_used is :func:`adaptive_n_max`, which refuses with
-    ConfigError an r it cannot certify rather than letting it be returned
-    unconverged.  With c and d the vacuum and one-particle weights at
-    n_used: s_ar and s_r are the series; s_a is the entropy of Alice's
-    diagonal reduction diag(||d||^2/2, ||c||^2/2); s_e that of the
-    diagonal wedge-II reduction (c_k^2 + d_k^2)/2; tail is the state's
-    norm deficit, the mean of the exact weights the two truncated branches
-    discard; subadd_margin is s_a + s_r - s_ar.  fe_kraus keeps the one
-    nonzero operator-sum term: on the input support A_0 = diag(1, cosh r)
-    (x) 1 / cosh^2 r, so Tr(rho_in A_0) = (1 + cosh r) / (2 cosh^2 r).
+
+def measure_records(rs: Iterable[float], abs_tol: float) -> list[MeasureRecord]:
+    """Evaluate the full record at every r, in order, from the mode weights.
+
+    Each cutoff n_used is :func:`adaptive_n_max`'s; an r it cannot certify
+    raises its ConfigError (the first such r in order) before any row is
+    evaluated.  With c and d the vacuum and one-particle weights at n_used:
+    s_ar and s_r are the series; s_a is the entropy of Alice's diagonal
+    reduction diag(||d||^2/2, ||c||^2/2); s_e that of the diagonal wedge-II
+    reduction (c_k^2 + d_k^2)/2; tail is the state's norm deficit, the mean
+    of the exact weights the two truncated branches discard; subadd_margin
+    is s_a + s_r - s_ar.  fe_kraus keeps the one nonzero operator-sum term:
+    on the input support A_0 = diag(1, cosh r) (x) 1 / cosh^2 r, so
+    Tr(rho_in A_0) = (1 + cosh r) / (2 cosh^2 r).
+
+    Consecutive rows are evaluated together, at most _BLOCK_LEVELS levels
+    per block, with the same float operations on the same values as the
+    per-row series (joint_entropy_series, rob_entropy_series and the mode
+    weights), so every field is bitwise what those give at n_used.
     """
-    n_used = adaptive_n_max(r, abs_tol)
-    eff = TruncationConfig(n_used, abs_tol)
-    c, tail_c = vacuum_mode_weights(r, eff)
-    d, tail_d = one_particle_mode_weights(r, eff)
-    norm_c, norm_d = float(c @ c), float(d @ d)
-    wedge_ii = 0.5 * c * c
-    wedge_ii[:-1] += 0.5 * d * d
+    rs = [float(r) for r in rs]
+    for r in rs:
+        check_r(r)
+    check_abs_tol(abs_tol)
+    n_used = _cutoffs(rs, abs_tol)
+    records: list[MeasureRecord] = []
+    start = levels = 0
+    for k, n in enumerate(n_used):
+        if levels and levels + n + 1 > _BLOCK_LEVELS:
+            records += _block_records(rs[start:k], n_used[start:k])
+            start, levels = k, 0
+        levels += n + 1
+    if rs:
+        records += _block_records(rs[start:], n_used[start:])
+    return records
 
-    ch = math.cosh(r)
-    trace_0 = 0.5 * (1.0 + ch) / ch**2
-    s_ar = joint_entropy_series(r, eff)
-    s_r = rob_entropy_series(r, eff)
-    s_a = entropy_from_probabilities(np.array([norm_d, norm_c]) / 2.0)
-    return MeasureRecord(
-        r=float(r),
-        fe_closed=entanglement_fidelity_closed(r),
-        fe_kraus=trace_0 * trace_0,
-        s_ar=s_ar,
-        s_r=s_r,
-        s_a=s_a,
-        s_e=entropy_from_probabilities(wedge_ii),
-        mutual_info=1.0 + s_r - s_ar,
-        subadd_margin=s_a + s_r - s_ar,
-        tail=(tail_c + tail_d) / 2.0,
-        n_used=n_used,
-    )
+
+def _tail_bounds(q: np.ndarray, n: np.ndarray) -> np.ndarray:
+    """truncation_tail_bound over arrays of q = tanh^2 r and cutoffs n."""
+    return np.maximum((n + 2) * q ** (n + 1), q**n * ((n + 1) - n * q))
+
+
+def _cutoffs(rs: list[float], abs_tol: float) -> list[int]:
+    """adaptive_n_max(r, abs_tol) for every r, from one bisection over all rows.
+
+    numpy's array pow differs from Python's in the last ulp for a few
+    (q, N), so each row's result is confirmed with the scalar bound, and
+    stepped where the two disagree: bound(N) < abs_tol, and N == 1 or
+    bound(N - 1) >= abs_tol.  N = ADAPTIVE_N_CAP + 1 stands for "no
+    cutoff"; such a row goes to adaptive_n_max, which refuses it.
+    """
+    q = np.array([math.tanh(r) ** 2 for r in rs])
+    lo = np.ones(len(rs), dtype=np.int64)
+    hi = np.full(len(rs), ADAPTIVE_N_CAP + 1, dtype=np.int64)
+    while (active := lo < hi).any():
+        mid = (lo + hi) // 2
+        below = _tail_bounds(q, mid) < abs_tol
+        hi = np.where(active & below, mid, hi)
+        lo = np.where(active & ~below, mid + 1, lo)
+    cutoffs = []
+    for r, n in zip(rs, lo.tolist()):
+        while n > 1 and truncation_tail_bound(r, n - 1) < abs_tol:
+            n -= 1
+        while n <= ADAPTIVE_N_CAP and not truncation_tail_bound(r, n) < abs_tol:
+            n += 1
+        cutoffs.append(n if n <= ADAPTIVE_N_CAP else adaptive_n_max(r, abs_tol))
+    return cutoffs
+
+
+def _block_records(rs: list[float], n_used: list[int]) -> list[MeasureRecord]:
+    """Records for consecutive rows whose levels 0..n_used share one array.
+
+    Every row's values are a contiguous slice, and each sum is taken over
+    its own slice (pairwise, as entropy_from_probabilities sums); the
+    scalars per row come from math.tanh and math.cosh, as in the series.
+    """
+    t = [math.tanh(r) for r in rs]
+    ch = [math.cosh(r) for r in rs]
+    q = [x**2 for x in t]
+    ch2 = [x**2 for x in ch]
+    counts = np.array(n_used) + 1
+    ends = np.cumsum(counts)
+    starts = ends - counts
+    row = np.repeat(np.arange(len(rs)), counts)
+    n = (np.arange(int(ends[-1])) - starts[row]).astype(np.float64)
+    edges = np.append(starts, len(n))
+    ch2_n = np.array(ch2)[row]
+
+    # tanh^n r gives the mode weights c and d (d's last level per row is
+    # unused); Alice's reduction diag(||d||^2/2, ||c||^2/2) and the wedge-II
+    # marginal (c_n^2 + d_n^2)/2 need nothing else
+    t_n = np.array(t)[row] ** n
+    c = t_n / np.array(ch)[row]
+    d = np.sqrt(n + 1.0) * t_n / ch2_n
+    norms = [
+        (float(d[lo : hi - 1] @ d[lo : hi - 1]), float(c[lo:hi] @ c[lo:hi]))
+        for lo, hi in zip(starts.tolist(), ends.tolist())
+    ]
+    s_a = _row_entropies(np.ravel(norms) / 2.0, np.arange(0, 2 * len(rs) + 1, 2))
+    half_dd = 0.5 * d * d
+    half_dd[ends - 1] = 0.0
+    s_e = _row_entropies(0.5 * c * c + half_dd, edges)
+    del t_n, c, d, half_dd  # fewer block arrays alive at once
+
+    # q^n gives the block weights a_n, and from them the joint spectrum
+    # lambda_n and Rob's occupations p_n
+    a = np.array(q)[row] ** n / (2.0 * np.array(ch2))[row]
+    s_ar = _row_entropies(a * (1.0 + (n + 1.0) / ch2_n), edges)
+    a_prev = np.concatenate(([0.0], a[:-1]))  # n * a_prev is 0 at n = 0
+    s_r = _row_entropies(a + n * a_prev / ch2_n, edges)
+
+    records = []
+    for k, (r, n_k) in enumerate(zip(rs, n_used)):
+        trace_0 = 0.5 * (1.0 + ch[k]) / ch2[k]
+        tail_c = t[k] ** (2 * (n_k + 1))
+        tail_d = q[k] ** n_k * ((n_k + 1) - n_k * q[k])
+        records.append(
+            MeasureRecord(
+                r=r,
+                fe_closed=entanglement_fidelity_closed(r),
+                fe_kraus=trace_0 * trace_0,
+                s_ar=s_ar[k],
+                s_r=s_r[k],
+                s_a=s_a[k],
+                s_e=s_e[k],
+                mutual_info=1.0 + s_r[k] - s_ar[k],
+                subadd_margin=s_a[k] + s_r[k] - s_ar[k],
+                tail=(tail_c + tail_d) / 2.0,
+                n_used=n_k,
+            )
+        )
+    return records
+
+
+def _row_entropies(probs: np.ndarray, edges: np.ndarray) -> list[float]:
+    """entropy_from_probabilities(probs[edges[k]:edges[k + 1]]) for every k.
+
+    p log2 p is evaluated once over the kept entries of the whole block;
+    each row's run of it is summed on its own, pairwise as in the per-row
+    call, so the results are bitwise equal.
+    """
+    kept = np.flatnonzero(probs > _PROB_FLOOR)
+    x = probs[kept]
+    plogp = x * np.log2(x)
+    cuts = np.searchsorted(kept, edges).tolist()
+    return [
+        -float(plogp[lo:hi].sum()) + 0.0 if hi > lo else 0.0
+        for lo, hi in zip(cuts, cuts[1:])
+    ]

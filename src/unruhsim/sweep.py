@@ -12,12 +12,13 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import asdict, dataclass
+from operator import attrgetter
 
 import numpy as np
 
 from .errors import ConfigError
 from .fock import check_abs_tol
-from .measures import MeasureRecord, measure_record
+from .measures import MeasureRecord, measure_records
 
 SCHEMA = "unruh-sweep/1"
 
@@ -40,6 +41,11 @@ CSV_COLUMNS = (
 )
 
 OUTPUT_FORMATS = ("csv", "json")
+
+# One CSV row: floats in fixed 12-significant-digit scientific format, the
+# integer cutoff as is.
+_CSV_ROW = ",".join("{}" if col == "n_used" else "{:.11e}" for col in CSV_COLUMNS)
+_fields = attrgetter(*CSV_COLUMNS)
 
 
 @dataclass(frozen=True)
@@ -79,28 +85,17 @@ def r_grid(cfg: SweepConfig) -> np.ndarray:
 
 
 def run_sweep(cfg: SweepConfig) -> list[MeasureRecord]:
-    """One record per grid point, evaluated in increasing r."""
-    return [measure_record(float(r), cfg.abs_tol) for r in r_grid(cfg)]
-
-
-def _fmt(value: float) -> str:
-    """Fixed 12-significant-digit scientific format."""
-    return f"{value:.11e}"
+    """One record per grid point, in increasing r, from one measure_records call."""
+    return measure_records(r_grid(cfg).tolist(), cfg.abs_tol)
 
 
 def _row(rec: MeasureRecord) -> dict:
-    return {col: getattr(rec, col) for col in CSV_COLUMNS}
+    return dict(zip(CSV_COLUMNS, _fields(rec)))
 
 
 def to_csv(records: list[MeasureRecord]) -> str:
     lines = [f"# schema: {SCHEMA}", ",".join(CSV_COLUMNS)]
-    for rec in records:
-        row = _row(rec)
-        cells = [
-            str(row[col]) if col == "n_used" else _fmt(row[col])
-            for col in CSV_COLUMNS
-        ]
-        lines.append(",".join(cells))
+    lines += [_CSV_ROW.format(*_fields(rec)) for rec in records]
     return "\n".join(lines) + "\n"
 
 

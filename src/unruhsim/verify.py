@@ -26,7 +26,7 @@ from .channel import (
     bell_input_density,
     trace_preservation_defect,
 )
-from .errors import ConfigError
+from .errors import ConfigError, NotSymmetricError
 from .fock import StateVector, TruncationConfig, partial_trace, truncation_tail_bound
 from .measures import (
     adaptive_n_max,
@@ -104,7 +104,11 @@ def _channel_vs_analytic(inp: _Inputs):
         ks = KrausSet.build(r, trunc)
         if inp.fault is not None:
             ks = ks.with_scalar_offset(inp.fault.index, inp.fault.offset)
-        out = apply_channel(rho_in, ks)
+        try:
+            out = apply_channel(rho_in, ks)
+        except NotSymmetricError:  # NaN, inf or asymmetric: no density matrix
+            deltas.append(math.nan)
+            continue
         deltas.append(np.max(np.abs(out.mat - rho_alice_rob(r, trunc).mat)))
     return float(np.max(deltas)), 1e-10
 

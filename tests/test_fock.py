@@ -149,6 +149,34 @@ def test_density_matrix_rejects_asymmetric():
         DensityMatrix(lay, np.array([[1.0, 0.5], [0.0, 1.0]]))
 
 
+@pytest.mark.parametrize(
+    "entries",
+    [
+        [[1.0, math.nan], [0.0, 1.0]],
+        [[1.0, math.nan], [math.nan, 1.0]],
+        [[math.nan, 0.0], [0.0, 1.0]],
+        [[math.inf, 0.0], [0.0, 1.0]],
+        [[1.0, math.inf], [math.inf, 1.0]],
+    ],
+)
+def test_non_finite_entries_are_refused(entries):
+    # the skew of a NaN or inf entry is NaN (inf - inf), which must not pass
+    # as symmetric
+    mat = np.array(entries)
+    with np.errstate(invalid="ignore"):
+        with pytest.raises(NotSymmetricError, match="nan"):
+            DensityMatrix(FactorLayout((2,), ("a",)), mat)
+        with pytest.raises(NotSymmetricError, match="nan"):
+            sym_eigenvalues(mat, CFG)
+
+
+def test_symmetry_tolerance_is_inclusive():
+    # a skew of exactly the tolerance is still accepted
+    mat = np.array([[1.0, 1e-10], [0.0, 1.0]])
+    DensityMatrix(FactorLayout((2,), ("a",)), mat)
+    assert sym_eigenvalues(mat, CFG).shape == (2,)
+
+
 def test_density_matrix_assert_psd():
     lay = FactorLayout((2,), ("x",))
     good = DensityMatrix(lay, np.diag([1.0, -5e-11]))

@@ -1,4 +1,5 @@
 import math
+from dataclasses import astuple, replace
 
 import numpy as np
 import pytest
@@ -14,21 +15,30 @@ from unruhsim import (
     entanglement_fidelity_closed,
     entanglement_fidelity_kraus,
     entropy_exchange,
+    MeasureRecord,
+    SweepConfig,
     joint_entropy_series,
     measure_record,
+    measure_records,
+    one_particle_mode_weights,
     partial_trace,
     rho_alice_rob,
     rob_entropy_series,
+    run_sweep,
     tripartite_state,
     truncation_tail_bound,
+    vacuum_mode_weights,
     von_neumann_entropy,
 )
 from unruhsim.measures import (
+    _BLOCK_LEVELS,
     ADAPTIVE_N_CAP,
+    _tail_bounds,
     entropy_from_probabilities,
     wedge_ii_probabilities,
 )
 from unruhsim.rindler import ALICE, WEDGE_I
+from unruhsim.sweep import r_grid
 
 CFG = TruncationConfig(16)
 
@@ -280,6 +290,137 @@ def test_record_tail_is_certified(fixed):
         assert rec.n_used == 1 or truncation_tail_bound(float(r), rec.n_used - 1) >= 1e-10
         # so a fixed cutoff certifies the row exactly when it reaches the record's
         assert (truncation_tail_bound(float(r), fixed) < 1e-10) == (fixed >= rec.n_used)
+
+
+# ---------------------------------------------------------------- block evaluation
+
+
+def per_row_record(r: float, abs_tol: float, n_used: int) -> MeasureRecord:
+    """The record from the per-row series and mode weights at n_used.
+
+    The reference that block evaluation must match bit for bit: one numpy
+    call per quantity, on arrays of this row alone.
+    """
+    cfg = TruncationConfig(n_used, abs_tol)
+    c, tail_c = vacuum_mode_weights(r, cfg)
+    d, tail_d = one_particle_mode_weights(r, cfg)
+    wedge = 0.5 * c * c
+    wedge[:-1] += 0.5 * d * d
+    s_ar = joint_entropy_series(r, cfg)
+    s_r = rob_entropy_series(r, cfg)
+    s_a = entropy_from_probabilities(np.array([float(d @ d), float(c @ c)]) / 2.0)
+    ch = math.cosh(r)
+    trace_0 = 0.5 * (1.0 + ch) / ch**2
+    return MeasureRecord(
+        r=r,
+        fe_closed=entanglement_fidelity_closed(r),
+        fe_kraus=trace_0 * trace_0,
+        s_ar=s_ar,
+        s_r=s_r,
+        s_a=s_a,
+        s_e=entropy_from_probabilities(wedge),
+        mutual_info=1.0 + s_r - s_ar,
+        subadd_margin=s_a + s_r - s_ar,
+        tail=(tail_c + tail_d) / 2.0,
+        n_used=n_used,
+    )
+
+
+def assert_bitwise(rec: MeasureRecord, ref: MeasureRecord) -> None:
+    assert astuple(rec) == astuple(ref), (rec, ref)
+    assert [type(v) for v in astuple(rec)] == [type(v) for v in astuple(ref)]
+
+
+# r = 3.1296 needs 4096 levels at tol 1e-10 (4097 with level 0, a block of
+# its own); 3.1295 needs 4095, exactly one full block.
+GRIDS = {
+    "to-the-reach": SweepConfig(r_max=3.1296, points=300),
+    "underflow": SweepConfig(r_min=1e-200, r_max=1e-100, points=7),
+    "low-r": SweepConfig(r_max=1.0, points=400),
+}
+
+
+@pytest.mark.parametrize("tol", [1e-3, 1e-10])
+@pytest.mark.parametrize("grid", sorted(GRIDS))
+def test_sweep_rows_are_bitwise_the_per_row_series(grid, tol):
+    cfg = replace(GRIDS[grid], abs_tol=tol)
+    records = run_sweep(cfg)
+    assert [rec.r for rec in records] == r_grid(cfg).tolist()
+    for rec in records:
+        assert_bitwise(rec, per_row_record(rec.r, tol, rec.n_used))
+    if grid == "to-the-reach":
+        assert records[0].r == 0.0
+        assert sum(rec.n_used + 1 for rec in records) > 10 * _BLOCK_LEVELS
+        if tol == 1e-10:
+            assert records[-1].n_used == ADAPTIVE_N_CAP
+
+
+@pytest.mark.parametrize("tol", [1e-3, 1e-10])
+def test_records_are_bitwise_the_per_row_series_in_any_order(tol):
+    # rows of every width side by side: exactly one block, wider than one,
+    # entries under the probability floor, r = 0 between them
+    rs = [3.1295, 0.0, 1e-300, 3.1296, 1e-150, 0.5, 3.0, 1e-120, 0.0, 2.0]
+    records = measure_records(rs, tol)
+    assert [rec.r for rec in records] == rs
+    for rec in records:
+        assert_bitwise(rec, per_row_record(rec.r, tol, rec.n_used))
+        assert_bitwise(measure_record(rec.r, tol), rec)
+
+
+def test_measure_record_is_the_matching_sweep_row():
+    cfg = SweepConfig(r_max=3.0, points=41)
+    for rec in run_sweep(cfg):
+        assert_bitwise(measure_record(rec.r, cfg.abs_tol), rec)
+
+
+def test_measure_records_of_no_rows():
+    assert measure_records([], 1e-10) == []
+
+
+@pytest.mark.parametrize("tol", [1e-3, 1e-10])
+def test_sweep_cutoffs_are_the_scalar_search(tol):
+    # one bisection over all rows, confirmed row by row, gives exactly the
+    # scalar adaptive_n_max of every row
+    cfg = SweepConfig(r_max=3.1296, points=600, abs_tol=tol)
+    for rec in run_sweep(cfg):
+        assert rec.n_used == adaptive_n_max(rec.r, tol)
+
+
+@pytest.mark.parametrize("tol", [1e-3, 1e-10])
+@pytest.mark.parametrize(
+    "r", [0.0, 1e-300, 1e-150, 0.01, 0.1, 0.5, 1.0, 2.0, 3.0, 3.1296]
+)
+def test_certified_cutoffs_are_one_interval(r, tol):
+    # any bisection needs {N : bound(N) < tol} to be [n_used, cap]
+    [rec] = measure_records([r], tol)
+    certified = [
+        n for n in range(1, ADAPTIVE_N_CAP + 1) if truncation_tail_bound(r, n) < tol
+    ]
+    assert certified == list(range(rec.n_used, ADAPTIVE_N_CAP + 1))
+
+
+def test_cutoffs_where_array_and_scalar_pow_disagree():
+    # numpy's array pow differs from Python's by an ulp for some (q, N).  With
+    # tol between the two bounds at N, the bisection over rows lands one step
+    # off, and the scalar confirmation must step it up (array bound lower)
+    # or down (array bound higher).
+    cases = {True: [], False: []}
+    for r in np.linspace(0.7, 1.2, 51).tolist():
+        ns = np.arange(1, 1001)
+        array = _tail_bounds(np.full(ns.size, math.tanh(r) ** 2), ns).tolist()
+        for n, a in zip(ns.tolist(), array):
+            s = truncation_tail_bound(r, n)
+            if a != s and s > 1e-300:
+                cases[a < s].append((r, max(a, s)))
+    for r, tol in cases[True][:20] + cases[False]:
+        assert measure_record(r, tol).n_used == adaptive_n_max(r, tol)
+    if not (cases[True] and cases[False]):
+        pytest.skip("numpy's array pow matches Python's in one direction here")
+
+
+def test_records_refuse_the_first_r_past_the_reach():
+    with pytest.raises(ConfigError, match=r"r = 3\.2 needs a cutoff above"):
+        measure_records([1.0, 3.2, 3.0, 4.0], 1e-10)
 
 
 # ---------------------------------------------------------------- 50-digit anchors

@@ -290,6 +290,20 @@ def test_cli_refuses_r_past_the_cap(args, capsys):
     assert "cap" in capsys.readouterr().err
 
 
+def test_cli_sweep_refused_mid_grid_writes_nothing(tmp_path, capsys):
+    # the first grid point past the reach is refused before any row is
+    # rendered, so --output is never opened
+    out = tmp_path / "rows.csv"
+    assert main(["sweep", "--r-max", "3.2", "--output", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "error: r = 3.13568 needs a cutoff above the adaptive cap n_max = 4096: "
+        "there the tail bound 1.457e-10 is not below abs_tol = 1e-10\n"
+    )
+    assert not out.exists()
+
+
 def test_cli_point_rejects_non_finite_r(capsys):
     assert main(["point", "--r", "inf"]) == 2
     assert "r must be finite and >= 0" in capsys.readouterr().err
