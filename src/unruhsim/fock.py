@@ -28,38 +28,27 @@ from .errors import (
     PositivityError,
 )
 
-# Symmetry slack accepted when wrapping a matrix as a DensityMatrix.  Matches
-# the default TruncationConfig.abs_tol.
+# The one rounding slack of the dense checks: symmetry in DensityMatrix and
+# sym_eigenvalues, the [-SYMMETRY_TOL, 0) clamp, and assert_psd's positivity.
 SYMMETRY_TOL = 1e-10
-
-
-def check_abs_tol(abs_tol: float) -> None:
-    """Raise ConfigError unless 0 < abs_tol < 1; NaN and inf fail too."""
-    if not 0.0 < abs_tol < 1.0:
-        raise ConfigError(f"abs_tol must be in (0, 1), got {abs_tol}")
 
 
 @dataclass(frozen=True)
 class TruncationConfig:
-    """Numerical policy shared by every series and matrix.
+    """Fock cutoff shared by every series and matrix.
 
     Parameters
     ----------
     n_max : int
         Maximum Fock occupation kept per bosonic mode; each mode then has
         dimension ``n_max + 1``.
-    abs_tol : float
-        Absolute tolerance used for symmetry checks, PSD clamping and
-        trace/norm accounting; must lie in (0, 1).
     """
 
     n_max: int
-    abs_tol: float = 1e-10
 
     def __post_init__(self) -> None:
         if self.n_max < 1:
             raise ConfigError(f"n_max must be >= 1, got {self.n_max}")
-        check_abs_tol(self.abs_tol)
 
     @property
     def dim(self) -> int:
@@ -195,16 +184,11 @@ class DensityMatrix:
     def trace(self) -> float:
         return float(np.trace(self.mat))
 
-    def eigenvalues(self, cfg: TruncationConfig) -> np.ndarray:
-        return sym_eigenvalues(self.mat, cfg)
-
-    def assert_psd(self, cfg: TruncationConfig) -> np.ndarray:
+    def assert_psd(self) -> np.ndarray:
         """Eigenvalues if PSD within the clamp window, else PositivityError."""
-        ev = self.eigenvalues(cfg)
-        if ev.size and ev[-1] < -cfg.abs_tol:
-            raise PositivityError(
-                f"eigenvalue {ev[-1]:.3e} below -abs_tol = {-cfg.abs_tol:.1e}"
-            )
+        ev = sym_eigenvalues(self.mat)
+        if ev.size and ev[-1] < -SYMMETRY_TOL:
+            raise PositivityError(f"eigenvalue {ev[-1]:.3e} below -{SYMMETRY_TOL}")
         return ev
 
 
@@ -247,25 +231,23 @@ def partial_trace(rho: DensityMatrix, keep: Iterable[str]) -> DensityMatrix:
     return DensityMatrix(sub, reduced.reshape(sub.dim, sub.dim))
 
 
-def sym_eigenvalues(mat: np.ndarray, cfg: TruncationConfig) -> np.ndarray:
+def sym_eigenvalues(mat: np.ndarray) -> np.ndarray:
     """Eigenvalues of a real symmetric matrix, sorted descending.
 
     LAPACK (``np.linalg.eigvalsh``) on the symmetrized input.  Input
-    asymmetric beyond ``cfg.abs_tol`` is rejected.  Eigenvalues inside the
-    float-noise window [-abs_tol, 0) are clamped to 0; genuinely negative
-    eigenvalues pass through untouched, so positivity enforcement stays with
-    the callers that require it.
+    asymmetric beyond :data:`SYMMETRY_TOL` is rejected.  Eigenvalues inside
+    the rounding window [-SYMMETRY_TOL, 0) are clamped to 0; genuinely
+    negative eigenvalues pass through untouched, so positivity enforcement
+    stays with the callers that require it.
     """
     a = np.asarray(mat, dtype=np.float64)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise NotSymmetricError(f"expected a square matrix, got shape {a.shape}")
     skew = float(np.abs(a - a.T).max()) if a.size else 0.0
-    if not skew <= cfg.abs_tol:  # a NaN skew fails too
-        raise NotSymmetricError(f"matrix asymmetry {skew:.3e} > abs_tol {cfg.abs_tol}")
-    if a.shape[0] == 1:
-        return a[:1, 0].copy()
+    if not skew <= SYMMETRY_TOL:  # a NaN skew fails too
+        raise NotSymmetricError(f"matrix asymmetry {skew:.3e} > {SYMMETRY_TOL}")
     ev = np.linalg.eigvalsh(0.5 * (a + a.T))[::-1].copy()
-    ev[(ev >= -cfg.abs_tol) & (ev < 0.0)] = 0.0
+    ev[(ev >= -SYMMETRY_TOL) & (ev < 0.0)] = 0.0
     return ev
 
 

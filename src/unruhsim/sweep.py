@@ -17,8 +17,7 @@ from operator import attrgetter
 import numpy as np
 
 from .errors import ConfigError
-from .fock import check_abs_tol
-from .measures import MeasureRecord, measure_records
+from .measures import MeasureRecord, check_abs_tol, measure_records
 
 SCHEMA = "unruh-sweep/1"
 

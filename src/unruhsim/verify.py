@@ -97,7 +97,7 @@ class _Inputs:
 
 
 def _channel_vs_analytic(inp: _Inputs):
-    trunc = TruncationConfig(_CHANNEL_N_MAX, abs_tol=inp.cfg.abs_tol)
+    trunc = TruncationConfig(_CHANNEL_N_MAX)
     rho_in = bell_input_density(trunc)
     deltas = []
     for r in _CHANNEL_RS:
@@ -114,7 +114,7 @@ def _channel_vs_analytic(inp: _Inputs):
 
 
 def _trace_preservation(inp: _Inputs):
-    trunc = TruncationConfig(_TP_N_MAX, abs_tol=inp.cfg.abs_tol)
+    trunc = TruncationConfig(_TP_N_MAX)
     layout = joint_layout(trunc)
     dim = trunc.dim
     probes = []
@@ -147,7 +147,7 @@ def _trace_preservation(inp: _Inputs):
 
 
 def _entropy_series_vs_spectral(inp: _Inputs):
-    trunc = TruncationConfig(_ENTROPY_N_MAX, abs_tol=inp.cfg.abs_tol)
+    trunc = TruncationConfig(_ENTROPY_N_MAX)
     rho = rho_alice_rob(_ENTROPY_R, trunc)
     rho_r = partial_trace(rho, (WEDGE_I,))
     gaps = [
@@ -158,7 +158,7 @@ def _entropy_series_vs_spectral(inp: _Inputs):
 
 
 def _fidelity_consistency(inp: _Inputs):
-    trunc = TruncationConfig(_FIDELITY_N_MAX, abs_tol=inp.cfg.abs_tol)
+    trunc = TruncationConfig(_FIDELITY_N_MAX)
     gaps = [
         entanglement_fidelity_kraus(r, trunc) - entanglement_fidelity_closed(r)
         for r in _FIDELITY_RS
@@ -167,7 +167,7 @@ def _fidelity_consistency(inp: _Inputs):
 
 
 def _purification_identity(inp: _Inputs):
-    trunc = TruncationConfig(_PURITY_N_MAX, abs_tol=inp.cfg.abs_tol)
+    trunc = TruncationConfig(_PURITY_N_MAX)
     gaps = [
         von_neumann_entropy(rho_alice_rob(r, trunc), trunc) - entropy_exchange(r, trunc)
         for r in _PURITY_RS

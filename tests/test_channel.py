@@ -18,7 +18,7 @@ from unruhsim import (
     truncation_tail_bound,
 )
 from unruhsim.channel import _alice_weight
-from unruhsim.fock import creation_matrix
+from unruhsim.fock import SYMMETRY_TOL, creation_matrix
 from unruhsim.measures import input_overlap_traces
 from unruhsim.rindler import joint_layout
 
@@ -276,8 +276,8 @@ def test_channel_output_trace_is_preserved():
 def test_channel_output_is_psd():
     cfg = TruncationConfig(24)
     out = apply_channel(bell_input_density(cfg), KrausSet.build(0.8, cfg))
-    ev = out.assert_psd(cfg)
-    assert ev[-1] >= -cfg.abs_tol
+    ev = out.assert_psd()
+    assert ev[-1] >= -SYMMETRY_TOL
 
 
 def test_channel_layout_mismatch_rejected():

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from unruhsim import (
@@ -19,6 +19,7 @@ from unruhsim import (
     sym_eigenvalues,
     truncation_tail_bound,
 )
+from unruhsim.fock import SYMMETRY_TOL
 
 CFG = TruncationConfig(n_max=8)
 
@@ -36,7 +37,7 @@ def test_truncation_config_validation():
     assert TruncationConfig(1).dim == 2
     with pytest.raises(ConfigError):
         TruncationConfig(0)
-    with pytest.raises(ConfigError):
+    with pytest.raises(TypeError):  # the cutoff is the only field
         TruncationConfig(4, abs_tol=0.0)
 
 
@@ -167,36 +168,39 @@ def test_non_finite_entries_are_refused(entries):
         with pytest.raises(NotSymmetricError, match="nan"):
             DensityMatrix(FactorLayout((2,), ("a",)), mat)
         with pytest.raises(NotSymmetricError, match="nan"):
-            sym_eigenvalues(mat, CFG)
+            sym_eigenvalues(mat)
 
 
 def test_symmetry_tolerance_is_inclusive():
     # a skew of exactly the tolerance is still accepted
     mat = np.array([[1.0, 1e-10], [0.0, 1.0]])
     DensityMatrix(FactorLayout((2,), ("a",)), mat)
-    assert sym_eigenvalues(mat, CFG).shape == (2,)
+    assert sym_eigenvalues(mat).shape == (2,)
 
 
 def test_density_matrix_assert_psd():
     lay = FactorLayout((2,), ("x",))
     good = DensityMatrix(lay, np.diag([1.0, -5e-11]))
-    ev = good.assert_psd(CFG)
+    ev = good.assert_psd()
     assert ev[1] == 0.0  # clamped float-noise window
     bad = DensityMatrix(lay, np.diag([1.0, -1e-6]))
     with pytest.raises(PositivityError):
-        bad.assert_psd(CFG)
+        bad.assert_psd()
+    # the clamp applies at every size, 1 x 1 included
+    one = DensityMatrix(FactorLayout((1,), ("x",)), [[-SYMMETRY_TOL / 2]])
+    assert one.assert_psd().tolist() == [0.0]
 
 
 # ---------------------------------------------------------------- eigensolver
 
 
 def test_sym_eigenvalues_diagonal_case():
-    ev = sym_eigenvalues(np.diag([3.0, 1.0, 2.0]), CFG)
+    ev = sym_eigenvalues(np.diag([3.0, 1.0, 2.0]))
     assert np.array_equal(ev, [3.0, 2.0, 1.0])
 
 
 def test_sym_eigenvalues_two_by_two():
-    ev = sym_eigenvalues(np.array([[0.0, 1.0], [1.0, 0.0]]), CFG)
+    ev = sym_eigenvalues(np.array([[0.0, 1.0], [1.0, 0.0]]))
     assert np.allclose(ev, [1.0, -1.0], atol=1e-14)
 
 
@@ -208,25 +212,29 @@ def test_sym_eigenvalues_rank_one_squeezing_block():
     a_n = math.tanh(r) ** (2 * n) / (2 * ch**2)
     x = math.sqrt(n + 1) / ch
     block = a_n * np.array([[1.0, x], [x, x * x]])
-    ev = sym_eigenvalues(block, CFG)
+    ev = sym_eigenvalues(block)
     assert ev[0] == pytest.approx(a_n * (1 + (n + 1) / ch**2), rel=1e-13)
     assert abs(ev[1]) <= 1e-15
 
 
 def test_sym_eigenvalues_rejects_asymmetric():
     with pytest.raises(NotSymmetricError):
-        sym_eigenvalues(np.array([[0.0, 1.0], [0.0, 0.0]]), CFG)
+        sym_eigenvalues(np.array([[0.0, 1.0], [0.0, 0.0]]))
+    # a skew of 0.4 is no rounding, whatever tolerance a caller works at
     with pytest.raises(NotSymmetricError):
-        sym_eigenvalues(np.zeros((2, 3)), CFG)
+        sym_eigenvalues(np.array([[1.0, 0.4], [0.0, 1.0]]))
+    with pytest.raises(NotSymmetricError):
+        sym_eigenvalues(np.zeros((2, 3)))
 
 
 @settings(max_examples=40, deadline=None)
-@given(st.integers(2, 8), st.integers(0, 10**6))
+@given(st.integers(1, 8), st.integers(0, 10**6))
+@example(1, 0)
 def test_sym_eigenvalues_matches_lapack(dim, seed):
     rng = np.random.default_rng(seed)
     m = rng.standard_normal((dim, dim))
     m = 0.5 * (m + m.T)
-    ours = sym_eigenvalues(m, CFG)
+    ours = sym_eigenvalues(m)
     ref = np.sort(np.linalg.eigvalsh(m))[::-1]
     assert np.allclose(ours, ref, atol=1e-9)
 
@@ -235,7 +243,7 @@ def test_sym_eigenvalues_matches_lapack_medium():
     rng = np.random.default_rng(42)
     m = rng.standard_normal((40, 40))
     m = 0.5 * (m + m.T)
-    ours = sym_eigenvalues(m, CFG)
+    ours = sym_eigenvalues(m)
     ref = np.sort(np.linalg.eigvalsh(m))[::-1]
     assert np.allclose(ours, ref, atol=1e-9)
 
@@ -245,9 +253,9 @@ def test_sym_eigenvalues_matches_lapack_medium():
 def test_sym_eigenvalue_sum_equals_trace(dim, seed):
     rng = np.random.default_rng(seed)
     m = random_psd(rng, dim)
-    ev = sym_eigenvalues(m, CFG)
-    assert float(ev.sum()) == pytest.approx(float(np.trace(m)), abs=CFG.abs_tol)
-    assert ev[-1] >= -CFG.abs_tol
+    ev = sym_eigenvalues(m)
+    assert float(ev.sum()) == pytest.approx(float(np.trace(m)), abs=SYMMETRY_TOL)
+    assert ev[-1] >= -SYMMETRY_TOL
 
 
 # ---------------------------------------------------------------- tail bound

@@ -64,6 +64,11 @@ def test_entropy_rejects_negative_spectrum():
     rho = DensityMatrix(FactorLayout((2,), ("x",)), np.diag([1.0, -1e-6]))
     with pytest.raises(PositivityError):
         von_neumann_entropy(rho, CFG)
+    # a trace-one matrix with a large negative eigenvalue: its "entropy"
+    # would come out negative, at any cutoff
+    rho = DensityMatrix(FactorLayout((2,), ("x",)), np.diag([1.3, -0.3]))
+    with pytest.raises(PositivityError):
+        von_neumann_entropy(rho, TruncationConfig(1))
 
 
 def test_entropy_from_probabilities_conventions():
@@ -235,6 +240,10 @@ def test_adaptive_truncation_respects_cap():
     with pytest.raises(ConfigError, match="cap"):
         adaptive_n_max(4.0, 1e-10)
     assert adaptive_n_max(3.0, 1e-10) <= ADAPTIVE_N_CAP
+    # the reach at the default tolerance lies between these two r
+    assert adaptive_n_max(3.12962, 1e-10) == ADAPTIVE_N_CAP
+    with pytest.raises(ConfigError, match="cap"):
+        adaptive_n_max(3.12964, 1e-10)
 
 
 @pytest.mark.parametrize("r", [-1.0, math.inf, math.nan])
@@ -295,13 +304,13 @@ def test_record_tail_is_certified(fixed):
 # ---------------------------------------------------------------- block evaluation
 
 
-def per_row_record(r: float, abs_tol: float, n_used: int) -> MeasureRecord:
+def per_row_record(r: float, n_used: int) -> MeasureRecord:
     """The record from the per-row series and mode weights at n_used.
 
     The reference that block evaluation must match bit for bit: one numpy
     call per quantity, on arrays of this row alone.
     """
-    cfg = TruncationConfig(n_used, abs_tol)
+    cfg = TruncationConfig(n_used)
     c, tail_c = vacuum_mode_weights(r, cfg)
     d, tail_d = one_particle_mode_weights(r, cfg)
     wedge = 0.5 * c * c
@@ -347,7 +356,7 @@ def test_sweep_rows_are_bitwise_the_per_row_series(grid, tol):
     records = run_sweep(cfg)
     assert [rec.r for rec in records] == r_grid(cfg).tolist()
     for rec in records:
-        assert_bitwise(rec, per_row_record(rec.r, tol, rec.n_used))
+        assert_bitwise(rec, per_row_record(rec.r, rec.n_used))
     if grid == "to-the-reach":
         assert records[0].r == 0.0
         assert sum(rec.n_used + 1 for rec in records) > 10 * _BLOCK_LEVELS
@@ -363,7 +372,7 @@ def test_records_are_bitwise_the_per_row_series_in_any_order(tol):
     records = measure_records(rs, tol)
     assert [rec.r for rec in records] == rs
     for rec in records:
-        assert_bitwise(rec, per_row_record(rec.r, tol, rec.n_used))
+        assert_bitwise(rec, per_row_record(rec.r, rec.n_used))
         assert_bitwise(measure_record(rec.r, tol), rec)
 
 

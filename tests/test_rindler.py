@@ -229,7 +229,7 @@ def test_rho_alice_rob_matches_block_loop(n_max, r):
 def test_rho_alice_rob_spectrum_is_block_traces():
     r, cfg = 0.9, TruncationConfig(32)
     rho = rho_alice_rob(r, cfg)
-    ev = sym_eigenvalues(rho.mat, cfg)
+    ev = sym_eigenvalues(rho.mat)
     a = block_weights(r, cfg)
     expected = a[:-1] * (1.0 + (np.arange(cfg.n_max) + 1.0) / math.cosh(r) ** 2)
     expected = np.sort(np.concatenate([expected, [a[-1]]]))[::-1]
@@ -257,7 +257,7 @@ def test_environment_spectrum_matches_joint_spectrum():
     # Alice+Rob reduction share their nonzero spectrum
     r, cfg = 0.7, TruncationConfig(16)
     psi = tripartite_state(r, cfg)
-    ev_env = sym_eigenvalues(psi.reduced_density((WEDGE_II,)).mat, cfg)
-    ev_joint = sym_eigenvalues(psi.reduced_density((ALICE, WEDGE_I)).mat, cfg)
+    ev_env = sym_eigenvalues(psi.reduced_density((WEDGE_II,)).mat)
+    ev_joint = sym_eigenvalues(psi.reduced_density((ALICE, WEDGE_I)).mat)
     k = min(ev_env.size, ev_joint.size)
     assert np.allclose(ev_env[:k], ev_joint[:k], atol=1e-12)

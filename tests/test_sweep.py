@@ -14,6 +14,7 @@ from unruhsim import (
     TruncationConfig,
     adaptive_n_max,
     entropy_exchange,
+    measure_records,
     run_sweep,
     run_verify,
     to_csv,
@@ -51,7 +52,7 @@ def test_every_tolerance_entry_point_rejects_tol_outside_unit_interval(tol):
     # one guard, one message, at every place that takes abs_tol
     for call in (
         lambda: SweepConfig(abs_tol=tol),
-        lambda: TruncationConfig(8, abs_tol=tol),
+        lambda: measure_records([1.0], tol),
         lambda: adaptive_n_max(1.0, tol),
     ):
         with pytest.raises(ConfigError, match=r"abs_tol must be in \(0, 1\)"):
@@ -157,6 +158,25 @@ def test_verify_passes_on_sane_config():
         assert len(names) == 10
         assert "channel-vs-analytic" in names
         assert "truncation-tail-bound" in names
+
+
+def test_verify_oracle_checks_do_not_depend_on_tol():
+    # abs_tol sets the row cutoffs and the grid checks only; the dense oracle
+    # checks run at fixed cutoffs under fock's own rounding guards
+    oracle = (
+        "channel-vs-analytic",
+        "trace-preservation",
+        "entropy-series-vs-spectral",
+        "fidelity-consistency",
+        "purification-identity",
+    )
+    runs = [
+        [(res.name, res.worst, res.tol)
+         for res in run_verify(SweepConfig(abs_tol=tol), names=oracle)]
+        for tol in (1e-12, 1e-10, 1e-6, 0.5)
+    ]
+    assert [name for name, _, _ in runs[0]] == list(oracle)
+    assert all(run == runs[0] for run in runs[1:])
 
 
 def test_verify_reports_insufficient_truncation():
