@@ -1,27 +1,20 @@
 """Scalar figures of merit along the acceleration axis.
 
-Entropies are in bits (log base 2) throughout.  Sweep records
-(:func:`measure_records`; :func:`measure_record` is its one-point case) are
-computed from the 1-D mode weights c_n and d_n alone, O(N) work per point.
-Consecutive grid points share one numpy pass over their levels, in blocks
-of at most 4096 levels (32 KB per array), and every field comes out bitwise
-equal to the per-row series below at the same cutoff.  Every quantity in a
-record also has an independent route through the dense matrices, kept here
-as the oracle that tests and `verify` hold the records against:
-
-  - entanglement fidelity: closed form (1/4) sech^2 r (1 + sech r)^2 versus
-    the operator-sum trace sum_n (Tr rho A_n)^2, where every n >= 1 trace
-    vanishes identically because A_n shifts the mode occupation;
-  - joint entropy S(rho_AR): series over the rank-1 block traces
-    a_n (1 + (n+1)/cosh^2 r) versus the eigensolve of the dense matrix;
-  - Rob's entropy S(rho_R): series a_n + n a_{n-1}/cosh^2 r (the
-    division-free form of a_n (1 + n/sinh^2 r), exact at r = 0) versus the
-    eigensolve of the traced reduction;
-  - entropy exchange: S of the wedge-II reduction of the pure tripartite
-    state, which equals S(rho_AR) because the global state is pure.  The
-    reduction is diagonal with entries (c_k^2 + d_k^2)/2;
-  - Alice's entropy: her reduction is diag(||d||^2/2, ||c||^2/2) versus
-    the eigensolve of the tripartite state's reduction.
+Entropies are in bits (log base 2) throughout.  A sweep record
+(:func:`measure_records`; :func:`measure_record` is its one-point case)
+costs O(N) per point: two series passes over the block weights a_n, the
+joint spectrum lambda_n = a_n (1 + (n+1)/cosh^2 r) for S(rho_AR) and Rob's
+occupations p_n = a_n + n a_{n-1}/cosh^2 r for S(rho_R).  The rest is
+closed forms.  Alice's reduction is diag(||d||^2/2, ||c||^2/2), and the
+norms of the mode weights c_n and d_n are 1 - tail_c and 1 - tail_d.  The
+wedge-II marginal (c_n^2 + d_n^2)/2 equals lambda_n below the cutoff N, so
+the entropy exchange is the S(rho_AR) sum with lambda_N replaced by
+c_N^2/2 = a_N.  The independent routes are the dense eigensolves kept here
+as the oracle that tests and `verify` hold the records against: the
+spectra of rho_AR, of Rob's reduction, and of the tripartite state's Alice
+and wedge-II (:func:`entropy_exchange`) reductions; and, for the fidelity,
+the operator-sum trace sum_n (Tr rho A_n)^2, where every n >= 1 trace
+vanishes identically because A_n shifts the mode occupation.
 
 Truncation grows adaptively with r: the mean occupation grows like
 sinh^2 r, so honest entropies at r = 3 need thousands of Fock levels.
@@ -68,8 +61,6 @@ def entropy_from_probabilities(probs: np.ndarray) -> float:
     """- sum p log2 p with the 0 log 0 = 0 convention; input need not sum to 1."""
     p = np.asarray(probs, dtype=np.float64)
     p = p[p > _PROB_FLOOR]
-    if p.size == 0:
-        return 0.0
     return float(-(p * np.log2(p)).sum()) + 0.0
 
 
@@ -166,8 +157,7 @@ def entropy_exchange(r: float, cfg: TruncationConfig) -> float:
 
     S of the wedge-II reduction of the pure tripartite state; by purity it
     equals S(rho_AR).  This route eigensolves the dense reduction and is
-    meant for moderate truncations; sweep records use the exact diagonal
-    marginal instead.
+    meant for moderate truncations.
     """
     psi = tripartite_state(r, cfg)
     rho_env = psi.reduced_density((WEDGE_II,))
@@ -225,23 +215,15 @@ def measure_record(r: float, abs_tol: float) -> MeasureRecord:
 
 
 def measure_records(rs: Iterable[float], abs_tol: float) -> list[MeasureRecord]:
-    """Evaluate the full record at every r, in order, from the mode weights.
+    """Evaluate the full record at every r, in order.
 
     Each cutoff n_used is :func:`adaptive_n_max`'s; an r it cannot certify
     raises its ConfigError (the first such r in order) before any row is
-    evaluated.  With c and d the vacuum and one-particle weights at n_used:
-    s_ar and s_r are the series; s_a is the entropy of Alice's diagonal
-    reduction diag(||d||^2/2, ||c||^2/2); s_e that of the diagonal wedge-II
-    reduction (c_k^2 + d_k^2)/2; tail is the state's norm deficit, the mean
-    of the exact weights the two truncated branches discard; subadd_margin
-    is s_a + s_r - s_ar.  fe_kraus keeps the one nonzero operator-sum term:
-    on the input support A_0 = diag(1, cosh r) (x) 1 / cosh^2 r, so
-    Tr(rho_in A_0) = (1 + cosh r) / (2 cosh^2 r).
-
-    Consecutive rows are evaluated together, at most _BLOCK_LEVELS levels
-    per block, with the same float operations on the same values as the
-    per-row series (joint_entropy_series, rob_entropy_series and the mode
-    weights), so every field is bitwise what those give at n_used.
+    evaluated.  s_ar and s_r are bitwise joint_entropy_series and
+    rob_entropy_series at n_used, and tail is the mean of the exact weights
+    the two truncated branches discard.  fe_kraus keeps the one nonzero
+    operator-sum term: on the input support A_0 = diag(1, cosh r) (x)
+    1 / cosh^2 r, so Tr(rho_in A_0) = (1 + cosh r) / (2 cosh^2 r).
     """
     rs = [float(r) for r in rs]
     for r in rs:
@@ -311,26 +293,10 @@ def _block_records(rs: list[float], n_used: list[int]) -> list[MeasureRecord]:
     edges = np.append(starts, len(n))
     ch2_n = np.array(ch2)[row]
 
-    # tanh^n r gives the mode weights c and d (d's last level per row is
-    # unused); Alice's reduction diag(||d||^2/2, ||c||^2/2) and the wedge-II
-    # marginal (c_n^2 + d_n^2)/2 need nothing else
-    t_n = np.array(t)[row] ** n
-    c = t_n / np.array(ch)[row]
-    d = np.sqrt(n + 1.0) * t_n / ch2_n
-    norms = [
-        (float(d[lo : hi - 1] @ d[lo : hi - 1]), float(c[lo:hi] @ c[lo:hi]))
-        for lo, hi in zip(starts.tolist(), ends.tolist())
-    ]
-    s_a = _row_entropies(np.ravel(norms) / 2.0, np.arange(0, 2 * len(rs) + 1, 2))
-    half_dd = 0.5 * d * d
-    half_dd[ends - 1] = 0.0
-    s_e = _row_entropies(0.5 * c * c + half_dd, edges)
-    del t_n, c, d, half_dd  # fewer block arrays alive at once
-
-    # q^n gives the block weights a_n, and from them the joint spectrum
-    # lambda_n and Rob's occupations p_n
     a = np.array(q)[row] ** n / (2.0 * np.array(ch2))[row]
-    s_ar = _row_entropies(a * (1.0 + (n + 1.0) / ch2_n), edges)
+    lam = a * (1.0 + (n + 1.0) / ch2_n)
+    s_ar = _row_entropies(lam, edges)
+    lam_edge, a_edge = lam[ends - 1].tolist(), a[ends - 1].tolist()
     a_prev = np.concatenate(([0.0], a[:-1]))  # n * a_prev is 0 at n = 0
     s_r = _row_entropies(a + n * a_prev / ch2_n, edges)
 
@@ -339,6 +305,8 @@ def _block_records(rs: list[float], n_used: list[int]) -> list[MeasureRecord]:
         trace_0 = 0.5 * (1.0 + ch[k]) / ch2[k]
         tail_c = t[k] ** (2 * (n_k + 1))
         tail_d = q[k] ** n_k * ((n_k + 1) - n_k * q[k])
+        s_a = _plogp((1.0 - tail_d) / 2.0) + _plogp((1.0 - tail_c) / 2.0)
+        s_e = s_ar[k] - _plogp(lam_edge[k]) + _plogp(a_edge[k])
         records.append(
             MeasureRecord(
                 r=r,
@@ -346,15 +314,20 @@ def _block_records(rs: list[float], n_used: list[int]) -> list[MeasureRecord]:
                 fe_kraus=trace_0 * trace_0,
                 s_ar=s_ar[k],
                 s_r=s_r[k],
-                s_a=s_a[k],
-                s_e=s_e[k],
+                s_a=s_a,
+                s_e=s_e,
                 mutual_info=1.0 + s_r[k] - s_ar[k],
-                subadd_margin=s_a[k] + s_r[k] - s_ar[k],
+                subadd_margin=s_a + s_r[k] - s_ar[k],
                 tail=(tail_c + tail_d) / 2.0,
                 n_used=n_k,
             )
         )
     return records
+
+
+def _plogp(p: float) -> float:
+    """-p log2 p, and 0 for p at or below _PROB_FLOOR (0 log 0 = 0)."""
+    return -p * math.log2(p) if p > _PROB_FLOOR else 0.0
 
 
 def _row_entropies(probs: np.ndarray, edges: np.ndarray) -> list[float]:

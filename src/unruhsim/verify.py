@@ -2,10 +2,11 @@
 
 Each check pits two independent routes to the same quantity against each
 other at a pinned tolerance: the operator-sum channel against the closed
-form, the series entropies against eigensolves, fidelity against its Kraus
-trace, the purification identity, monotonicity along the grid, and the
-truncation-tail budget.  `fault` deliberately corrupts one Kraus scalar so
-the sensitivity of the channel-equivalence check can be demonstrated.
+form, the series entropies and the sweep records at their own cutoffs
+against eigensolves, fidelity against its Kraus trace, the purification
+identity, monotonicity along the grid, and the truncation-tail budget.
+`fault` deliberately corrupts one Kraus scalar so the sensitivity of the
+channel-equivalence check can be demonstrated.
 
 Every check reports `worst`, its largest signed excess, and passes exactly
 when worst < tol: a negative worst is a margin, and NaN never passes.
@@ -15,7 +16,7 @@ Maxima are taken with `np.max`, which keeps NaN.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 
 import numpy as np
@@ -34,10 +35,11 @@ from .measures import (
     entanglement_fidelity_kraus,
     entropy_exchange,
     joint_entropy_series,
+    measure_records,
     rob_entropy_series,
     von_neumann_entropy,
 )
-from .rindler import WEDGE_I, joint_layout, rho_alice_rob
+from .rindler import ALICE, WEDGE_I, joint_layout, rho_alice_rob, tripartite_state
 from .sweep import SweepConfig, r_grid, run_sweep
 
 # Spot-check constants.  The trace-preservation probes sit in [1.05, 1.5]:
@@ -54,6 +56,7 @@ _PURITY_RS = (0.5, 1.0)
 _PURITY_N_MAX = 64
 _ENTROPY_R = 1.0
 _ENTROPY_N_MAX = 256
+_RECORD_RS = (0.5, 1.0, 1.5)  # cutoffs <= 256 at the default tol
 
 
 @dataclass(frozen=True)
@@ -175,6 +178,28 @@ def _purification_identity(inp: _Inputs):
     return float(np.max(np.abs(gaps))), 1e-8
 
 
+def _records_vs_oracle(inp: _Inputs):
+    # sweep rows at their own cutoffs N, which follow --tol.  s_ar sums the
+    # blocks 0..N whole: the state cut at N + 1 less its |1, N + 1> entry
+    gaps, n_used = [], []
+    for rec in measure_records(_RECORD_RS, inp.cfg.abs_tol):
+        trunc = TruncationConfig(rec.n_used)
+        wide = rho_alice_rob(rec.r, TruncationConfig(rec.n_used + 1))
+        mat = wide.mat.copy()
+        mat[-1, -1] = 0.0
+        rho_r = partial_trace(rho_alice_rob(rec.r, trunc), (WEDGE_I,))
+        alice = tripartite_state(rec.r, trunc).reduced_density((ALICE,))
+        gaps += [
+            rec.s_ar - von_neumann_entropy(replace(wide, mat=mat), trunc),
+            rec.s_r - von_neumann_entropy(rho_r, trunc),
+            rec.s_e - entropy_exchange(rec.r, trunc),
+            rec.s_a - von_neumann_entropy(alice, trunc),
+            rec.fe_kraus - entanglement_fidelity_kraus(rec.r, trunc),
+        ]
+        n_used.append(str(rec.n_used))
+    return float(np.max(np.abs(gaps))), 1e-10, f"n_used={','.join(n_used)}"
+
+
 def _fidelity_monotonic(inp: _Inputs):
     fe = np.array([entanglement_fidelity_closed(r) for r in r_grid(inp.cfg)])
     return float(np.max(np.diff(fe))), 0.0, "max consecutive increase"
@@ -212,6 +237,7 @@ _CHECKS = {
     "entropy-series-vs-spectral": _entropy_series_vs_spectral,
     "fidelity-consistency": _fidelity_consistency,
     "purification-identity": _purification_identity,
+    "records-vs-oracle": _records_vs_oracle,
     "fidelity-monotonic": _fidelity_monotonic,
     "mutual-information-monotonic": _mutual_information_monotonic,
     "subadditivity": _subadditivity,

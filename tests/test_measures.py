@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from dataclasses import astuple, replace
 
 import numpy as np
@@ -37,7 +38,7 @@ from unruhsim.measures import (
     entropy_from_probabilities,
     wedge_ii_probabilities,
 )
-from unruhsim.rindler import ALICE, WEDGE_I
+from unruhsim.rindler import ALICE, WEDGE_I, block_weights
 from unruhsim.sweep import r_grid
 
 CFG = TruncationConfig(16)
@@ -157,8 +158,6 @@ def test_rob_entropy_small_acceleration_limit():
 
 
 def test_rob_occupation_probabilities_are_normalized():
-    from unruhsim.rindler import block_weights
-
     r, cfg = 1.1, TruncationConfig(96)
     a = block_weights(r, cfg)
     p = a.copy()
@@ -304,21 +303,28 @@ def test_record_tail_is_certified(fixed):
 # ---------------------------------------------------------------- block evaluation
 
 
-def per_row_record(r: float, n_used: int) -> MeasureRecord:
-    """The record from the per-row series and mode weights at n_used.
+def plogp(p: float) -> float:
+    return -p * math.log2(p) if p > 1e-300 else 0.0
 
-    The reference that block evaluation must match bit for bit: one numpy
-    call per quantity, on arrays of this row alone.
+
+def per_row_record(r: float, n_used: int) -> MeasureRecord:
+    """The record from the per-row series and closed forms at n_used.
+
+    The reference that block evaluation must match bit for bit: each series
+    is one numpy call on arrays of this row alone.  s_a is the entropy of
+    Alice's diag(||d||^2/2, ||c||^2/2) with the norms 1 - tail_d and
+    1 - tail_c; s_e is s_ar with its edge term lambda_N replaced by the
+    wedge-II marginal's c_N^2/2 = a_N.
     """
     cfg = TruncationConfig(n_used)
-    c, tail_c = vacuum_mode_weights(r, cfg)
-    d, tail_d = one_particle_mode_weights(r, cfg)
-    wedge = 0.5 * c * c
-    wedge[:-1] += 0.5 * d * d
+    _, tail_c = vacuum_mode_weights(r, cfg)
+    _, tail_d = one_particle_mode_weights(r, cfg)
     s_ar = joint_entropy_series(r, cfg)
     s_r = rob_entropy_series(r, cfg)
-    s_a = entropy_from_probabilities(np.array([float(d @ d), float(c @ c)]) / 2.0)
+    s_a = plogp((1.0 - tail_d) / 2.0) + plogp((1.0 - tail_c) / 2.0)
     ch = math.cosh(r)
+    a_edge = float(block_weights(r, cfg)[-1])
+    lam_edge = a_edge * (1.0 + (n_used + 1.0) / ch**2)
     trace_0 = 0.5 * (1.0 + ch) / ch**2
     return MeasureRecord(
         r=r,
@@ -327,7 +333,7 @@ def per_row_record(r: float, n_used: int) -> MeasureRecord:
         s_ar=s_ar,
         s_r=s_r,
         s_a=s_a,
-        s_e=entropy_from_probabilities(wedge),
+        s_e=s_ar - plogp(lam_edge) + plogp(a_edge),
         mutual_info=1.0 + s_r - s_ar,
         subadd_margin=s_a + s_r - s_ar,
         tail=(tail_c + tail_d) / 2.0,
@@ -364,16 +370,48 @@ def test_sweep_rows_are_bitwise_the_per_row_series(grid, tol):
             assert records[-1].n_used == ADAPTIVE_N_CAP
 
 
+# rows of every width side by side: exactly one block, wider than one,
+# entries under the probability floor, r = 0 between them
+ANY_ORDER_RS = [3.1295, 0.0, 1e-300, 3.1296, 1e-150, 0.5, 3.0, 1e-120, 0.0, 2.0]
+
+
 @pytest.mark.parametrize("tol", [1e-3, 1e-10])
 def test_records_are_bitwise_the_per_row_series_in_any_order(tol):
-    # rows of every width side by side: exactly one block, wider than one,
-    # entries under the probability floor, r = 0 between them
-    rs = [3.1295, 0.0, 1e-300, 3.1296, 1e-150, 0.5, 3.0, 1e-120, 0.0, 2.0]
-    records = measure_records(rs, tol)
-    assert [rec.r for rec in records] == rs
+    records = measure_records(ANY_ORDER_RS, tol)
+    assert [rec.r for rec in records] == ANY_ORDER_RS
     for rec in records:
         assert_bitwise(rec, per_row_record(rec.r, rec.n_used))
         assert_bitwise(measure_record(rec.r, tol), rec)
+
+
+@pytest.mark.parametrize("tol", [1e-3, 1e-10])
+@pytest.mark.parametrize("rows", sorted(GRIDS) + ["any-order"])
+def test_closed_forms_match_the_mode_weights(rows, tol):
+    # s_a and s_e against the entropies of Alice's reduction and of the
+    # wedge-II marginal, both built from the mode-weight arrays c and d
+    rs = ANY_ORDER_RS if rows == "any-order" else r_grid(GRIDS[rows]).tolist()
+    for rec in measure_records(rs, tol):
+        cfg = TruncationConfig(rec.n_used)
+        c, _ = vacuum_mode_weights(rec.r, cfg)
+        d, _ = one_particle_mode_weights(rec.r, cfg)
+        wedge = 0.5 * c * c
+        wedge[:-1] += 0.5 * d * d
+        s_a = entropy_from_probabilities(np.array([d @ d, c @ c]) / 2.0)
+        assert abs(rec.s_a - s_a) <= 1e-12, rec
+        assert abs(rec.s_e - entropy_from_probabilities(wedge)) <= 1e-12, rec
+
+
+def test_record_memory_is_bounded_by_the_block():
+    # blocks of at most _BLOCK_LEVELS levels keep the traced peak far below
+    # what one array over the whole grid (> 10^5 levels) would need
+    rs = r_grid(GRIDS["to-the-reach"]).tolist()
+    tracemalloc.start()
+    try:
+        measure_records(rs, 1e-10)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
 
 
 def test_measure_record_is_the_matching_sweep_row():
@@ -462,7 +500,7 @@ def _mp_reference(mpmath, r):
         return float(joint / ln2), float(rob / ln2), float(fidelity)
 
 
-@pytest.mark.parametrize("r", [0.5, 1.5, 3.0])
+@pytest.mark.parametrize("r", [0.1, 0.5, 1.5, 2.0, 3.0])
 def test_record_matches_high_precision_reference(r):
     mpmath = pytest.importorskip("mpmath")
     s_joint, s_rob, fidelity = _mp_reference(mpmath, r)
@@ -472,3 +510,4 @@ def test_record_matches_high_precision_reference(r):
     assert abs(rec.s_r - s_rob) <= 1e-8
     assert abs(rec.fe_closed - fidelity) <= 1e-12
     assert abs(rec.fe_kraus - fidelity) <= 1e-12
+    assert abs(rec.s_a - 1.0) <= 1e-8  # untruncated, Alice holds one bit

@@ -1,6 +1,7 @@
 import json
 import math
 import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -20,6 +21,7 @@ from unruhsim import (
     to_csv,
     to_json,
 )
+from unruhsim import measures
 from unruhsim.cli import main
 from unruhsim.sweep import CSV_COLUMNS, MAX_POINTS, SCHEMA, r_grid, render
 from unruhsim.verify import first_failure
@@ -155,7 +157,7 @@ def test_verify_passes_on_sane_config():
         results = run_verify(cfg)
         assert first_failure(results) is None, first_failure(results)
         names = [res.name for res in results]
-        assert len(names) == 10
+        assert len(names) == 11
         assert "channel-vs-analytic" in names
         assert "truncation-tail-bound" in names
 
@@ -177,6 +179,34 @@ def test_verify_oracle_checks_do_not_depend_on_tol():
     ]
     assert [name for name, _, _ in runs[0]] == list(oracle)
     assert all(run == runs[0] for run in runs[1:])
+
+
+@pytest.mark.parametrize(
+    "field, caught_by",
+    [
+        ("s_ar", ["records-vs-oracle"]),
+        ("s_r", ["records-vs-oracle"]),
+        ("s_e", ["records-vs-oracle"]),
+        ("s_a", ["records-vs-oracle", "alice-entropy"]),
+        ("fe_kraus", ["records-vs-oracle"]),
+    ],
+)
+def test_verify_catches_a_record_shifted_by_1e_8(monkeypatch, field, caught_by):
+    # a record path that is off by 1e-8 in one field: only the dense oracle
+    # at the rows' own cutoffs sees it, except s_a, which the grid's one-bit
+    # check also holds
+    block_records = measures._block_records
+
+    def shifted(rs, n_used):
+        return [
+            replace(rec, **{field: getattr(rec, field) + 1e-8})
+            for rec in block_records(rs, n_used)
+        ]
+
+    monkeypatch.setattr(measures, "_block_records", shifted)
+    results = run_verify(SweepConfig())
+    assert len(results) == 11
+    assert [res.name for res in results if not res.passed] == caught_by
 
 
 def test_verify_reports_insufficient_truncation():
