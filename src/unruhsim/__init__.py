@@ -13,7 +13,6 @@ from .channel import (
     KrausSet,
     apply_channel,
     bell_input_density,
-    completeness_operator,
     kraus_operator,
     trace_preservation_defect,
 )
@@ -75,7 +74,6 @@ __all__ = [
     "adaptive_n_max",
     "apply_channel",
     "bell_input_density",
-    "completeness_operator",
     "creation_matrix",
     "entanglement_fidelity_closed",
     "entanglement_fidelity_kraus",

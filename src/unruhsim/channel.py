@@ -14,15 +14,20 @@ preserving; the deviation has a closed form and is asserted, not hidden.
 
 Construction note: the ladder power in A_n is accumulated as
 Q_n = Q_{n-1} (tanh r * bdag) / sqrt(n), folding the scalar into the
-product so no bare factorial ever overflows.  Weight that the truncated
-bdag pushes past |n_max> is dropped, consistent with the tail accounting.
+product so no bare factorial ever overflows.  On the one nonzero
+sub-diagonal that is q_n[m] = (tanh r sqrt(m+n)) q_{n-1}[m] / sqrt(n) for
+each column m, in the same order of operations, so the entries match the
+dense product bit for bit.  They are tanh^n r sqrt(C(m+n, n)), beyond
+float64 for large n and m at once, so the family is generated only on
+the Fock levels an input occupies, never stored.  Weight that the
+truncated bdag pushes past |n_max> is dropped, consistent with the tail
+accounting.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from itertools import islice
+from dataclasses import dataclass, replace
 from typing import Iterator
 
 import numpy as np
@@ -43,76 +48,41 @@ def _alice_weight(r: float) -> np.ndarray:
     return np.diag([1.0, math.cosh(r)])
 
 
-def _ladder_powers(cfg: TruncationConfig, tanh_r: float) -> Iterator[np.ndarray]:
-    """Q_n = (tanh^n r / sqrt(n!)) (bdag)^n as dense matrices, n = 0..n_max.
-
-    Accumulated as in the module docstring.  Powers are produced lazily, so
-    a caller that needs only the n-th pays n steps.
-    """
-    step = tanh_r * creation_matrix(cfg)
-    power = np.eye(cfg.dim)
-    yield power
-    for n in range(1, cfg.n_max + 1):
-        power = step @ power / math.sqrt(n)
-        yield power
-
-
-def _ladder_diagonals(
-    n_max: int, tanh_r: float | None = None
-) -> Iterator[np.ndarray]:
-    """The one nonzero sub-diagonal of (bdag)^n, n = 0..n_max.
-
-    Entry m of the n-th array is <m+n| (bdag)^n |m>, length n_max + 1 - n.
-    With `tanh_r` each carries its Kraus scalar as Q_n does in
-    :func:`_ladder_powers`: the recurrence q_n[m] = (tanh r sqrt(m+n))
-    q_{n-1}[m] / sqrt(n) is the dense one restricted to its nonzeros, with
-    the operations in the same order, so every entry is bitwise equal to
-    the matching entry of the dense power.
-    """
-    step = np.sqrt(np.arange(1, n_max + 1, dtype=np.float64))
-    if tanh_r is not None:
-        step = tanh_r * step
-    diag = np.ones(n_max + 1)
-    yield diag
-    for n in range(1, n_max + 1):
-        diag = step[n - 1 :] * diag[:-1]
-        if tanh_r is not None:
-            diag = diag / math.sqrt(n)
-        yield diag
-
-
 def kraus_operator(n: int, r: float, cfg: TruncationConfig) -> np.ndarray:
     """The n-th Kraus operator as a dense matrix on Alice x wedge I.
 
     Built from :func:`~unruhsim.fock.creation_matrix` by dense products, so
-    it is an independent reference for the sub-diagonals of
-    :class:`KrausSet`.  Actions on the initial subspace:
+    it is an independent reference for :meth:`KrausSet.window`.  The ladder
+    power is accumulated as in the module docstring.  Actions on the
+    initial subspace:
         A_n |0,1> = (tanh^n r / cosh^2 r) sqrt(n+1) |0, n+1>
         A_n |1,0> = (tanh^n r / cosh r) |1, n>
     """
     if not 0 <= n <= cfg.n_max:
         raise ConfigError(f"Kraus index {n} outside 0..{cfg.n_max}")
     check_r(r)
-    ladder = next(islice(_ladder_powers(cfg, math.tanh(r)), n, None))
+    step = math.tanh(r) * creation_matrix(cfg)
+    ladder = np.eye(cfg.dim)
+    for k in range(1, n + 1):
+        ladder = step @ ladder / math.sqrt(k)
     return np.kron(_alice_weight(r), ladder) * (1.0 / math.cosh(r) ** 2)
 
 
 @dataclass(frozen=True)
 class KrausSet:
-    """The full family {A_n, n = 0..n_max} at fixed r and truncation.
+    """The family {A_n, n = 0..n_max} at fixed r and truncation.
 
-    A_n maps |a, m> to |a, m+n> and nothing else, so it is stored as its
-    one nonzero sub-diagonal: ``diagonals[n]`` has shape (2, n_max + 1 - n)
-    with ``diagonals[n][a, m] = <a, m+n| A_n |a, m>``.  The whole family
-    takes 8 (n_max + 1)(n_max + 2) bytes.  Immutable after construction;
-    the arrays are read-only.  The index range is tied to the Fock
-    truncation so one knob governs both.  Dense matrices come from
-    :func:`kraus_operator`.
+    A_n maps |a, m> to |a, m+n> and nothing else, so it is described by its
+    one nonzero sub-diagonal, which :meth:`window` generates on the Fock
+    levels an input occupies; nothing is stored.  The index range is tied
+    to the Fock truncation so one knob governs both.  `fault`, set by
+    :meth:`with_scalar_offset`, is (index, offset).  Dense matrices come
+    from :func:`kraus_operator`.
     """
 
     r: float
     cfg: TruncationConfig
-    diagonals: tuple[np.ndarray, ...]
+    fault: tuple[int, float] | None = None
 
     @property
     def layout(self) -> FactorLayout:
@@ -121,14 +91,7 @@ class KrausSet:
     @classmethod
     def build(cls, r: float, cfg: TruncationConfig) -> "KrausSet":
         check_r(r)
-        alice = np.diag(_alice_weight(r))[:, None]
-        inv_ch2 = 1.0 / math.cosh(r) ** 2
-        diagonals = []
-        for ladder in _ladder_diagonals(cfg.n_max, math.tanh(r)):
-            diag = alice * ladder * inv_ch2
-            diag.setflags(write=False)
-            diagonals.append(diag)
-        return cls(r=r, cfg=cfg, diagonals=tuple(diagonals))
+        return cls(r=r, cfg=cfg)
 
     def with_scalar_offset(self, index: int, offset: float) -> "KrausSet":
         """Copy with the scalar prefactor of A_index shifted by `offset`.
@@ -138,12 +101,44 @@ class KrausSet:
         """
         if not 0 <= index <= self.cfg.n_max:
             raise ConfigError(f"Kraus index {index} outside 0..{self.cfg.n_max}")
-        power = next(islice(_ladder_diagonals(self.cfg.n_max), index, None))
+        return replace(self, fault=(index, offset))
+
+    def window(self, lo: int, hi: int) -> Iterator[tuple[int, np.ndarray]]:
+        """(n, d) for ascending n, with d[a, k] = <a, m+n| A_n |a, m>, m = lo + k.
+
+        d covers the columns lo..top-1, top = min(hi + 1, n_max + 1 - n), and
+        n runs while top > lo.  The rows are slices of one (count, 2, w)
+        table, filled by the recurrence of the module docstring.  Each
+        column evolves on its own, so its entries are the same in every
+        window that holds it, and the columns m <= 1 of the initial
+        subspace stay finite at any cutoff.
+        """
+        n_max = self.cfg.n_max
+        count = n_max + 1 - lo
+        width = min(hi + 1, n_max + 1) - lo
+        if count <= 0 or width <= 0:
+            return
+        # column lo + k takes step[n - 1 + k] = tanh r sqrt(lo + k + n) at n
+        roots = np.sqrt(np.arange(lo + 1, n_max + 1, dtype=np.float64))
+        step = math.tanh(self.r) * roots
+        ladders = np.zeros((count, width))
+        ladders[0] = 1.0
+        for n in range(1, count):
+            t = min(width, count - n)
+            row = ladders[n, :t]
+            np.multiply(step[n - 1 : n - 1 + t], ladders[n - 1, :t], out=row)
+            row /= math.sqrt(n)
         alice = np.diag(_alice_weight(self.r))[:, None]
-        diagonals = list(self.diagonals)
-        diagonals[index] = diagonals[index] + offset * (alice * power)
-        diagonals[index].setflags(write=False)
-        return KrausSet(r=self.r, cfg=self.cfg, diagonals=tuple(diagonals))
+        table = alice * ladders[:, None, :] * (1.0 / math.cosh(self.r) ** 2)
+        if self.fault is not None and self.fault[0] < count:
+            index, offset = self.fault
+            t = min(width, count - index)
+            power = np.ones(t)  # <m+index| (bdag)^index |m>, the same product bare
+            for n in range(1, index + 1):
+                power = roots[n - 1 : n - 1 + t] * power
+            table[index, :, :t] += offset * (alice * power)
+        for n in range(count):
+            yield n, table[n, :, : min(width, count - n)]
 
 
 def bell_input_density(cfg: TruncationConfig) -> DensityMatrix:
@@ -164,7 +159,7 @@ def apply_channel(rho: DensityMatrix, ks: KrausSet) -> DensityMatrix:
     Fock window lo..hi of rho's support enters it: lo and hi are the first
     and last level m whose row or column (a, m) is nonzero for either a.
     Every product skipped outside that window is an exact 0.0 (for finite
-    diagonals), so the result is bit for bit the full-width sum.  With
+    entries), so the result is bit for bit the full-width sum.  With
     w = hi - lo + 1 the cost is O(N w^2) time and O(N^2) memory: O(N) work
     for the Bell input (w = 2), O(N^3) for a full-width rho.  For inputs
     supported on span{|0,1>, |1,0>} the output trace equals the input
@@ -181,14 +176,11 @@ def apply_channel(rho: DensityMatrix, ks: KrausSet) -> DensityMatrix:
     nonzero = rho4 != 0.0
     live = np.flatnonzero(nonzero.any(axis=(0, 2, 3)) | nonzero.any(axis=(0, 1, 2)))
     if live.size:
-        lo, hi = int(live[0]), int(live[-1])
-        for n, d in enumerate(ks.diagonals):
-            top = min(hi + 1, dim - n)
-            if top <= lo:
-                break
-            dw = d[:, lo:top]
+        lo = int(live[0])
+        for n, d in ks.window(lo, int(live[-1])):
+            top = lo + d.shape[1]
             out[:, lo + n : top + n, :, lo + n : top + n] += (
-                dw[:, :, None, None] * rho4[:, lo:top, :, lo:top] * dw[None, None]
+                d[:, :, None, None] * rho4[:, lo:top, :, lo:top] * d[None, None]
             )
     return DensityMatrix(rho.layout, out.reshape(rho.mat.shape))
 
@@ -202,10 +194,9 @@ def trace_preservation_defect(ks: KrausSet, probe: StateVector) -> float:
     on the initial subspace: |1,1> for instance yields sum = cosh^2 r, i.e.
     a defect of sinh^2 r (up to tail).
 
-    As in :func:`apply_channel`, each term covers only the Fock window
-    lo..hi of the probe's support, so sub-diagonal entries far from it,
-    which overflow to inf at large n_max and r, never meet a zero
-    amplitude and turn the sum into NaN.
+    As in :func:`apply_channel`, each term is generated on the Fock window
+    lo..hi of the probe's support only, so the cost is O(N w) and entries
+    far from it, which exceed float64 at large n_max and r, are never formed.
     """
     if probe.layout != ks.layout:
         raise LayoutMismatchError(
@@ -213,29 +204,11 @@ def trace_preservation_defect(ks: KrausSet, probe: StateVector) -> float:
         )
     if abs(probe.norm_sq - 1.0) > 1e-8:
         raise ConfigError(f"probe must be normalized, norm^2 = {probe.norm_sq}")
-    dim = ks.cfg.dim
-    amps = probe.amps.reshape(2, dim)
+    amps = probe.amps.reshape(2, ks.cfg.dim)
     live = np.flatnonzero((amps != 0.0).any(axis=0))
-    lo, hi = int(live[0]), int(live[-1])
+    lo = int(live[0])
     total = 0.0
-    for n, d in enumerate(ks.diagonals):
-        top = min(hi + 1, dim - n)
-        if top <= lo:
-            break
-        image = d[:, lo:top] * amps[:, lo:top]
+    for _, d in ks.window(lo, int(live[-1])):
+        image = d * amps[:, lo : lo + d.shape[1]]
         total += float(np.vdot(image, image))
     return abs(total - 1.0)
-
-
-def completeness_operator(ks: KrausSet) -> np.ndarray:
-    """sum_n A_n^T A_n, ascending n, as a dense matrix.
-
-    Diagonal in the product basis, since each A_n maps basis states to
-    multiples of basis states; without truncation the entry at Alice
-    occupation a and mode occupation m is cosh^(2(m+a-1)) r, so it equals 1
-    exactly at (0,1) and (1,0), the initial-state subspace.
-    """
-    diag = np.zeros((2, ks.cfg.dim))
-    for d in ks.diagonals:
-        diag[:, : d.shape[1]] += d * d
-    return np.diag(diag.ravel())

@@ -76,8 +76,12 @@ def _cmd_sweep(cfg: SweepConfig, output: str | None) -> int:
     if output is None:
         sys.stdout.write(text)
     else:
-        with open(output, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
+        try:
+            with open(output, "w", encoding="utf-8", newline="\n") as fh:
+                fh.write(text)
+        except OSError as exc:
+            print(f"error: cannot write {output}: {exc.strerror}", file=sys.stderr)
+            return 2
     return 0
 
 

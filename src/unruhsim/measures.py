@@ -86,21 +86,19 @@ def entanglement_fidelity_closed(r: float) -> float:
 def input_overlap_traces(r: float, cfg: TruncationConfig) -> np.ndarray:
     """Tr(rho_in A_n) for every n, computed from the Kraus sub-diagonals.
 
-    Tr(rho A_n) = sum_{a,m} <a,m|rho|a,m+n> <a,m+n|A_n|a,m>.  Only n = 0
-    survives: the input is supported on |0,1> and |1,0>, so its entries
-    n >= 1 levels apart within an Alice block are zero and the trace comes
-    out exactly 0.0, not merely small.  The n = 0 value is
-    (1/2) sech r (1 + sech r).
+    Tr(rho A_n) = sum_{a,m} <a,m|rho|a,m+n> <a,m+n|A_n|a,m>, and the input
+    is supported on levels 0 and 1, so only the window (0, 1) enters.  Only
+    n = 0 survives: the input's entries n >= 1 levels apart within an Alice
+    block are zero and the trace comes out exactly 0.0, not merely small.
+    The n = 0 value is (1/2) sech r (1 + sech r).
     """
-    ks = KrausSet.build(r, cfg)
     rho4 = bell_input_density(cfg).mat.reshape(2, cfg.dim, 2, cfg.dim)
     alice_blocks = np.einsum("iaib->iab", rho4)
-    return np.array(
-        [
-            float((np.diagonal(alice_blocks, n, axis1=1, axis2=2) * d).sum())
-            for n, d in enumerate(ks.diagonals)
-        ]
-    )
+    traces = []
+    for n, d in KrausSet.build(r, cfg).window(0, 1):
+        overlap = np.diagonal(alice_blocks, n, axis1=1, axis2=2)[:, : d.shape[1]]
+        traces.append(float((overlap * d).sum()))
+    return np.array(traces)
 
 
 def entanglement_fidelity_kraus(r: float, cfg: TruncationConfig) -> float:

@@ -4,7 +4,8 @@ Each check pits two independent routes to the same quantity against each
 other at a pinned tolerance: the operator-sum channel against the closed
 form, the series entropies and the sweep records at their own cutoffs
 against eigensolves, fidelity against its Kraus trace, the purification
-identity, monotonicity along the grid, and the truncation-tail budget.
+identity, monotonicity along the grid, the truncation-tail budget, and
+the tail of the row at --r-max against the operator sum at its cutoff.
 `fault` deliberately corrupts one Kraus scalar so the sensitivity of the
 channel-equivalence check can be demonstrated.
 
@@ -35,6 +36,7 @@ from .measures import (
     entanglement_fidelity_kraus,
     entropy_exchange,
     joint_entropy_series,
+    measure_record,
     measure_records,
     rob_entropy_series,
     von_neumann_entropy,
@@ -230,6 +232,20 @@ def _truncation_tail_bound(inp: _Inputs):
     return bound, inp.cfg.abs_tol, f"n_used={n_used} at r={r_max:g}"
 
 
+def _operator_sum_tail(inp: _Inputs):
+    # the row at --r-max against the operator sum at its own cutoff: A_n|0,1>
+    # and A_n|1,0> lie in different Alice blocks, so the Bell probe's defect
+    # is (tail_c + tail_d) / 2, the row's tail, in exact arithmetic
+    rec = measure_record(inp.cfg.r_max, inp.cfg.abs_tol)
+    trunc = TruncationConfig(rec.n_used)
+    layout = joint_layout(trunc)
+    amps = np.zeros(layout.dim)
+    amps[0 * trunc.dim + 1] = amps[1 * trunc.dim + 0] = 1.0 / math.sqrt(2.0)
+    probe = StateVector(layout, amps)
+    defect = trace_preservation_defect(KrausSet.build(rec.r, trunc), probe)
+    return abs(defect - rec.tail), 1e-12, f"n_used={rec.n_used} at r={rec.r:g}"
+
+
 # Report order.  Each check returns (worst, tol) or (worst, tol, detail).
 _CHECKS = {
     "channel-vs-analytic": _channel_vs_analytic,
@@ -243,6 +259,7 @@ _CHECKS = {
     "subadditivity": _subadditivity,
     "alice-entropy": _alice_entropy,
     "truncation-tail-bound": _truncation_tail_bound,
+    "operator-sum-tail": _operator_sum_tail,
 }
 
 

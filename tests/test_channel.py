@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,7 +12,6 @@ from unruhsim import (
     TruncationConfig,
     apply_channel,
     bell_input_density,
-    completeness_operator,
     kraus_operator,
     rho_alice_rob,
     trace_preservation_defect,
@@ -89,11 +89,10 @@ def sub_diagonals(op, n, dim):
 
 def test_kraus_set_matches_single_operators():
     r, cfg = 0.9, TruncationConfig(8)
-    ks = KrausSet.build(r, cfg)
-    assert len(ks.diagonals) == cfg.n_max + 1
-    for n, diag in enumerate(ks.diagonals):
+    rows = list(KrausSet.build(r, cfg).window(0, cfg.n_max))
+    assert [n for n, _ in rows] == list(range(cfg.n_max + 1))
+    for n, diag in rows:
         assert diag.shape == (2, cfg.dim - n)
-        assert not diag.flags.writeable
         expected = sub_diagonals(kraus_operator(n, r, cfg), n, cfg.dim)
         assert np.allclose(diag, expected, atol=1e-15)
 
@@ -101,11 +100,10 @@ def test_kraus_set_matches_single_operators():
 @pytest.mark.parametrize("n_max", [8, 48])
 @pytest.mark.parametrize("r", [0.0, 0.3, 0.8, 1.5, 2.5])
 def test_kraus_diagonals_are_the_dense_operators(n_max, r):
-    # the stored sub-diagonal is the whole dense operator: equal bit for bit
-    # on that sub-diagonal of each Alice block and exactly 0 everywhere else
+    # the generated sub-diagonal is the whole dense operator: equal bit for
+    # bit on that sub-diagonal of each Alice block and exactly 0 elsewhere
     cfg = TruncationConfig(n_max)
-    ks = KrausSet.build(r, cfg)
-    for n, diag in enumerate(ks.diagonals):
+    for n, diag in KrausSet.build(r, cfg).window(0, cfg.n_max):
         op = kraus_operator(n, r, cfg)
         assert np.array_equal(diag, sub_diagonals(op, n, cfg.dim))
         m = np.arange(cfg.dim - n)
@@ -115,25 +113,55 @@ def test_kraus_diagonals_are_the_dense_operators(n_max, r):
         assert np.all(rest == 0.0)
 
 
-def test_kraus_set_memory_is_quadratic():
-    # 8 (N+1)(N+2) bytes, about 0.53 MB at N = 256; N+1 dense operators
-    # would take 32 (N+1)^3, about 543 MB
-    cfg = TruncationConfig(256)
-    total = sum(d.nbytes for d in KrausSet.build(1.0, cfg).diagonals)
-    assert total == 8 * (cfg.n_max + 1) * (cfg.n_max + 2)
+@pytest.mark.parametrize("n_max, hi", [(8, 8), (48, 48), (256, 3)])
+@pytest.mark.parametrize("r", [0.0, 0.3, 0.8, 1.5, 2.5])
+def test_window_matches_closed_form(n_max, hi, r):
+    # <a, m+n| A_n |a, m> = tanh^n r sqrt(C(m+n, n)) (cosh r)^a / cosh^2 r,
+    # with the binomial in exact integers: a route that shares no recurrence
+    th, ch = math.tanh(r), math.cosh(r)
+    rows = list(KrausSet.build(r, TruncationConfig(n_max)).window(0, hi))
+    assert [n for n, _ in rows] == list(range(n_max + 1))
+    for n, d in rows:
+        assert d.shape == (2, min(hi + 1, n_max + 1 - n))
+        ladder = [th**n * math.sqrt(math.comb(m + n, n)) for m in range(d.shape[1])]
+        expected = np.array([ladder, ladder]) * np.array([[1.0], [ch]]) / ch**2
+        assert np.all(np.abs(d - expected) <= 1e-12 * np.abs(expected))
+
+
+@pytest.mark.parametrize("fault", [None, (5, 1e-3)])
+@pytest.mark.parametrize("r", [0.3, 1.5, 2.5])
+def test_window_columns_are_the_full_window(r, fault):
+    # each column evolves on its own, so a window holds bit for bit the same
+    # columns of the full window (0, N), faulted or not
+    cfg = TruncationConfig(12)
+    ks = KrausSet.build(r, cfg)
+    if fault is not None:
+        ks = ks.with_scalar_offset(*fault)
+    full = dict(ks.window(0, cfg.n_max))
+    for lo, hi in ((0, 1), (3, 8), (8, 12), (0, cfg.n_max)):
+        rows = list(ks.window(lo, hi))
+        assert [n for n, _ in rows] == list(range(cfg.dim - lo))
+        for n, d in rows:
+            assert d.shape == (2, min(hi + 1, cfg.dim - n) - lo)
+            assert np.array_equal(d, full[n][:, lo : lo + d.shape[1]])
 
 
 def test_kraus_scalar_offset_fault_helper():
     r, cfg = 0.8, TruncationConfig(6)
     ks = KrausSet.build(r, cfg)
     faulted = ks.with_scalar_offset(2, 1e-3)
+    assert faulted.fault == (2, 1e-3)
+    with pytest.raises(ConfigError):
+        ks.with_scalar_offset(cfg.n_max + 1, 1e-3)
+    clean = dict(ks.window(0, cfg.n_max))
+    shifted = dict(faulted.window(0, cfg.n_max))
     bump = 1e-3 * np.kron(
         _alice_weight(r), np.linalg.matrix_power(creation_matrix(cfg), 2)
     )
-    expected = ks.diagonals[2] + sub_diagonals(bump, 2, cfg.dim)
-    assert np.allclose(faulted.diagonals[2], expected, atol=1e-15)
+    expected = clean[2] + sub_diagonals(bump, 2, cfg.dim)
+    assert np.allclose(shifted[2], expected, atol=1e-15)
     for n in (0, 1, 3, 4, 5, 6):
-        assert np.array_equal(faulted.diagonals[n], ks.diagonals[n])
+        assert np.array_equal(shifted[n], clean[n])
 
 
 # ---------------------------------------------------------------- channel map
@@ -236,7 +264,7 @@ def full_width_operator_sum(rho, ks):
     dim = ks.cfg.dim
     rho4 = rho.mat.reshape(2, dim, 2, dim)
     out = np.zeros_like(rho4)
-    for n, d in enumerate(ks.diagonals):
+    for n, d in ks.window(0, ks.cfg.n_max):
         k = dim - n
         out[:, n:, :, n:] += d[:, :, None, None] * rho4[:, :k, :, :k] * d[None, None]
     return out.reshape(rho.mat.shape)
@@ -305,14 +333,13 @@ def test_defect_bounded_on_initial_subspace():
 
 
 @pytest.mark.parametrize("n_max", [3134, 4096])
-def test_defect_stays_finite_where_the_build_overflows(n_max):
-    # at r = 3 the sub-diagonals far from the initial subspace overflow to
-    # inf; the defect sums only the probe's window, so they never meet a
-    # zero amplitude and the defect stays a number under the tail bound
+def test_defect_is_finite_at_the_production_cutoff(n_max):
+    # at r = 3 the Kraus entries far from the initial subspace exceed
+    # float64; the defect generates only the probe's window, so nothing
+    # overflows (pytest turns the RuntimeWarning into an error) and the
+    # defect stays a number under the tail bound
     r, cfg = 3.0, TruncationConfig(n_max)
-    with pytest.warns(RuntimeWarning, match="overflow"):
-        ks = KrausSet.build(r, cfg)
-    assert not all(np.isfinite(d).all() for d in ks.diagonals)
+    ks = KrausSet.build(r, cfg)
     inv_sqrt2 = 1.0 / math.sqrt(2.0)
     for vec in (
         probe(cfg, ((0, 1), 1.0)),
@@ -320,6 +347,22 @@ def test_defect_stays_finite_where_the_build_overflows(n_max):
         probe(cfg, ((0, 1), inv_sqrt2), ((1, 0), inv_sqrt2)),
     ):
         assert trace_preservation_defect(ks, vec) <= truncation_tail_bound(r, n_max)
+
+
+def test_bell_defect_memory_at_the_cap():
+    # nothing is stored: the Bell probe's defect at the 4096-level cap
+    # generates a (4097, 2, 2) window, where a stored family of
+    # sub-diagonals takes 8 (N+1)(N+2) bytes, about 128 MiB
+    r, cfg = 3.0, TruncationConfig(4096)
+    inv_sqrt2 = 1.0 / math.sqrt(2.0)
+    vec = probe(cfg, ((0, 1), inv_sqrt2), ((1, 0), inv_sqrt2))
+    tracemalloc.start()
+    try:
+        trace_preservation_defect(KrausSet.build(r, cfg), vec)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
 
 
 def test_defect_closed_form_for_vacuum_branch():
@@ -333,12 +376,16 @@ def test_defect_closed_form_for_vacuum_branch():
 
 def test_defect_off_subspace_is_macroscopic():
     # outside span{|0,1>, |1,0>} the map stops being trace preserving:
-    # probing |1,1> multiplies in an extra cosh^2, so the sum is cosh^2 r
+    # probing |1,1> multiplies in an extra cosh^2, so the sum is cosh^2 r,
+    # and probing |0,0> lacks one, so the sum is 1 / cosh^2 r
     cfg = TruncationConfig(64)
     ks = KrausSet.build(1.0, cfg)
     defect = trace_preservation_defect(ks, probe(cfg, ((1, 1), 1.0)))
     assert defect == pytest.approx(math.sinh(1.0) ** 2, abs=1e-9)
     assert defect == pytest.approx(1.3811, abs=1e-4)
+    vacuum = trace_preservation_defect(ks, probe(cfg, ((0, 0), 1.0)))
+    assert vacuum == pytest.approx(math.tanh(1.0) ** 2, abs=1e-9)
+    assert vacuum == pytest.approx(0.5800, abs=1e-4)
 
 
 def test_defect_requires_normalized_probe():
@@ -351,31 +398,42 @@ def test_defect_requires_normalized_probe():
 # ---------------------------------------------------------------- completeness
 
 
+def completeness_diagonal(ks):
+    """Diagonal of sum_n A_n^T A_n, ascending n, from the full window; (2, dim)."""
+    diag = np.zeros((2, ks.cfg.dim))
+    for _, d in ks.window(0, ks.cfg.n_max):
+        diag[:, : d.shape[1]] += d * d
+    return diag
+
+
 def test_completeness_identity_without_acceleration():
     cfg = TruncationConfig(8)
-    comp = completeness_operator(KrausSet.build(0.0, cfg))
-    assert np.allclose(comp, np.eye(2 * cfg.dim), atol=1e-15)
+    comp = completeness_diagonal(KrausSet.build(0.0, cfg))
+    assert np.allclose(comp, 1.0, atol=1e-15)
 
 
 def test_completeness_is_diagonal():
-    cfg = TruncationConfig(24)
-    comp = completeness_operator(KrausSet.build(0.9, cfg))
+    # each A_n maps basis states to multiples of basis states, so the dense
+    # sum is diagonal, and its diagonal is the windowed one
+    r, cfg = 0.9, TruncationConfig(24)
+    ops = (kraus_operator(n, r, cfg) for n in range(cfg.n_max + 1))
+    comp = sum(op.T @ op for op in ops)
     off = comp - np.diag(np.diag(comp))
     assert np.all(off == 0.0)
+    expected = completeness_diagonal(KrausSet.build(r, cfg)).ravel()
+    assert np.allclose(np.diag(comp), expected, rtol=1e-14, atol=0.0)
 
 
 def test_completeness_is_identity_on_initial_subspace():
     # closed form sum_n C(m+n, n) x^n = (1-x)^-(m+1) makes the (0,1) and
     # (1,0) diagonal entries exactly 1 up to the truncation tail
-    cfg = TruncationConfig(96)
-    comp = completeness_operator(KrausSet.build(1.2, cfg))
-    assert comp[0 * cfg.dim + 1, 0 * cfg.dim + 1] == pytest.approx(1.0, abs=1e-9)
-    assert comp[1 * cfg.dim + 0, 1 * cfg.dim + 0] == pytest.approx(1.0, abs=1e-9)
+    comp = completeness_diagonal(KrausSet.build(1.2, TruncationConfig(96)))
+    assert comp[0, 1] == pytest.approx(1.0, abs=1e-9)
+    assert comp[1, 0] == pytest.approx(1.0, abs=1e-9)
 
 
 def test_completeness_vacuum_entry():
-    cfg = TruncationConfig(64)
-    comp = completeness_operator(KrausSet.build(1.0, cfg))
+    comp = completeness_diagonal(KrausSet.build(1.0, TruncationConfig(64)))
     expected = 1.0 / math.cosh(1.0) ** 2
     assert comp[0, 0] == pytest.approx(expected, abs=1e-9)
     assert comp[0, 0] == pytest.approx(0.4200, abs=1e-4)
@@ -388,6 +446,7 @@ def test_input_overlap_traces_collapse():
     cfg = TruncationConfig(32)
     for r in (0.4, 1.0, 1.7):
         traces = input_overlap_traces(r, cfg)
+        assert traces.shape == (cfg.n_max + 1,)
         sech = 1.0 / math.cosh(r)
         assert traces[0] == pytest.approx(0.5 * sech * (1.0 + sech), rel=1e-13)
         # structural zeros, not merely small: the operators shift occupation

@@ -157,7 +157,7 @@ def test_verify_passes_on_sane_config():
         results = run_verify(cfg)
         assert first_failure(results) is None, first_failure(results)
         names = [res.name for res in results]
-        assert len(names) == 11
+        assert len(names) == 12
         assert "channel-vs-analytic" in names
         assert "truncation-tail-bound" in names
 
@@ -189,12 +189,13 @@ def test_verify_oracle_checks_do_not_depend_on_tol():
         ("s_e", ["records-vs-oracle"]),
         ("s_a", ["records-vs-oracle", "alice-entropy"]),
         ("fe_kraus", ["records-vs-oracle"]),
+        ("tail", ["operator-sum-tail"]),
     ],
 )
 def test_verify_catches_a_record_shifted_by_1e_8(monkeypatch, field, caught_by):
     # a record path that is off by 1e-8 in one field: only the dense oracle
     # at the rows' own cutoffs sees it, except s_a, which the grid's one-bit
-    # check also holds
+    # check also holds; the tail is held against the operator-sum defect
     block_records = measures._block_records
 
     def shifted(rs, n_used):
@@ -205,7 +206,7 @@ def test_verify_catches_a_record_shifted_by_1e_8(monkeypatch, field, caught_by):
 
     monkeypatch.setattr(measures, "_block_records", shifted)
     results = run_verify(SweepConfig())
-    assert len(results) == 11
+    assert len(results) == 12
     assert [res.name for res in results if not res.passed] == caught_by
 
 
@@ -294,6 +295,16 @@ def test_cli_sweep_to_file(tmp_path):
     text = out.read_text()
     assert text.startswith(f"# schema: {SCHEMA}")
     assert len(text.splitlines()) == 7
+
+
+@pytest.mark.parametrize("target", ["missing/rows.csv", "."], ids=["missing", "dir"])
+def test_cli_sweep_unwritable_output_exits_two(tmp_path, target, capsys):
+    # a path that cannot be opened is a usage error, not a verification failure
+    out = tmp_path / target
+    assert main(["sweep", "--points", "3", "--output", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"error: cannot write {out}: ")
+    assert captured.out == ""
 
 
 def test_cli_sweep_json_stdout(capsys):
