@@ -141,14 +141,18 @@ class KrausSet:
             yield n, table[n, :, : min(width, count - n)]
 
 
-def bell_input_density(cfg: TruncationConfig) -> DensityMatrix:
-    """The stationary shared state (1/2)(|0,1>+|1,0>)(<0,1|+<1,0|) on Alice x wedge I."""
+def bell_state(cfg: TruncationConfig) -> StateVector:
+    """The stationary shared state (|0,1> + |1,0>)/sqrt(2) on Alice x wedge I."""
     layout = joint_layout(cfg)
     amps = np.zeros(layout.dim)
-    inv_sqrt2 = 1.0 / math.sqrt(2.0)
-    amps[0 * cfg.dim + 1] = inv_sqrt2
-    amps[1 * cfg.dim + 0] = inv_sqrt2
-    return DensityMatrix(layout, np.outer(amps, amps))
+    amps[0 * cfg.dim + 1] = amps[1 * cfg.dim + 0] = 1.0 / math.sqrt(2.0)
+    return StateVector(layout, amps)
+
+
+def bell_input_density(cfg: TruncationConfig) -> DensityMatrix:
+    """The projector onto :func:`bell_state`, as a dense density matrix."""
+    psi = bell_state(cfg)
+    return DensityMatrix(psi.layout, np.outer(psi.amps, psi.amps))
 
 
 def apply_channel(rho: DensityMatrix, ks: KrausSet) -> DensityMatrix:

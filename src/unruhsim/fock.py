@@ -10,12 +10,11 @@ All amplitudes in this problem are real and nonnegative, so states are
 real vectors and density matrices are real symmetric.  Truncation is never
 hidden: a state whose squared norm falls short of 1 reports the deficit
 instead of renormalizing, and :func:`truncation_tail_bound` bounds those
-deficits in closed form.
+deficits in closed form, for one (r, cutoff) pair or for arrays of them.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -251,7 +250,9 @@ def sym_eigenvalues(mat: np.ndarray) -> np.ndarray:
     return ev
 
 
-def truncation_tail_bound(r: float, n_max: int) -> float:
+def truncation_tail_bound(
+    r: float | np.ndarray, n_max: int | np.ndarray
+) -> float | np.ndarray:
     """Bound on the weight a cutoff at n_max drops, with q = tanh^2 r.
 
     The larger of (n_max + 2) q^(n_max + 1), which majorizes the vacuum
@@ -259,9 +260,16 @@ def truncation_tail_bound(r: float, n_max: int) -> float:
     one-particle series, and q^n_max ((n_max + 1) - n_max q), the exact
     weight the one-particle branch drops because it keeps only n_max
     levels.  The first term wins for q >= 1/2; the second for q < 1/2.
+
+    r and n_max broadcast against each other.  The bound is always
+    evaluated on arrays of at least one dimension, because numpy's array
+    pow can differ in the last ulp from the scalar pow of Python and of a
+    0-d array: a scalar call is the length-1 case, returned as a float, and
+    equals the matching element of any array call.
     """
-    q = math.tanh(r) ** 2
-    return max(
-        (n_max + 2) * q ** (n_max + 1),
-        q**n_max * ((n_max + 1) - n_max * q),
-    )
+    q = np.tanh(np.atleast_1d(r)) ** 2
+    n = np.atleast_1d(n_max)
+    bound = np.maximum((n + 2) * q ** (n + 1), q**n * ((n + 1) - n * q))
+    if np.ndim(r) == 0 and np.ndim(n_max) == 0:
+        return float(bound[0])
+    return bound

@@ -17,11 +17,12 @@ the operator-sum trace sum_n (Tr rho A_n)^2, where every n >= 1 trace
 vanishes identically because A_n shifts the mode occupation.
 
 Truncation grows adaptively with r: the mean occupation grows like
-sinh^2 r, so honest entropies at r = 3 need thousands of Fock levels.
-:func:`adaptive_n_max` defines the effective cutoff, the smallest one whose
-tail bound drops below abs_tol, and refuses an r that no cutoff up to the
-cap certifies; a sweep finds the same cutoffs with one bisection over all
-its points.  The cutoff is always reported.
+sinh^2 r, so honest entropies at r = 3 need thousands of Fock levels.  The
+effective cutoff is the smallest one whose tail bound drops below abs_tol;
+one bisection over all the points of a grid finds every cutoff, with the
+bound evaluated on arrays only, and refuses the first r that no cutoff up
+to the cap certifies.  :func:`adaptive_n_max` is its one-point case.  The
+cutoff is always reported.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .channel import KrausSet, bell_input_density
+from .channel import KrausSet, bell_state
 from .errors import ConfigError
 from .fock import DensityMatrix, TruncationConfig, truncation_tail_bound
 from .rindler import WEDGE_II, block_weights, check_r, tripartite_state
@@ -86,18 +87,19 @@ def entanglement_fidelity_closed(r: float) -> float:
 def input_overlap_traces(r: float, cfg: TruncationConfig) -> np.ndarray:
     """Tr(rho_in A_n) for every n, computed from the Kraus sub-diagonals.
 
-    Tr(rho A_n) = sum_{a,m} <a,m|rho|a,m+n> <a,m+n|A_n|a,m>, and the input
-    is supported on levels 0 and 1, so only the window (0, 1) enters.  Only
-    n = 0 survives: the input's entries n >= 1 levels apart within an Alice
-    block are zero and the trace comes out exactly 0.0, not merely small.
-    The n = 0 value is (1/2) sech r (1 + sech r).
+    rho_in = |psi><psi| for the Bell amplitudes psi, so Tr(rho_in A_n) =
+    sum_{a,m} psi[a, m] psi[a, m+n] <a,m+n|A_n|a,m>.  psi is supported on
+    levels 0 and 1, so only the window (0, 1) enters, and the cost is O(N).
+    Only n = 0 survives: the input's entries n >= 1 levels apart within an
+    Alice block are zero and the trace comes out exactly 0.0, not merely
+    small.  The n = 0 value is (1/2) sech r (1 + sech r).
     """
-    rho4 = bell_input_density(cfg).mat.reshape(2, cfg.dim, 2, cfg.dim)
-    alice_blocks = np.einsum("iaib->iab", rho4)
+    psi = bell_state(cfg).reshaped()
     traces = []
     for n, d in KrausSet.build(r, cfg).window(0, 1):
-        overlap = np.diagonal(alice_blocks, n, axis1=1, axis2=2)[:, : d.shape[1]]
-        traces.append(float((overlap * d).sum()))
+        width = d.shape[1]
+        pairs = psi[:, :width] * psi[:, n : n + width]
+        traces.append(float((pairs * d).sum()))
     return np.array(traces)
 
 
@@ -163,7 +165,7 @@ def entropy_exchange(r: float, cfg: TruncationConfig) -> float:
 
 
 def adaptive_n_max(r: float, abs_tol: float) -> int:
-    """Certified truncation for the given r.
+    """Certified truncation for the given r; :func:`_cutoffs` of one row.
 
     The smallest N >= 1 with truncation_tail_bound(r, N) < abs_tol,
     searched up to ADAPTIVE_N_CAP.  Raises ConfigError for an r that is
@@ -173,21 +175,7 @@ def adaptive_n_max(r: float, abs_tol: float) -> int:
     """
     check_r(r)
     check_abs_tol(abs_tol)
-    bound = truncation_tail_bound(r, ADAPTIVE_N_CAP)
-    if bound >= abs_tol:
-        raise ConfigError(
-            f"r = {r:g} needs a cutoff above the adaptive cap n_max = "
-            f"{ADAPTIVE_N_CAP}: there the tail bound {bound:.3e} is not below "
-            f"abs_tol = {abs_tol:g}"
-        )
-    lo, hi = 1, ADAPTIVE_N_CAP
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if truncation_tail_bound(r, mid) < abs_tol:
-            hi = mid
-        else:
-            lo = mid + 1
-    return lo
+    return _cutoffs([r], abs_tol)[0]
 
 
 @dataclass(frozen=True)
@@ -215,12 +203,12 @@ def measure_record(r: float, abs_tol: float) -> MeasureRecord:
 def measure_records(rs: Iterable[float], abs_tol: float) -> list[MeasureRecord]:
     """Evaluate the full record at every r, in order.
 
-    Each cutoff n_used is :func:`adaptive_n_max`'s; an r it cannot certify
-    raises its ConfigError (the first such r in order) before any row is
-    evaluated.  s_ar and s_r are bitwise joint_entropy_series and
-    rob_entropy_series at n_used, and tail is the mean of the exact weights
-    the two truncated branches discard.  fe_kraus keeps the one nonzero
-    operator-sum term: on the input support A_0 = diag(1, cosh r) (x)
+    Each cutoff n_used is :func:`adaptive_n_max`'s, found for all rows by
+    one search; the first r in order that no cutoff certifies raises
+    ConfigError before any row is evaluated.  s_ar and s_r are bitwise
+    joint_entropy_series and rob_entropy_series at n_used, and tail is the
+    mean of the exact weights the two truncated branches discard.  fe_kraus
+    keeps the one nonzero operator-sum term: on the input support A_0 = diag(1, cosh r) (x)
     1 / cosh^2 r, so Tr(rho_in A_0) = (1 + cosh r) / (2 cosh^2 r).
     """
     rs = [float(r) for r in rs]
@@ -240,36 +228,33 @@ def measure_records(rs: Iterable[float], abs_tol: float) -> list[MeasureRecord]:
     return records
 
 
-def _tail_bounds(q: np.ndarray, n: np.ndarray) -> np.ndarray:
-    """truncation_tail_bound over arrays of q = tanh^2 r and cutoffs n."""
-    return np.maximum((n + 2) * q ** (n + 1), q**n * ((n + 1) - n * q))
-
-
 def _cutoffs(rs: list[float], abs_tol: float) -> list[int]:
-    """adaptive_n_max(r, abs_tol) for every r, from one bisection over all rows.
+    """The smallest N >= 1 with truncation_tail_bound(r, N) < abs_tol, per r.
 
-    numpy's array pow differs from Python's in the last ulp for a few
-    (q, N), so each row's result is confirmed with the scalar bound, and
-    stepped where the two disagree: bound(N) < abs_tol, and N == 1 or
-    bound(N - 1) >= abs_tol.  N = ADAPTIVE_N_CAP + 1 stands for "no
-    cutoff"; such a row goes to adaptive_n_max, which refuses it.
+    One bisection over all rows at once, which finds the smallest N because
+    a row's certified cutoffs are the interval [N, ADAPTIVE_N_CAP].  The
+    bound is evaluated elementwise, so a row's result does not depend on
+    the other rows.  The first r in order with no cutoff up to the cap
+    raises ConfigError.
     """
-    q = np.array([math.tanh(r) ** 2 for r in rs])
-    lo = np.ones(len(rs), dtype=np.int64)
-    hi = np.full(len(rs), ADAPTIVE_N_CAP + 1, dtype=np.int64)
+    r = np.array(rs, dtype=np.float64)
+    lo = np.ones(r.size, dtype=np.int64)
+    hi = np.full(r.size, ADAPTIVE_N_CAP + 1, dtype=np.int64)
     while (active := lo < hi).any():
         mid = (lo + hi) // 2
-        below = _tail_bounds(q, mid) < abs_tol
+        below = truncation_tail_bound(r, mid) < abs_tol
         hi = np.where(active & below, mid, hi)
         lo = np.where(active & ~below, mid + 1, lo)
-    cutoffs = []
-    for r, n in zip(rs, lo.tolist()):
-        while n > 1 and truncation_tail_bound(r, n - 1) < abs_tol:
-            n -= 1
-        while n <= ADAPTIVE_N_CAP and not truncation_tail_bound(r, n) < abs_tol:
-            n += 1
-        cutoffs.append(n if n <= ADAPTIVE_N_CAP else adaptive_n_max(r, abs_tol))
-    return cutoffs
+    refused = np.flatnonzero(lo > ADAPTIVE_N_CAP)
+    if refused.size:
+        first = rs[refused[0]]
+        bound = truncation_tail_bound(first, ADAPTIVE_N_CAP)
+        raise ConfigError(
+            f"r = {first:g} needs a cutoff above the adaptive cap n_max = "
+            f"{ADAPTIVE_N_CAP}: there the tail bound {bound:.3e} is not below "
+            f"abs_tol = {abs_tol:g}"
+        )
+    return lo.tolist()
 
 
 def _block_records(rs: list[float], n_used: list[int]) -> list[MeasureRecord]:

@@ -12,6 +12,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import asdict, dataclass
+from numbers import Integral
 from operator import attrgetter
 
 import numpy as np
@@ -66,9 +67,9 @@ class SweepConfig:
             raise ConfigError(
                 f"need r_min < r_max, got [{self.r_min}, {self.r_max}]"
             )
-        if not 2 <= self.points <= MAX_POINTS:
+        if not isinstance(self.points, Integral) or not 2 <= self.points <= MAX_POINTS:
             raise ConfigError(
-                f"points must be in [2, {MAX_POINTS}], got {self.points}"
+                f"points must be an integer in [2, {MAX_POINTS}], got {self.points!r}"
             )
         check_abs_tol(self.abs_tol)
         if self.output_format not in OUTPUT_FORMATS:

@@ -26,6 +26,7 @@ from .channel import (
     KrausSet,
     apply_channel,
     bell_input_density,
+    bell_state,
     trace_preservation_defect,
 )
 from .errors import ConfigError, NotSymmetricError
@@ -126,17 +127,15 @@ def _trace_preservation(inp: _Inputs):
     for flat in (0 * dim + 1, 1 * dim + 0):
         v = np.zeros(layout.dim)
         v[flat] = 1.0
-        probes.append(v)
-    sup = np.zeros(layout.dim)
-    sup[0 * dim + 1] = sup[1 * dim + 0] = 1.0 / math.sqrt(2.0)
-    probes.append(sup)
+        probes.append(StateVector(layout, v))
+    probes.append(bell_state(trunc))
 
     ratios = []
     for r in _TP_RS:
         ks = KrausSet.build(r, trunc)
         bound = truncation_tail_bound(r, trunc.n_max)
-        for v in probes:
-            ratios.append(trace_preservation_defect(ks, StateVector(layout, v)) / bound)
+        for probe in probes:
+            ratios.append(trace_preservation_defect(ks, probe) / bound)
 
     # off the initial subspace the defect is sinh^2 r, not ~0
     out_probe = np.zeros(layout.dim)
@@ -238,11 +237,7 @@ def _operator_sum_tail(inp: _Inputs):
     # is (tail_c + tail_d) / 2, the row's tail, in exact arithmetic
     rec = measure_record(inp.cfg.r_max, inp.cfg.abs_tol)
     trunc = TruncationConfig(rec.n_used)
-    layout = joint_layout(trunc)
-    amps = np.zeros(layout.dim)
-    amps[0 * trunc.dim + 1] = amps[1 * trunc.dim + 0] = 1.0 / math.sqrt(2.0)
-    probe = StateVector(layout, amps)
-    defect = trace_preservation_defect(KrausSet.build(rec.r, trunc), probe)
+    defect = trace_preservation_defect(KrausSet.build(rec.r, trunc), bell_state(trunc))
     return abs(defect - rec.tail), 1e-12, f"n_used={rec.n_used} at r={rec.r:g}"
 
 

@@ -34,7 +34,6 @@ from unruhsim import (
 from unruhsim.measures import (
     _BLOCK_LEVELS,
     ADAPTIVE_N_CAP,
-    _tail_bounds,
     entropy_from_probabilities,
     wedge_ii_probabilities,
 )
@@ -113,6 +112,18 @@ def test_fidelity_kraus_truncation_independent():
     ]
     assert vals[0] == pytest.approx(vals[1], abs=1e-15)
     assert vals[1] == pytest.approx(vals[2], abs=1e-15)
+
+
+def test_fidelity_kraus_memory_is_linear():
+    # the Bell amplitudes meet the Kraus window (0, 1) as vectors: the dense
+    # (2N + 2)^2 projector alone would take 32 MiB at N = 1024
+    tracemalloc.start()
+    try:
+        entanglement_fidelity_kraus(1.0, TruncationConfig(1024))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
 
 
 # ---------------------------------------------------------------- entropy series
@@ -426,8 +437,8 @@ def test_measure_records_of_no_rows():
 
 @pytest.mark.parametrize("tol", [1e-3, 1e-10])
 def test_sweep_cutoffs_are_the_scalar_search(tol):
-    # one bisection over all rows, confirmed row by row, gives exactly the
-    # scalar adaptive_n_max of every row
+    # a row's cutoff does not depend on the other rows: the search over the
+    # whole grid gives every row what the search over that row alone gives
     cfg = SweepConfig(r_max=3.1296, points=600, abs_tol=tol)
     for rec in run_sweep(cfg):
         assert rec.n_used == adaptive_n_max(rec.r, tol)
@@ -447,22 +458,21 @@ def test_certified_cutoffs_are_one_interval(r, tol):
 
 
 def test_cutoffs_where_array_and_scalar_pow_disagree():
-    # numpy's array pow differs from Python's by an ulp for some (q, N).  With
-    # tol between the two bounds at N, the bisection over rows lands one step
-    # off, and the scalar confirmation must step it up (array bound lower)
-    # or down (array bound higher).
-    cases = {True: [], False: []}
+    # numpy's array pow differs from Python's by an ulp for some (q, N).  The
+    # bound is evaluated on arrays only, so at such a pair a scalar call is
+    # still the array's element, and a tol equal to it still gets the
+    # smallest cutoff whose bound is below it
+    ns = np.arange(1, ADAPTIVE_N_CAP + 1)
     for r in np.linspace(0.7, 1.2, 51).tolist():
-        ns = np.arange(1, 1001)
-        array = _tail_bounds(np.full(ns.size, math.tanh(r) ** 2), ns).tolist()
-        for n, a in zip(ns.tolist(), array):
-            s = truncation_tail_bound(r, n)
-            if a != s and s > 1e-300:
-                cases[a < s].append((r, max(a, s)))
-    for r, tol in cases[True][:20] + cases[False]:
-        assert measure_record(r, tol).n_used == adaptive_n_max(r, tol)
-    if not (cases[True] and cases[False]):
-        pytest.skip("numpy's array pow matches Python's in one direction here")
+        q = np.tanh(np.array([r])).item() ** 2  # the bound's q, so pow alone differs
+        array = truncation_tail_bound(r, ns)
+        for n, a in zip(ns[:1000].tolist(), array.tolist()):
+            python_pow = max((n + 2) * q ** (n + 1), q**n * ((n + 1) - n * q))
+            if a == python_pow or not 1e-300 < a < 1.0:
+                continue
+            assert truncation_tail_bound(r, n) == a
+            smallest = int(np.argmax(array < a)) + 1
+            assert measure_record(r, a).n_used == smallest
 
 
 def test_records_refuse_the_first_r_past_the_reach():

@@ -42,6 +42,9 @@ SMALL = SweepConfig(r_min=0.0, r_max=1.2, points=9)
         {"points": MAX_POINTS + 1},
         {"abs_tol": 0.0},
         {"output_format": "xml"},
+        {"points": 200.0},
+        {"points": 2.5},
+        {"points": "10"},
     ],
 )
 def test_sweep_config_rejects_invalid(kwargs):
