@@ -11,6 +11,13 @@ real vectors and density matrices are real symmetric.  Truncation is never
 hidden: a state whose squared norm falls short of 1 reports the deficit
 instead of renormalizing, and :func:`truncation_tail_bound` bounds those
 deficits in closed form, for one (r, cutoff) pair or for arrays of them.
+
+The spectra here are the oracle's.  :func:`sym_eigenvalues` splits a matrix
+into the connected blocks of its exact nonzero pattern and eigensolves each
+block, so the 2 x 2 blocks of rho_AR and the diagonal reductions of Rob and
+wedge II cost O(N) solves instead of one O(N^3) solve.  The split is read
+off the matrix alone, never assumed from the physics: an off-block entry of
+any size joins its blocks.
 """
 
 from __future__ import annotations
@@ -174,9 +181,7 @@ class DensityMatrix:
     def __post_init__(self) -> None:
         d = self.layout.dim
         mat = _frozen_array(self.mat, shape=(d, d))
-        skew = float(np.abs(mat - mat.T).max())
-        if not skew <= SYMMETRY_TOL:  # a NaN skew fails too
-            raise NotSymmetricError(f"matrix asymmetry {skew:.3e} > {SYMMETRY_TOL}")
+        _check_symmetric(mat)
         object.__setattr__(self, "mat", mat)
 
     @property
@@ -230,22 +235,88 @@ def partial_trace(rho: DensityMatrix, keep: Iterable[str]) -> DensityMatrix:
     return DensityMatrix(sub, reduced.reshape(sub.dim, sub.dim))
 
 
+def _check_symmetric(a: np.ndarray) -> None:
+    """NotSymmetricError unless `a` is finite and symmetric within SYMMETRY_TOL.
+
+    An exactly symmetric finite matrix passes without forming the skew.
+    Otherwise the skew max|a - a^T| decides; a NaN or inf entry, on the
+    diagonal too, makes it NaN or inf and fails.
+    """
+    if np.array_equal(a, a.T) and np.isfinite(a).all():
+        return
+    skew = float(np.abs(a - a.T).max())  # an empty matrix has returned above
+    if not skew <= SYMMETRY_TOL:  # a NaN skew fails too
+        raise NotSymmetricError(f"matrix asymmetry {skew:.3e} > {SYMMETRY_TOL}")
+
+
+def _components(a: np.ndarray) -> np.ndarray:
+    """Label each index with the smallest index of its connected component.
+
+    The graph joins i and j wherever a[i, j] != 0 or a[j, i] != 0: the exact
+    pattern, with no threshold.  Every label points at a smaller or equal
+    index, so the labels form a forest whose roots are the labels of the
+    components.  The first nonzero of each row seeds it; then each round
+    hooks the root at one end of every edge that still joins two trees onto
+    the smaller root and flattens the forest by pointer jumping.  Hooking
+    roots onto roots at least halves the trees of a component every two
+    rounds, so a long chain costs O(log N) rounds, not O(N).
+    """
+    d = a.shape[0]
+    nz = a != 0
+    index = np.arange(d)
+    first = nz.argmax(axis=1)
+    label = np.where(nz[index, first], np.minimum(first, index), index)
+    label = _flatten(label)
+    # Only edges that cross trees after the seeding are listed; an edge
+    # that stops crossing never crosses again.
+    u, v = np.divmod(np.flatnonzero(nz & (label[:, None] != label)), d)
+    while u.size:
+        lu, lv = label[u], label[v]
+        np.minimum.at(label, np.maximum(lu, lv), np.minimum(lu, lv))
+        label = _flatten(label)
+        cross = label[u] != label[v]
+        u, v = u[cross], v[cross]
+    return label
+
+
+def _flatten(label: np.ndarray) -> np.ndarray:
+    """Point every index of a forest of smaller-index pointers at its root."""
+    while True:
+        up = label[label]
+        if np.array_equal(up, label):
+            return label
+        label = up
+
+
 def sym_eigenvalues(mat: np.ndarray) -> np.ndarray:
     """Eigenvalues of a real symmetric matrix, sorted descending.
 
-    LAPACK (``np.linalg.eigvalsh``) on the symmetrized input.  Input
-    asymmetric beyond :data:`SYMMETRY_TOL` is rejected.  Eigenvalues inside
-    the rounding window [-SYMMETRY_TOL, 0) are clamped to 0; genuinely
-    negative eigenvalues pass through untouched, so positivity enforcement
-    stays with the callers that require it.
+    The matrix is split into the connected components of its nonzero
+    pattern (see :func:`_components`); each component's block, with its
+    indices in ascending order, is symmetrized and solved by LAPACK
+    (``np.linalg.eigvalsh``), batched over the blocks of one size.  A
+    matrix with one component is one block, the input itself, so its
+    spectrum is bit for bit ``eigvalsh(0.5 * (a + a.T))``.  Input that is
+    not finite, or asymmetric beyond :data:`SYMMETRY_TOL`, is rejected.
+    Eigenvalues inside the rounding window [-SYMMETRY_TOL, 0) are clamped
+    to 0; genuinely negative eigenvalues pass through untouched, so
+    positivity enforcement stays with the callers that require it.
     """
     a = np.asarray(mat, dtype=np.float64)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise NotSymmetricError(f"expected a square matrix, got shape {a.shape}")
-    skew = float(np.abs(a - a.T).max()) if a.size else 0.0
-    if not skew <= SYMMETRY_TOL:  # a NaN skew fails too
-        raise NotSymmetricError(f"matrix asymmetry {skew:.3e} > {SYMMETRY_TOL}")
-    ev = np.linalg.eigvalsh(0.5 * (a + a.T))[::-1].copy()
+    _check_symmetric(a)
+    if not a.size:
+        return np.empty(0)
+    label = _components(a)
+    order = np.argsort(label, kind="stable")
+    _, start, size = np.unique(label[order], return_index=True, return_counts=True)
+    parts = []
+    for s in np.unique(size):
+        idx = order[start[size == s, None] + np.arange(s)]
+        blocks = a[idx[:, :, None], idx[:, None, :]]
+        parts.append(np.linalg.eigvalsh(0.5 * (blocks + blocks.swapaxes(1, 2))).ravel())
+    ev = np.sort(np.concatenate(parts))[::-1].copy()
     ev[(ev >= -SYMMETRY_TOL) & (ev < 0.0)] = 0.0
     return ev
 

@@ -53,8 +53,12 @@ _BLOCK_LEVELS = 4096
 
 
 def check_abs_tol(abs_tol: float) -> None:
-    """Raise ConfigError unless 0 < abs_tol < 1; NaN and inf fail too."""
-    if not 0.0 < abs_tol < 1.0:
+    """Raise ConfigError unless 0 < abs_tol < 1; NaN, inf and non-numbers fail too."""
+    try:
+        valid = 0.0 < abs_tol < 1.0
+    except TypeError:  # None, a string, ...
+        valid = False
+    if not valid:
         raise ConfigError(f"abs_tol must be in (0, 1), got {abs_tol}")
 
 
@@ -211,10 +215,11 @@ def measure_records(rs: Iterable[float], abs_tol: float) -> list[MeasureRecord]:
     keeps the one nonzero operator-sum term: on the input support A_0 = diag(1, cosh r) (x)
     1 / cosh^2 r, so Tr(rho_in A_0) = (1 + cosh r) / (2 cosh^2 r).
     """
-    rs = [float(r) for r in rs]
+    rs = list(rs)
     for r in rs:
         check_r(r)
     check_abs_tol(abs_tol)
+    rs = [float(r) for r in rs]
     n_used = _cutoffs(rs, abs_tol)
     records: list[MeasureRecord] = []
     start = levels = 0

@@ -31,8 +31,12 @@ ALICE, WEDGE_I, WEDGE_II = "A", "I", "II"
 
 
 def check_r(r: float) -> None:
-    """Raise ConfigError unless r is finite and >= 0."""
-    if r < 0 or not math.isfinite(r):
+    """Raise ConfigError unless r is a finite real number >= 0."""
+    try:
+        valid = r >= 0 and math.isfinite(r)
+    except TypeError:  # None, a string, ...
+        valid = False
+    if not valid:
         raise ConfigError(f"r must be finite and >= 0, got {r}")
 
 

@@ -59,8 +59,14 @@ class SweepConfig:
     output_format: str = "csv"
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(self.r_min) and math.isfinite(self.r_max)):
-            raise ConfigError("grid endpoints must be finite")
+        try:
+            finite = math.isfinite(self.r_min) and math.isfinite(self.r_max)
+        except TypeError:  # None, a string, ...
+            finite = False
+        if not finite:
+            raise ConfigError(
+                f"grid endpoints must be finite numbers, got [{self.r_min}, {self.r_max}]"
+            )
         if self.r_min < 0:
             raise ConfigError(f"r_min must be >= 0, got {self.r_min}")
         if not self.r_min < self.r_max:

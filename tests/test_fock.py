@@ -20,6 +20,8 @@ from unruhsim import (
     truncation_tail_bound,
 )
 from unruhsim.fock import SYMMETRY_TOL
+from unruhsim.measures import entropy_exchange, von_neumann_entropy
+from unruhsim.rindler import WEDGE_I, rho_alice_rob
 
 CFG = TruncationConfig(n_max=8)
 
@@ -256,6 +258,91 @@ def test_sym_eigenvalue_sum_equals_trace(dim, seed):
     ev = sym_eigenvalues(m)
     assert float(ev.sum()) == pytest.approx(float(np.trace(m)), abs=SYMMETRY_TOL)
     assert ev[-1] >= -SYMMETRY_TOL
+
+
+def clamped(ev):
+    ev = ev.copy()
+    ev[(ev >= -SYMMETRY_TOL) & (ev < 0.0)] = 0.0
+    return ev
+
+
+@pytest.fixture
+def solved_blocks(monkeypatch):
+    """Sizes of the blocks sym_eigenvalues hands to np.linalg.eigvalsh."""
+    sizes = []
+    eigvalsh = np.linalg.eigvalsh
+
+    def spy(a, *args, **kwargs):
+        a = np.asarray(a)
+        sizes.extend([a.shape[-1]] * (a.size // a.shape[-1] ** 2))
+        return eigvalsh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", spy)
+    return sizes
+
+
+def test_sym_eigenvalues_planted_blocks(solved_blocks):
+    # blocks of sizes 1, 2, 3 and 5 plus three all-zero rows, scattered by a
+    # random permutation, against one dense solve of the whole matrix
+    rng = np.random.default_rng(11)
+    sizes = (1, 2, 3, 5)
+    dim = sum(sizes) + 3
+    a = np.zeros((dim, dim))
+    lo = 0
+    for s in sizes:
+        m = rng.standard_normal((s, s))
+        a[lo : lo + s, lo : lo + s] = m + m.T
+        lo += s
+    perm = rng.permutation(dim)
+    a = a[np.ix_(perm, perm)]
+    ref = np.sort(np.linalg.eigvalsh(a))[::-1]
+    solved_blocks.clear()
+    ev = sym_eigenvalues(a)
+    assert sorted(solved_blocks) == [1, 1, 1, 1, 2, 3, 5]
+    assert np.abs(ev - clamped(ref)).max() <= 1e-13 * np.linalg.norm(a, 2)
+
+
+def test_sym_eigenvalues_one_component_is_the_dense_solve():
+    # a dense matrix and a randomly permuted 514-chain are one block each;
+    # they take the same path and give exactly the dense LAPACK spectrum
+    rng = np.random.default_rng(5)
+    dense = rng.standard_normal((60, 60))
+    dense += dense.T
+    dim = 514
+    order = rng.permutation(dim)
+    chain = np.zeros((dim, dim))
+    chain[order[:-1], order[1:]] = rng.uniform(0.5, 1.5, dim - 1)
+    chain += chain.T + np.diag(rng.standard_normal(dim))
+    for a in (dense, chain):
+        ref = clamped(np.sort(np.linalg.eigvalsh(0.5 * (a + a.T)))[::-1])
+        assert sym_eigenvalues(a).tobytes() == ref.tobytes()
+
+
+def test_sym_eigenvalues_tiny_one_sided_entry_joins_blocks(solved_blocks):
+    # an entry of 1e-12 above the diagonal only (within the symmetry
+    # tolerance) still joins indices 0 and 2 into one block, and splits
+    # their degenerate pair into 1 +- 5e-13
+    a = np.diag([1.0, 2.0, 1.0])
+    a[0, 2] = 1e-12
+    ev = sym_eigenvalues(a)
+    assert sorted(solved_blocks) == [1, 2]
+    assert np.allclose(ev, [2.0, 1.0 + 5e-13, 1.0 - 5e-13], rtol=0.0, atol=1e-15)
+
+
+def test_oracle_spectra_are_solved_block_by_block(solved_blocks):
+    # rho_AR is a sum of rank-1 2 x 2 blocks, and Rob's and wedge II's
+    # reductions are diagonal: a fallback to one dense solve fails here
+    cfg = TruncationConfig(256)
+    rho = rho_alice_rob(1.0, cfg)
+    von_neumann_entropy(rho, cfg)
+    assert solved_blocks and max(solved_blocks) == 2
+    for reduced in (
+        lambda: von_neumann_entropy(partial_trace(rho, (WEDGE_I,)), cfg),
+        lambda: entropy_exchange(1.0, cfg),
+    ):
+        solved_blocks.clear()
+        reduced()
+        assert solved_blocks and set(solved_blocks) == {1}
 
 
 # ---------------------------------------------------------------- tail bound

@@ -64,6 +64,24 @@ def test_every_tolerance_entry_point_rejects_tol_outside_unit_interval(tol):
             call()
 
 
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: SweepConfig(r_max="3"),
+        lambda: SweepConfig(abs_tol="1e-3"),
+        lambda: SweepConfig(r_min=None),
+        lambda: measure_records([1.0], "1e-3"),
+        lambda: measure_records([None], 1e-10),
+    ],
+    ids=["r_max-str", "abs_tol-str", "r_min-none", "records-tol-str", "records-r-none"],
+)
+def test_non_numeric_parameters_raise_config_error(call):
+    # library callers get the same ConfigError as an out-of-range value,
+    # not a bare TypeError from a comparison
+    with pytest.raises(ConfigError):
+        call()
+
+
 def test_grid_endpoints_exact():
     grid = r_grid(SweepConfig(r_min=0.0, r_max=3.0, points=200))
     assert grid[0] == 0.0
