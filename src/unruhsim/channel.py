@@ -206,7 +206,7 @@ def trace_preservation_defect(ks: KrausSet, probe: StateVector) -> float:
         raise LayoutMismatchError(
             f"probe layout {probe.layout} does not match channel layout {ks.layout}"
         )
-    if abs(probe.norm_sq - 1.0) > 1e-8:
+    if not abs(probe.norm_sq - 1.0) <= 1e-8:  # a NaN norm fails too
         raise ConfigError(f"probe must be normalized, norm^2 = {probe.norm_sq}")
     amps = probe.amps.reshape(2, ks.cfg.dim)
     live = np.flatnonzero((amps != 0.0).any(axis=0))

@@ -23,6 +23,7 @@ any size joins its blocks.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from numbers import Integral
 from typing import Iterable
 
 import numpy as np
@@ -47,14 +48,17 @@ class TruncationConfig:
     ----------
     n_max : int
         Maximum Fock occupation kept per bosonic mode; each mode then has
-        dimension ``n_max + 1``.
+        dimension ``n_max + 1``.  Any integer type >= 1 but bool; stored as
+        a Python int.
     """
 
     n_max: int
 
     def __post_init__(self) -> None:
-        if self.n_max < 1:
-            raise ConfigError(f"n_max must be >= 1, got {self.n_max}")
+        n_max = self.n_max
+        if isinstance(n_max, bool) or not isinstance(n_max, Integral) or n_max < 1:
+            raise ConfigError(f"n_max must be an integer >= 1, got {n_max!r}")
+        object.__setattr__(self, "n_max", int(n_max))
 
     @property
     def dim(self) -> int:
@@ -141,8 +145,8 @@ class StateVector:
             )
         object.__setattr__(self, "amps", amps)
         norm_sq = float(amps @ amps)
-        if norm_sq > 1.0 + 1e-8:
-            raise ConfigError(f"state norm^2 = {norm_sq} exceeds 1")
+        if not norm_sq <= 1.0 + 1e-8:  # a NaN norm fails too
+            raise ConfigError(f"state norm^2 = {norm_sq} is not at most 1")
 
     @property
     def norm_sq(self) -> float:

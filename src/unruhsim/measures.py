@@ -4,8 +4,11 @@ Entropies are in bits (log base 2) throughout.  A sweep record
 (:func:`measure_records`; :func:`measure_record` is its one-point case)
 costs O(N) per point: two series passes over the block weights a_n, the
 joint spectrum lambda_n = a_n (1 + (n+1)/cosh^2 r) for S(rho_AR) and Rob's
-occupations p_n = a_n + n a_{n-1}/cosh^2 r for S(rho_R).  The rest is
-closed forms.  Alice's reduction is diag(||d||^2/2, ||c||^2/2), and the
+occupations p_n = a_n + n a_{n-1}/cosh^2 r (a_n (1 + n/sinh^2 r) without
+its 0/0 at r = 0) for S(rho_R).  One block evaluator takes every such sum:
+the per-row series are its one-row case at a fixed cutoff, and
+:func:`entropy_from_probabilities` its sum on one row.  The rest is closed
+forms.  Alice's reduction is diag(||d||^2/2, ||c||^2/2), and the
 norms of the mode weights c_n and d_n are 1 - tail_c and 1 - tail_d.  The
 wedge-II marginal (c_n^2 + d_n^2)/2 equals lambda_n below the cutoff N, so
 the entropy exchange is the S(rho_AR) sum with lambda_N replaced by
@@ -36,7 +39,7 @@ import numpy as np
 from .channel import KrausSet, bell_state
 from .errors import ConfigError
 from .fock import DensityMatrix, TruncationConfig, truncation_tail_bound
-from .rindler import WEDGE_II, block_weights, check_r, tripartite_state
+from .rindler import WEDGE_II, check_r, discarded_weights, tripartite_state
 
 # Cap on adaptively grown truncation; it bounds the length of a record's
 # series.  At the default abs_tol 1e-10 the reach lies between r = 3.12962
@@ -63,10 +66,9 @@ def check_abs_tol(abs_tol: float) -> None:
 
 
 def entropy_from_probabilities(probs: np.ndarray) -> float:
-    """- sum p log2 p with the 0 log 0 = 0 convention; input need not sum to 1."""
-    p = np.asarray(probs, dtype=np.float64)
-    p = p[p > _PROB_FLOOR]
-    return float(-(p * np.log2(p)).sum()) + 0.0
+    """- sum p log2 p (0 log 0 = 0; need not sum to 1): _row_entropies of one row."""
+    p = np.asarray(probs, dtype=np.float64).ravel()
+    return _row_entropies(p, [0, p.size])[0]
 
 
 def von_neumann_entropy(rho: DensityMatrix, cfg: TruncationConfig) -> float:
@@ -118,31 +120,23 @@ def entanglement_fidelity_kraus(r: float, cfg: TruncationConfig) -> float:
 
 
 def joint_entropy_series(r: float, cfg: TruncationConfig) -> float:
-    """S(rho_AR) in bits from the block-trace series.
+    """S(rho_AR) in bits: the block-trace series summed to cfg.n_max.
 
-    The nonzero eigenvalues of the joint state are the rank-1 block traces
-    lambda_n = a_n (1 + (n+1)/cosh^2 r); the series sums them to n_max.
+    The s_ar of :func:`_block_records` on this one row, so it is bitwise a
+    sweep row's s_ar at the same cutoff.
     """
     check_r(r)
-    a = block_weights(r, cfg)
-    n = np.arange(cfg.n_max + 1)
-    lam = a * (1.0 + (n + 1.0) / math.cosh(r) ** 2)
-    return entropy_from_probabilities(lam)
+    return _block_records([r], [cfg.n_max])[0].s_ar
 
 
 def rob_entropy_series(r: float, cfg: TruncationConfig) -> float:
-    """S(rho_R) in bits from the occupation-probability series.
+    """S(rho_R) in bits: Rob's occupation series summed to cfg.n_max.
 
-    p_m = a_m (1 + m/sinh^2 r) has a removable 0/0 at r = 0; the equivalent
-    division-free form p_m = a_m + m a_{m-1} / cosh^2 r (via a_{m-1} =
-    a_m / tanh^2 r) is exact there and is what gets summed.
+    The s_r of :func:`_block_records` on this one row, so it is bitwise a
+    sweep row's s_r at the same cutoff.
     """
     check_r(r)
-    a = block_weights(r, cfg)
-    p = a.copy()
-    m = np.arange(1, cfg.n_max + 1)
-    p[1:] += m * a[:-1] / math.cosh(r) ** 2
-    return entropy_from_probabilities(p)
+    return _block_records([r], [cfg.n_max])[0].s_r
 
 
 def wedge_ii_probabilities(psi) -> np.ndarray:
@@ -209,11 +203,10 @@ def measure_records(rs: Iterable[float], abs_tol: float) -> list[MeasureRecord]:
 
     Each cutoff n_used is :func:`adaptive_n_max`'s, found for all rows by
     one search; the first r in order that no cutoff certifies raises
-    ConfigError before any row is evaluated.  s_ar and s_r are bitwise
-    joint_entropy_series and rob_entropy_series at n_used, and tail is the
-    mean of the exact weights the two truncated branches discard.  fe_kraus
-    keeps the one nonzero operator-sum term: on the input support A_0 = diag(1, cosh r) (x)
-    1 / cosh^2 r, so Tr(rho_in A_0) = (1 + cosh r) / (2 cosh^2 r).
+    ConfigError before any row is evaluated.  tail is the mean of the exact
+    weights the two truncated branches discard.  fe_kraus keeps the one
+    nonzero operator-sum term: on the input support A_0 = diag(1, cosh r)
+    (x) 1 / cosh^2 r, so Tr(rho_in A_0) = (1 + cosh r) / (2 cosh^2 r).
     """
     rs = list(rs)
     for r in rs:
@@ -265,13 +258,11 @@ def _cutoffs(rs: list[float], abs_tol: float) -> list[int]:
 def _block_records(rs: list[float], n_used: list[int]) -> list[MeasureRecord]:
     """Records for consecutive rows whose levels 0..n_used share one array.
 
-    Every row's values are a contiguous slice, and each sum is taken over
-    its own slice (pairwise, as entropy_from_probabilities sums); the
-    scalars per row come from math.tanh and math.cosh, as in the series.
+    Every row's values are a contiguous slice and each sum is taken over
+    its own slice, so a row's bits do not depend on the rows packed with it.
     """
-    t = [math.tanh(r) for r in rs]
     ch = [math.cosh(r) for r in rs]
-    q = [x**2 for x in t]
+    q = [math.tanh(r) ** 2 for r in rs]
     ch2 = [x**2 for x in ch]
     counts = np.array(n_used) + 1
     ends = np.cumsum(counts)
@@ -291,8 +282,7 @@ def _block_records(rs: list[float], n_used: list[int]) -> list[MeasureRecord]:
     records = []
     for k, (r, n_k) in enumerate(zip(rs, n_used)):
         trace_0 = 0.5 * (1.0 + ch[k]) / ch2[k]
-        tail_c = t[k] ** (2 * (n_k + 1))
-        tail_d = q[k] ** n_k * ((n_k + 1) - n_k * q[k])
+        tail_c, tail_d = discarded_weights(r, n_k)
         s_a = _plogp((1.0 - tail_d) / 2.0) + _plogp((1.0 - tail_c) / 2.0)
         s_e = s_ar[k] - _plogp(lam_edge[k]) + _plogp(a_edge[k])
         records.append(
@@ -319,11 +309,11 @@ def _plogp(p: float) -> float:
 
 
 def _row_entropies(probs: np.ndarray, edges: np.ndarray) -> list[float]:
-    """entropy_from_probabilities(probs[edges[k]:edges[k + 1]]) for every k.
+    """- sum p log2 p over probs[edges[k]:edges[k + 1]], for every k.
 
-    p log2 p is evaluated once over the kept entries of the whole block;
-    each row's run of it is summed on its own, pairwise as in the per-row
-    call, so the results are bitwise equal.
+    p log2 p is evaluated once over the entries of the whole block above
+    _PROB_FLOOR (0 log 0 = 0); each row's run of it is summed on its own,
+    pairwise, so a row's result does not depend on the other rows.
     """
     kept = np.flatnonzero(probs > _PROB_FLOOR)
     x = probs[kept]

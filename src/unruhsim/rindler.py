@@ -51,8 +51,7 @@ def vacuum_mode_weights(
     check_r(r)
     n = np.arange(cfg.n_max + 1)
     weights = math.tanh(r) ** n / math.cosh(r)
-    tail = math.tanh(r) ** (2 * (cfg.n_max + 1))
-    return weights, tail
+    return weights, discarded_weights(r, cfg.n_max)[0]
 
 
 def one_particle_mode_weights(
@@ -68,9 +67,14 @@ def one_particle_mode_weights(
     check_r(r)
     n = np.arange(cfg.n_max)
     weights = np.sqrt(n + 1.0) * math.tanh(r) ** n / math.cosh(r) ** 2
-    q = math.tanh(r) ** 2
-    tail = q**cfg.n_max * ((cfg.n_max + 1) - cfg.n_max * q)
-    return weights, tail
+    return weights, discarded_weights(r, cfg.n_max)[1]
+
+
+def discarded_weights(r: float, n_max: int) -> tuple[float, float]:
+    """(tail_c, tail_d): the exact squared weights the cutoff drops from c and d."""
+    t = math.tanh(r)
+    q = t**2
+    return t ** (2 * (n_max + 1)), q**n_max * ((n_max + 1) - n_max * q)
 
 
 def tripartite_layout(cfg: TruncationConfig) -> FactorLayout:
@@ -131,9 +135,3 @@ def rho_alice_rob(r: float, cfg: TruncationConfig) -> DensityMatrix:
     mat[one[:-1], zero] = cross
     mat[zero, one[:-1]] = cross
     return DensityMatrix(joint_layout(cfg), mat)
-
-
-def block_weights(r: float, cfg: TruncationConfig) -> np.ndarray:
-    """The geometric block weights a_n = (tanh^2 r)^n / (2 cosh^2 r), n <= n_max."""
-    q = math.tanh(r) ** 2
-    return q ** np.arange(cfg.n_max + 1) / (2.0 * math.cosh(r) ** 2)

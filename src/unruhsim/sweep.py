@@ -50,7 +50,11 @@ _fields = attrgetter(*CSV_COLUMNS)
 
 @dataclass(frozen=True)
 class SweepConfig:
-    """Grid and policy for a sweep; defaults reproduce the full r in [0, 3] scan."""
+    """Grid and policy for a sweep; defaults reproduce the full r in [0, 3] scan.
+
+    Validated fields are stored as Python numbers: r_min, r_max and abs_tol
+    as float and points as int, so a numpy scalar never reaches the output.
+    """
 
     r_min: float = 0.0
     r_max: float = 3.0
@@ -83,6 +87,9 @@ class SweepConfig:
                 f"output_format must be one of {OUTPUT_FORMATS}, "
                 f"got {self.output_format!r}"
             )
+        for name in ("r_min", "r_max", "abs_tol"):
+            object.__setattr__(self, name, float(getattr(self, name)))
+        object.__setattr__(self, "points", int(self.points))
 
 
 def r_grid(cfg: SweepConfig) -> np.ndarray:

@@ -41,6 +41,18 @@ def test_truncation_config_validation():
         TruncationConfig(0)
     with pytest.raises(TypeError):  # the cutoff is the only field
         TruncationConfig(4, abs_tol=0.0)
+    cfg = TruncationConfig(np.int64(4))  # any integer type, stored as int
+    assert cfg == TruncationConfig(4) and type(cfg.n_max) is int
+
+
+@pytest.mark.parametrize(
+    "n_max", [2.5, 4.0, np.float64(4.0), "3", None, True, np.bool_(True), 0, -3]
+)
+def test_truncation_config_refuses_a_non_integer_cutoff(n_max):
+    # a fractional cutoff would silently give a series over a wrong level
+    # count, and a string or None would fail later with a bare TypeError
+    with pytest.raises(ConfigError, match="n_max must be an integer >= 1"):
+        TruncationConfig(n_max)
 
 
 def test_factor_layout_validation():
@@ -144,6 +156,15 @@ def test_state_vector_rejects_overnormalized():
     lay = FactorLayout((2,), ("x",))
     with pytest.raises(ConfigError):
         StateVector(lay, np.array([1.0, 1.0]))
+
+
+@pytest.mark.parametrize("amps", [[math.nan, 0.0], [math.nan, math.nan], [math.inf, 0.0]])
+def test_state_vector_rejects_nan_and_inf(amps):
+    # a NaN norm compares false against any bound, so the check is written
+    # to fail it
+    lay = FactorLayout((2,), ("x",))
+    with pytest.raises(ConfigError, match="norm"):
+        StateVector(lay, np.array(amps))
 
 
 def test_density_matrix_rejects_asymmetric():

@@ -2,6 +2,7 @@ import math
 import tracemalloc
 from dataclasses import astuple, replace
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -37,7 +38,7 @@ from unruhsim.measures import (
     entropy_from_probabilities,
     wedge_ii_probabilities,
 )
-from unruhsim.rindler import ALICE, WEDGE_I, block_weights
+from unruhsim.rindler import ALICE, WEDGE_I
 from unruhsim.sweep import r_grid
 
 CFG = TruncationConfig(16)
@@ -169,14 +170,16 @@ def test_rob_entropy_small_acceleration_limit():
 
 
 def test_rob_occupation_probabilities_are_normalized():
+    # Rob's reduction is diagonal: its diagonal is the occupation
+    # distribution the series sums, and it carries the state's whole norm
     r, cfg = 1.1, TruncationConfig(96)
-    a = block_weights(r, cfg)
-    p = a.copy()
-    m = np.arange(1, cfg.n_max + 1)
-    p[1:] += m * a[:-1] / math.cosh(r) ** 2
+    rho_r = partial_trace(rho_alice_rob(r, cfg), (WEDGE_I,))
+    p = np.diag(rho_r.mat)
+    assert np.all(rho_r.mat - np.diag(p) == 0.0)
     assert np.all(p >= 0.0)
     psi = tripartite_state(r, cfg)
     assert float(p.sum()) == pytest.approx(psi.norm_sq, abs=1e-12)
+    assert abs(rob_entropy_series(r, cfg) - entropy_from_probabilities(p)) <= 1e-13
 
 
 # ---------------------------------------------------------------- entropy exchange
@@ -314,44 +317,6 @@ def test_record_tail_is_certified(fixed):
 # ---------------------------------------------------------------- block evaluation
 
 
-def plogp(p: float) -> float:
-    return -p * math.log2(p) if p > 1e-300 else 0.0
-
-
-def per_row_record(r: float, n_used: int) -> MeasureRecord:
-    """The record from the per-row series and closed forms at n_used.
-
-    The reference that block evaluation must match bit for bit: each series
-    is one numpy call on arrays of this row alone.  s_a is the entropy of
-    Alice's diag(||d||^2/2, ||c||^2/2) with the norms 1 - tail_d and
-    1 - tail_c; s_e is s_ar with its edge term lambda_N replaced by the
-    wedge-II marginal's c_N^2/2 = a_N.
-    """
-    cfg = TruncationConfig(n_used)
-    _, tail_c = vacuum_mode_weights(r, cfg)
-    _, tail_d = one_particle_mode_weights(r, cfg)
-    s_ar = joint_entropy_series(r, cfg)
-    s_r = rob_entropy_series(r, cfg)
-    s_a = plogp((1.0 - tail_d) / 2.0) + plogp((1.0 - tail_c) / 2.0)
-    ch = math.cosh(r)
-    a_edge = float(block_weights(r, cfg)[-1])
-    lam_edge = a_edge * (1.0 + (n_used + 1.0) / ch**2)
-    trace_0 = 0.5 * (1.0 + ch) / ch**2
-    return MeasureRecord(
-        r=r,
-        fe_closed=entanglement_fidelity_closed(r),
-        fe_kraus=trace_0 * trace_0,
-        s_ar=s_ar,
-        s_r=s_r,
-        s_a=s_a,
-        s_e=s_ar - plogp(lam_edge) + plogp(a_edge),
-        mutual_info=1.0 + s_r - s_ar,
-        subadd_margin=s_a + s_r - s_ar,
-        tail=(tail_c + tail_d) / 2.0,
-        n_used=n_used,
-    )
-
-
 def assert_bitwise(rec: MeasureRecord, ref: MeasureRecord) -> None:
     assert astuple(rec) == astuple(ref), (rec, ref)
     assert [type(v) for v in astuple(rec)] == [type(v) for v in astuple(ref)]
@@ -369,11 +334,13 @@ GRIDS = {
 @pytest.mark.parametrize("tol", [1e-3, 1e-10])
 @pytest.mark.parametrize("grid", sorted(GRIDS))
 def test_sweep_rows_are_bitwise_the_per_row_series(grid, tol):
+    # packing rows into blocks never changes a row's bits: every sweep row
+    # is the one-row record, whose cutoff is the row's
     cfg = replace(GRIDS[grid], abs_tol=tol)
     records = run_sweep(cfg)
     assert [rec.r for rec in records] == r_grid(cfg).tolist()
     for rec in records:
-        assert_bitwise(rec, per_row_record(rec.r, rec.n_used))
+        assert_bitwise(rec, measure_record(rec.r, tol))
     if grid == "to-the-reach":
         assert records[0].r == 0.0
         assert sum(rec.n_used + 1 for rec in records) > 10 * _BLOCK_LEVELS
@@ -391,7 +358,6 @@ def test_records_are_bitwise_the_per_row_series_in_any_order(tol):
     records = measure_records(ANY_ORDER_RS, tol)
     assert [rec.r for rec in records] == ANY_ORDER_RS
     for rec in records:
-        assert_bitwise(rec, per_row_record(rec.r, rec.n_used))
         assert_bitwise(measure_record(rec.r, tol), rec)
 
 
@@ -399,17 +365,23 @@ def test_records_are_bitwise_the_per_row_series_in_any_order(tol):
 @pytest.mark.parametrize("rows", sorted(GRIDS) + ["any-order"])
 def test_closed_forms_match_the_mode_weights(rows, tol):
     # s_a and s_e against the entropies of Alice's reduction and of the
-    # wedge-II marginal, both built from the mode-weight arrays c and d
+    # wedge-II marginal, both built from the mode-weight arrays c and d; the
+    # tail is the mean of their discarded weights and the two information
+    # figures are their defining sums, all bit for bit
     rs = ANY_ORDER_RS if rows == "any-order" else r_grid(GRIDS[rows]).tolist()
     for rec in measure_records(rs, tol):
         cfg = TruncationConfig(rec.n_used)
-        c, _ = vacuum_mode_weights(rec.r, cfg)
-        d, _ = one_particle_mode_weights(rec.r, cfg)
+        c, tail_c = vacuum_mode_weights(rec.r, cfg)
+        d, tail_d = one_particle_mode_weights(rec.r, cfg)
         wedge = 0.5 * c * c
         wedge[:-1] += 0.5 * d * d
         s_a = entropy_from_probabilities(np.array([d @ d, c @ c]) / 2.0)
         assert abs(rec.s_a - s_a) <= 1e-12, rec
         assert abs(rec.s_e - entropy_from_probabilities(wedge)) <= 1e-12, rec
+        assert rec.tail == (tail_c + tail_d) / 2.0, rec
+        assert rec.mutual_info == 1.0 + rec.s_r - rec.s_ar, rec
+        assert rec.subadd_margin == rec.s_a + rec.s_r - rec.s_ar, rec
+        assert rec.fe_closed == entanglement_fidelity_closed(rec.r), rec
 
 
 def test_record_memory_is_bounded_by_the_block():
@@ -423,12 +395,6 @@ def test_record_memory_is_bounded_by_the_block():
     finally:
         tracemalloc.stop()
     assert peak < 2**20
-
-
-def test_measure_record_is_the_matching_sweep_row():
-    cfg = SweepConfig(r_max=3.0, points=41)
-    for rec in run_sweep(cfg):
-        assert_bitwise(measure_record(rec.r, cfg.abs_tol), rec)
 
 
 def test_measure_records_of_no_rows():
@@ -480,40 +446,60 @@ def test_records_refuse_the_first_r_past_the_reach():
         measure_records([1.0, 3.2, 3.0, 4.0], 1e-10)
 
 
-# ---------------------------------------------------------------- 50-digit anchors
+# ---------------------------------------------------------------- high-precision anchors
 
 
-def _mp_reference(mpmath, r):
-    """Untruncated S(rho_AR), S(rho_R) in bits and the fidelity, at 50 digits.
+def _mp_series(r, n_max=None):
+    """S(rho_AR) and S(rho_R) in bits, as mpf at the caller's precision.
 
     Sums the block traces lambda_n = a_n (1 + (n+1)/cosh^2 r) and Rob's
-    occupations p_n = a_n + n a_{n-1}/cosh^2 r until a_n < 1e-60.  Without
-    truncation the wedge-II marginal (c_n^2 + d_n^2)/2 is lambda_n, so the
-    joint entropy is also the entropy exchange.
+    occupations p_n = a_n + n a_{n-1}/cosh^2 r over the levels 0..n_max,
+    or, for n_max None, until a_n < 1e-60.  A zero term adds 0 (0 log 0 = 0).
+    """
+    r = mpmath.mpf(r)
+    ch2 = mpmath.cosh(r) ** 2
+    q = mpmath.tanh(r) ** 2
+    floor = mpmath.mpf(10) ** -60
+    joint = rob = mpmath.mpf(0)
+    a_prev, a, n = mpmath.mpf(0), 1 / (2 * ch2), 0
+    while (a > floor) if n_max is None else (n <= n_max):
+        lam = a * (1 + (n + 1) / ch2)
+        p = a + n * a_prev / ch2
+        joint -= lam * mpmath.log(lam) if lam else 0
+        rob -= p * mpmath.log(p) if p else 0
+        a_prev, a, n = a, a * q, n + 1
+    ln2 = mpmath.log(2)
+    return joint / ln2, rob / ln2
+
+
+@pytest.mark.parametrize(
+    "r, n_max", [(0.0, 8), (0.1, 6), (0.5, 17), (1.0, 256), (2.0, 500), (3.0, 3134)]
+)
+def test_series_match_a_40_digit_sum_at_a_fixed_cutoff(r, n_max):
+    # the production evaluator's sums over the same levels, independently
+    with mpmath.workdps(40):
+        s_joint, s_rob = _mp_series(r, n_max)
+    cfg = TruncationConfig(n_max)
+    assert abs(joint_entropy_series(r, cfg) - float(s_joint)) <= 1e-13
+    assert abs(rob_entropy_series(r, cfg) - float(s_rob)) <= 1e-13
+
+
+def _mp_reference(r):
+    """Untruncated S(rho_AR), S(rho_R) in bits and the fidelity, at 50 digits.
+
+    Without truncation the wedge-II marginal (c_n^2 + d_n^2)/2 is lambda_n,
+    so the joint entropy is also the entropy exchange.
     """
     with mpmath.workdps(50):
-        r = mpmath.mpf(r)
-        ch2 = mpmath.cosh(r) ** 2
-        q = mpmath.tanh(r) ** 2
-        floor = mpmath.mpf(10) ** -60
-        joint = rob = mpmath.mpf(0)
-        a_prev, a, n = mpmath.mpf(0), 1 / (2 * ch2), 0
-        while a > floor:
-            lam = a * (1 + (n + 1) / ch2)
-            p = a + n * a_prev / ch2
-            joint -= lam * mpmath.log(lam)
-            rob -= p * mpmath.log(p)
-            a_prev, a, n = a, a * q, n + 1
-        sech = 1 / mpmath.sqrt(ch2)
+        joint, rob = _mp_series(r)
+        sech = 1 / mpmath.cosh(mpmath.mpf(r))
         fidelity = sech**2 * (1 + sech) ** 2 / 4
-        ln2 = mpmath.log(2)
-        return float(joint / ln2), float(rob / ln2), float(fidelity)
+        return float(joint), float(rob), float(fidelity)
 
 
 @pytest.mark.parametrize("r", [0.1, 0.5, 1.5, 2.0, 3.0])
 def test_record_matches_high_precision_reference(r):
-    mpmath = pytest.importorskip("mpmath")
-    s_joint, s_rob, fidelity = _mp_reference(mpmath, r)
+    s_joint, s_rob, fidelity = _mp_reference(r)
     rec = measure_record(r, 1e-10)
     assert abs(rec.s_ar - s_joint) <= 1e-8
     assert abs(rec.s_e - s_joint) <= 1e-8

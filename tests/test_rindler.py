@@ -23,7 +23,7 @@ from unruhsim import (
     vacuum_mode_weights,
 )
 from unruhsim.fock import creation_matrix
-from unruhsim.rindler import ALICE, WEDGE_I, WEDGE_II, block_weights, check_r
+from unruhsim.rindler import ALICE, WEDGE_I, WEDGE_II, check_r
 
 
 # ---------------------------------------------------------------- parameterization
@@ -230,7 +230,7 @@ def test_rho_alice_rob_spectrum_is_block_traces():
     r, cfg = 0.9, TruncationConfig(32)
     rho = rho_alice_rob(r, cfg)
     ev = sym_eigenvalues(rho.mat)
-    a = block_weights(r, cfg)
+    a = math.tanh(r) ** (2 * np.arange(cfg.dim)) / (2.0 * math.cosh(r) ** 2)
     expected = a[:-1] * (1.0 + (np.arange(cfg.n_max) + 1.0) / math.cosh(r) ** 2)
     expected = np.sort(np.concatenate([expected, [a[-1]]]))[::-1]
     nonzero = ev[: expected.size]

@@ -82,6 +82,28 @@ def test_non_numeric_parameters_raise_config_error(call):
         call()
 
 
+@pytest.mark.parametrize(
+    "kwargs",
+    [
+        {"points": np.int64(5)},
+        {"r_min": np.float32(0.25), "r_max": np.float32(1.5), "points": 5},
+        {"points": 5, "abs_tol": np.float32(1e-6)},
+    ],
+    ids=["points-int64", "endpoints-float32", "tol-float32"],
+)
+def test_sweep_config_stores_python_numbers(kwargs):
+    # an accepted numpy scalar is converted, so the JSON config serializes
+    cfg = SweepConfig(output_format="json", **kwargs)
+    assert [type(v) for v in (cfg.r_min, cfg.r_max, cfg.points, cfg.abs_tol)] == [
+        float, float, int, float
+    ]
+    for name, value in kwargs.items():
+        assert getattr(cfg, name) == value
+    doc = json.loads(render(cfg, run_sweep(cfg)))
+    assert doc["config"]["points"] == 5
+    assert len(doc["rows"]) == 5
+
+
 def test_grid_endpoints_exact():
     grid = r_grid(SweepConfig(r_min=0.0, r_max=3.0, points=200))
     assert grid[0] == 0.0
@@ -205,8 +227,8 @@ def test_verify_oracle_checks_do_not_depend_on_tol():
 @pytest.mark.parametrize(
     "field, caught_by",
     [
-        ("s_ar", ["records-vs-oracle"]),
-        ("s_r", ["records-vs-oracle"]),
+        ("s_ar", ["entropy-series-vs-spectral", "records-vs-oracle"]),
+        ("s_r", ["entropy-series-vs-spectral", "records-vs-oracle"]),
         ("s_e", ["records-vs-oracle"]),
         ("s_a", ["records-vs-oracle", "alice-entropy"]),
         ("fe_kraus", ["records-vs-oracle"]),
@@ -214,9 +236,11 @@ def test_verify_oracle_checks_do_not_depend_on_tol():
     ],
 )
 def test_verify_catches_a_record_shifted_by_1e_8(monkeypatch, field, caught_by):
-    # a record path that is off by 1e-8 in one field: only the dense oracle
-    # at the rows' own cutoffs sees it, except s_a, which the grid's one-bit
-    # check also holds; the tail is held against the operator-sum defect
+    # a record path that is off by 1e-8 in one field: the dense oracle at the
+    # rows' own cutoffs sees it, and so does the series check at its fixed
+    # cutoff for s_ar and s_r, whose series are the same evaluator's one-row
+    # case; the grid's one-bit check also holds s_a, and the tail is held
+    # against the operator-sum defect
     block_records = measures._block_records
 
     def shifted(rs, n_used):
