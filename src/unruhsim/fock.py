@@ -331,10 +331,11 @@ def truncation_tail_bound(
     """Bound on the weight a cutoff at n_max drops, with q = tanh^2 r.
 
     The larger of (n_max + 2) q^(n_max + 1), which majorizes the vacuum
-    branch's tail q^(n_max + 1) and the remainder of an (n_max + 1)-term
-    one-particle series, and q^n_max ((n_max + 1) - n_max q), the exact
-    weight the one-particle branch drops because it keeps only n_max
-    levels.  The first term wins for q >= 1/2; the second for q < 1/2.
+    branch's tail q^(n_max + 1), and q^n_max ((n_max + 1) - n_max q), the
+    exact weight the one-particle branch drops because it keeps only n_max
+    levels.  The first term wins for q >= 1/2; the second for q < 1/2.  Its
+    factor n_max + 2 is looser than the vacuum tail needs; it stays because
+    it sets every cutoff n_used.
 
     r and n_max broadcast against each other.  The bound is always
     evaluated on arrays of at least one dimension, because numpy's array

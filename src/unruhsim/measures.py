@@ -9,15 +9,15 @@ its 0/0 at r = 0) for S(rho_R).  One block evaluator takes every such sum:
 the per-row series are its one-row case at a fixed cutoff, and
 :func:`entropy_from_probabilities` its sum on one row.  The rest is closed
 forms.  Alice's reduction is diag(||d||^2/2, ||c||^2/2), and the
-norms of the mode weights c_n and d_n are 1 - tail_c and 1 - tail_d.  The
-wedge-II marginal (c_n^2 + d_n^2)/2 equals lambda_n below the cutoff N, so
-the entropy exchange is the S(rho_AR) sum with lambda_N replaced by
-c_N^2/2 = a_N.  The independent routes are the dense eigensolves kept here
-as the oracle that tests and `verify` hold the records against: the
-spectra of rho_AR, of Rob's reduction, and of the tripartite state's Alice
-and wedge-II (:func:`entropy_exchange`) reductions; and, for the fidelity,
-the operator-sum trace sum_n (Tr rho A_n)^2, where every n >= 1 trace
-vanishes identically because A_n shifts the mode occupation.
+norms of the mode weights c_n and d_n are 1 - tail_c and 1 - tail_d.  Every
+field describes the tripartite state cut at N = n_used, whose last block
+keeps only |1, N> (so lambda_N is a_N); that state is pure, so the entropy
+exchange s_e is s_ar.  The independent routes are the dense eigensolves
+kept here as the oracle that tests and `verify` hold the records against:
+the spectra of rho_AR, of Rob's reduction, and of the tripartite state's
+Alice and wedge-II (:func:`entropy_exchange`) reductions; and, for the
+fidelity, the operator-sum trace sum_n (Tr rho A_n)^2, where every n >= 1
+trace vanishes identically because A_n shifts the mode occupation.
 
 Truncation grows adaptively with r: the mean occupation grows like
 sinh^2 r, so honest entropies at r = 3 need thousands of Fock levels.  The
@@ -120,7 +120,7 @@ def entanglement_fidelity_kraus(r: float, cfg: TruncationConfig) -> float:
 
 
 def joint_entropy_series(r: float, cfg: TruncationConfig) -> float:
-    """S(rho_AR) in bits: the block-trace series summed to cfg.n_max.
+    """S(rho_AR) in bits: the entropy of rho_alice_rob(r, cfg), as a series.
 
     The s_ar of :func:`_block_records` on this one row, so it is bitwise a
     sweep row's s_ar at the same cutoff.
@@ -130,7 +130,7 @@ def joint_entropy_series(r: float, cfg: TruncationConfig) -> float:
 
 
 def rob_entropy_series(r: float, cfg: TruncationConfig) -> float:
-    """S(rho_R) in bits: Rob's occupation series summed to cfg.n_max.
+    """S(rho_R) in bits: Rob's occupation series of rho_alice_rob(r, cfg).
 
     The s_r of :func:`_block_records` on this one row, so it is bitwise a
     sweep row's s_r at the same cutoff.
@@ -274,8 +274,8 @@ def _block_records(rs: list[float], n_used: list[int]) -> list[MeasureRecord]:
 
     a = np.array(q)[row] ** n / (2.0 * np.array(ch2))[row]
     lam = a * (1.0 + (n + 1.0) / ch2_n)
+    lam[ends - 1] = a[ends - 1]  # the state cut at N keeps only |1, N> of block N
     s_ar = _row_entropies(lam, edges)
-    lam_edge, a_edge = lam[ends - 1].tolist(), a[ends - 1].tolist()
     a_prev = np.concatenate(([0.0], a[:-1]))  # n * a_prev is 0 at n = 0
     s_r = _row_entropies(a + n * a_prev / ch2_n, edges)
 
@@ -284,7 +284,6 @@ def _block_records(rs: list[float], n_used: list[int]) -> list[MeasureRecord]:
         trace_0 = 0.5 * (1.0 + ch[k]) / ch2[k]
         tail_c, tail_d = discarded_weights(r, n_k)
         s_a = _plogp((1.0 - tail_d) / 2.0) + _plogp((1.0 - tail_c) / 2.0)
-        s_e = s_ar[k] - _plogp(lam_edge[k]) + _plogp(a_edge[k])
         records.append(
             MeasureRecord(
                 r=r,
@@ -293,7 +292,7 @@ def _block_records(rs: list[float], n_used: list[int]) -> list[MeasureRecord]:
                 s_ar=s_ar[k],
                 s_r=s_r[k],
                 s_a=s_a,
-                s_e=s_e,
+                s_e=s_ar[k],
                 mutual_info=1.0 + s_r[k] - s_ar[k],
                 subadd_margin=s_a + s_r[k] - s_ar[k],
                 tail=(tail_c + tail_d) / 2.0,

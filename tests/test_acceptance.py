@@ -112,14 +112,16 @@ def test_criterion_05_trace_preservation():
 
 
 def test_criterion_06_entropy_series_vs_spectral():
-    cfg = TruncationConfig(256)
-    rho = rho_alice_rob(1.0, cfg)
-    gap_joint = abs(joint_entropy_series(1.0, cfg) - von_neumann_entropy(rho, cfg))
-    assert gap_joint <= 1e-8
-    rho_r = partial_trace(rho, (WEDGE_I,))
-    gap_rob = abs(rob_entropy_series(1.0, cfg) - von_neumann_entropy(rho_r, cfg))
-    assert gap_rob <= 1e-8
-    _passed(6, "series entropies match the eigensolver to 1e-8 at n_max = 256")
+    cases = [(1.0, 256), (0.5, 4), (2.0, 64), (3.0, 256)]
+    for r, n_max in cases:
+        cfg = TruncationConfig(n_max)
+        rho = rho_alice_rob(r, cfg)
+        gap_joint = abs(joint_entropy_series(r, cfg) - von_neumann_entropy(rho, cfg))
+        assert gap_joint <= 1e-12, (r, n_max)
+        rho_r = partial_trace(rho, (WEDGE_I,))
+        gap_rob = abs(rob_entropy_series(r, cfg) - von_neumann_entropy(rho_r, cfg))
+        assert gap_rob <= 1e-12, (r, n_max)
+    _passed(6, f"series entropies match the eigensolver to 1e-12 at (r, n_max) {cases}")
 
 
 def test_criterion_07_purification_identity():

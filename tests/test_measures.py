@@ -1,3 +1,4 @@
+import functools
 import math
 import tracemalloc
 from dataclasses import astuple, replace
@@ -134,11 +135,17 @@ def test_joint_entropy_vanishes_without_acceleration():
     assert joint_entropy_series(0.0, CFG) == 0.0
 
 
-def test_joint_entropy_series_vs_spectral():
-    cfg = TruncationConfig(128)
-    series = joint_entropy_series(1.0, cfg)
-    spectral = von_neumann_entropy(rho_alice_rob(1.0, cfg), cfg)
-    assert abs(series - spectral) <= 1e-8
+# (0.5, 4), (2, 64) and (3, 256) keep enough weight in the last block to
+# tell the state cut at N from blocks 0..N taken whole
+SERIES_CASES = [(1.0, 256), (0.5, 4), (2.0, 64), (3.0, 256)]
+
+
+@pytest.mark.parametrize("r, n_max", SERIES_CASES)
+def test_joint_entropy_series_vs_spectral(r, n_max):
+    cfg = TruncationConfig(n_max)
+    series = joint_entropy_series(r, cfg)
+    spectral = von_neumann_entropy(rho_alice_rob(r, cfg), cfg)
+    assert abs(series - spectral) <= 1e-12
 
 
 def test_joint_entropy_peak_exceeds_two_bits():
@@ -149,12 +156,13 @@ def test_joint_entropy_peak_exceeds_two_bits():
     assert max(peaks) > 2.0
 
 
-def test_rob_entropy_series_vs_spectral():
-    cfg = TruncationConfig(128)
-    rho_r = partial_trace(rho_alice_rob(1.0, cfg), (WEDGE_I,))
-    series = rob_entropy_series(1.0, cfg)
+@pytest.mark.parametrize("r, n_max", SERIES_CASES)
+def test_rob_entropy_series_vs_spectral(r, n_max):
+    cfg = TruncationConfig(n_max)
+    rho_r = partial_trace(rho_alice_rob(r, cfg), (WEDGE_I,))
+    series = rob_entropy_series(r, cfg)
     spectral = von_neumann_entropy(rho_r, cfg)
-    assert abs(series - spectral) <= 1e-8
+    assert abs(series - spectral) <= 1e-12
 
 
 def test_rob_entropy_small_acceleration_limit():
@@ -289,7 +297,7 @@ def test_measure_record_consistency():
     margin = rec.s_a + rec.s_r - rec.s_ar
     assert rec.subadd_margin == pytest.approx(margin, abs=1e-14)
     assert rec.mutual_info == pytest.approx(1.0 + rec.s_r - rec.s_ar, abs=1e-14)
-    assert abs(rec.s_e - rec.s_ar) <= 1e-8  # purification identity
+    assert rec.s_e == rec.s_ar  # purification of the truncated state
     assert truncation_tail_bound(1.0, rec.n_used) < 1e-10
 
 
@@ -364,10 +372,11 @@ def test_records_are_bitwise_the_per_row_series_in_any_order(tol):
 @pytest.mark.parametrize("tol", [1e-3, 1e-10])
 @pytest.mark.parametrize("rows", sorted(GRIDS) + ["any-order"])
 def test_closed_forms_match_the_mode_weights(rows, tol):
-    # s_a and s_e against the entropies of Alice's reduction and of the
-    # wedge-II marginal, both built from the mode-weight arrays c and d; the
-    # tail is the mean of their discarded weights and the two information
-    # figures are their defining sums, all bit for bit
+    # s_a and s_ar against the entropies of Alice's reduction and of the
+    # wedge-II marginal, both built from the mode-weight arrays c and d, so
+    # every field describes the state cut at n_used; s_e is s_ar by
+    # purification, the tail is the mean of the discarded weights and the
+    # two information figures are their defining sums, all bit for bit
     rs = ANY_ORDER_RS if rows == "any-order" else r_grid(GRIDS[rows]).tolist()
     for rec in measure_records(rs, tol):
         cfg = TruncationConfig(rec.n_used)
@@ -377,7 +386,8 @@ def test_closed_forms_match_the_mode_weights(rows, tol):
         wedge[:-1] += 0.5 * d * d
         s_a = entropy_from_probabilities(np.array([d @ d, c @ c]) / 2.0)
         assert abs(rec.s_a - s_a) <= 1e-12, rec
-        assert abs(rec.s_e - entropy_from_probabilities(wedge)) <= 1e-12, rec
+        assert abs(rec.s_ar - entropy_from_probabilities(wedge)) <= 1e-12, rec
+        assert rec.s_e == rec.s_ar, rec
         assert rec.tail == (tail_c + tail_d) / 2.0, rec
         assert rec.mutual_info == 1.0 + rec.s_r - rec.s_ar, rec
         assert rec.subadd_margin == rec.s_a + rec.s_r - rec.s_ar, rec
@@ -453,8 +463,9 @@ def _mp_series(r, n_max=None):
     """S(rho_AR) and S(rho_R) in bits, as mpf at the caller's precision.
 
     Sums the block traces lambda_n = a_n (1 + (n+1)/cosh^2 r) and Rob's
-    occupations p_n = a_n + n a_{n-1}/cosh^2 r over the levels 0..n_max,
-    or, for n_max None, until a_n < 1e-60.  A zero term adds 0 (0 log 0 = 0).
+    occupations p_n = a_n + n a_{n-1}/cosh^2 r over the levels 0..n_max of
+    the state cut at n_max, whose last block keeps only a_n, or, for n_max
+    None, until a_n < 1e-60.  A zero term adds 0 (0 log 0 = 0).
     """
     r = mpmath.mpf(r)
     ch2 = mpmath.cosh(r) ** 2
@@ -463,7 +474,7 @@ def _mp_series(r, n_max=None):
     joint = rob = mpmath.mpf(0)
     a_prev, a, n = mpmath.mpf(0), 1 / (2 * ch2), 0
     while (a > floor) if n_max is None else (n <= n_max):
-        lam = a * (1 + (n + 1) / ch2)
+        lam = a if n == n_max else a * (1 + (n + 1) / ch2)
         p = a + n * a_prev / ch2
         joint -= lam * mpmath.log(lam) if lam else 0
         rob -= p * mpmath.log(p) if p else 0
@@ -484,6 +495,7 @@ def test_series_match_a_40_digit_sum_at_a_fixed_cutoff(r, n_max):
     assert abs(rob_entropy_series(r, cfg) - float(s_rob)) <= 1e-13
 
 
+@functools.lru_cache
 def _mp_reference(r):
     """Untruncated S(rho_AR), S(rho_R) in bits and the fidelity, at 50 digits.
 
@@ -507,3 +519,13 @@ def test_record_matches_high_precision_reference(r):
     assert abs(rec.fe_closed - fidelity) <= 1e-12
     assert abs(rec.fe_kraus - fidelity) <= 1e-12
     assert abs(rec.s_a - 1.0) <= 1e-8  # untruncated, Alice holds one bit
+
+
+@pytest.mark.parametrize("tol", [1e-3, 1e-6, 1e-10])
+@pytest.mark.parametrize("r", [0.1, 0.5, 1.5, 2.0, 3.0])
+def test_mutual_information_matches_high_precision_reference(r, tol):
+    # s_r and s_ar describe one state, so their truncation errors cancel in
+    # mutual_info = 1 + s_r - s_ar, which lands within tol of the untruncated I
+    s_joint, s_rob, _ = _mp_reference(r)
+    rec = measure_record(r, tol)
+    assert abs(rec.mutual_info - (1.0 + s_rob - s_joint)) <= tol
