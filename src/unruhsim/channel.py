@@ -22,6 +22,12 @@ float64 for large n and m at once, so the family is generated only on
 the Fock levels an input occupies, never stored.  Weight that the
 truncated bdag pushes past |n_max> is dropped, consistent with the tail
 accounting.
+
+The operator sum runs on the input's nonzero entries (see
+:mod:`unruhsim.fock`), with no loop over Kraus levels: each entry adds
+its terms for every n in one array expression, so applying the channel
+costs O(nnz N) time and memory, O(N) for the Bell input, and no dense
+matrix is formed unless a caller asks for ``.mat``.
 """
 
 from __future__ import annotations
@@ -42,6 +48,12 @@ from .fock import (
 )
 from .rindler import check_r, joint_layout
 
+# Most operator-sum terms apply_channel and trace_preservation_defect form
+# in one pass, about 2 MB per array: the Bell input's 4 (N + 1) terms take
+# one pass at any cutoff up to N = 65535, and a full-width input at N = 256
+# takes one pass per level.
+_TERMS_PER_PASS = 2**18
+
 
 def _alice_weight(r: float) -> np.ndarray:
     """(cosh r)^{N_A} on the qubit factor: diag(1, cosh r)."""
@@ -52,9 +64,9 @@ def kraus_operator(n: int, r: float, cfg: TruncationConfig) -> np.ndarray:
     """The n-th Kraus operator as a dense matrix on Alice x wedge I.
 
     Built from :func:`~unruhsim.fock.creation_matrix` by dense products, so
-    it is an independent reference for :meth:`KrausSet.window`.  The ladder
-    power is accumulated as in the module docstring.  Actions on the
-    initial subspace:
+    it is an independent reference for :meth:`KrausSet.sub_diagonals`.
+    The ladder power is accumulated as in the module docstring.  Actions
+    on the initial subspace:
         A_n |0,1> = (tanh^n r / cosh^2 r) sqrt(n+1) |0, n+1>
         A_n |1,0> = (tanh^n r / cosh r) |1, n>
     """
@@ -73,8 +85,9 @@ class KrausSet:
     """The family {A_n, n = 0..n_max} at fixed r and truncation.
 
     A_n maps |a, m> to |a, m+n> and nothing else, so it is described by its
-    one nonzero sub-diagonal, which :meth:`window` generates on the Fock
-    levels an input occupies; nothing is stored.  The index range is tied
+    one nonzero sub-diagonal.  :meth:`sub_diagonals` generates all of them
+    at once on the Fock levels an input occupies, and :meth:`window` yields
+    them per n as views of that table; nothing is stored.  The index range is tied
     to the Fock truncation so one knob governs both.  `fault`, set by
     :meth:`with_scalar_offset`, is (index, offset).  Dense matrices come
     from :func:`kraus_operator`.
@@ -103,31 +116,32 @@ class KrausSet:
             raise ConfigError(f"Kraus index {index} outside 0..{self.cfg.n_max}")
         return replace(self, fault=(index, offset))
 
-    def window(self, lo: int, hi: int) -> Iterator[tuple[int, np.ndarray]]:
-        """(n, d) for ascending n, with d[a, k] = <a, m+n| A_n |a, m>, m = lo + k.
+    def sub_diagonals(self, lo: int, hi: int) -> np.ndarray:
+        """The (count, 2, w) table d[n, a, k] = <a, m+n| A_n |a, m>, m = lo + k.
 
-        d covers the columns lo..top-1, top = min(hi + 1, n_max + 1 - n), and
-        n runs while top > lo.  The rows are slices of one (count, 2, w)
-        table, filled by the recurrence of the module docstring.  Each
-        column evolves on its own, so its entries are the same in every
-        window that holds it, and the columns m <= 1 of the initial
-        subspace stay finite at any cutoff.
+        Columns lo..min(hi, n_max), so w = min(hi, n_max) - lo + 1, and
+        n = 0..count-1 with count = n_max + 1 - lo.  Column k holds its
+        recurrence of the module docstring while m + n <= n_max and 0.0
+        past it.  Each column is run on its own, down n in float64 scalars
+        (which warn on overflow, as array operations do), so its entries
+        are the same in every table that holds it, and the columns m <= 1
+        of the initial subspace stay finite at any cutoff.
         """
         n_max = self.cfg.n_max
-        count = n_max + 1 - lo
-        width = min(hi + 1, n_max + 1) - lo
-        if count <= 0 or width <= 0:
-            return
+        count = max(n_max + 1 - lo, 0)
+        width = max(min(hi + 1, n_max + 1) - lo, 0)
         # column lo + k takes step[n - 1 + k] = tanh r sqrt(lo + k + n) at n
         roots = np.sqrt(np.arange(lo + 1, n_max + 1, dtype=np.float64))
-        step = math.tanh(self.r) * roots
+        step = list(math.tanh(self.r) * roots)
+        norm = list(np.sqrt(np.arange(1, count, dtype=np.float64)))
         ladders = np.zeros((count, width))
-        ladders[0] = 1.0
-        for n in range(1, count):
-            t = min(width, count - n)
-            row = ladders[n, :t]
-            np.multiply(step[n - 1 : n - 1 + t], ladders[n - 1, :t], out=row)
-            row /= math.sqrt(n)
+        for k in range(width):
+            x = 1.0
+            column = [x]
+            for n in range(1, count - k):
+                x = step[n - 1 + k] * x / norm[n - 1]
+                column.append(x)
+            ladders[: count - k, k] = column
         alice = np.diag(_alice_weight(self.r))[:, None]
         table = alice * ladders[:, None, :] * (1.0 / math.cosh(self.r) ** 2)
         if self.fault is not None and self.fault[0] < count:
@@ -137,35 +151,54 @@ class KrausSet:
             for n in range(1, index + 1):
                 power = roots[n - 1 : n - 1 + t] * power
             table[index, :, :t] += offset * (alice * power)
-        for n in range(count):
-            yield n, table[n, :, : min(width, count - n)]
+        return table
+
+    def window(self, lo: int, hi: int) -> Iterator[tuple[int, np.ndarray]]:
+        """(n, d) for ascending n, with d[a, k] = <a, m+n| A_n |a, m>, m = lo + k.
+
+        d covers the columns lo..top-1, top = min(hi + 1, n_max + 1 - n), and
+        n runs while top > lo.  Each d is a view of :meth:`sub_diagonals`.
+        """
+        table = self.sub_diagonals(lo, hi)
+        count, _, width = table.shape
+        if width:
+            for n in range(count):
+                yield n, table[n, :, : min(width, count - n)]
 
 
 def bell_state(cfg: TruncationConfig) -> StateVector:
     """The stationary shared state (|0,1> + |1,0>)/sqrt(2) on Alice x wedge I."""
-    layout = joint_layout(cfg)
-    amps = np.zeros(layout.dim)
-    amps[0 * cfg.dim + 1] = amps[1 * cfg.dim + 0] = 1.0 / math.sqrt(2.0)
-    return StateVector(layout, amps)
+    amp = 1.0 / math.sqrt(2.0)
+    index = [0 * cfg.dim + 1, 1 * cfg.dim + 0]
+    return StateVector.from_entries(joint_layout(cfg), index, [amp, amp])
 
 
 def bell_input_density(cfg: TruncationConfig) -> DensityMatrix:
-    """The projector onto :func:`bell_state`, as a dense density matrix."""
+    """The projector onto :func:`bell_state`: its four entries psi_i psi_j."""
     psi = bell_state(cfg)
-    return DensityMatrix(psi.layout, np.outer(psi.amps, psi.amps))
+    size = psi.index.size
+    return DensityMatrix.from_entries(
+        psi.layout,
+        np.repeat(psi.index, size),
+        np.tile(psi.index, size),
+        np.outer(psi.vals, psi.vals).ravel(),
+    )
 
 
 def apply_channel(rho: DensityMatrix, ks: KrausSet) -> DensityMatrix:
     """Operator-sum application sum_n A_n rho A_n^T, ascending n.
 
-    A_n moves the (a, m) row and column of rho to (a, m+n) and scales them
-    by its sub-diagonal, so each term is one broadcast product.  Only the
-    Fock window lo..hi of rho's support enters it: lo and hi are the first
-    and last level m whose row or column (a, m) is nonzero for either a.
-    Every product skipped outside that window is an exact 0.0 (for finite
-    entries), so the result is bit for bit the full-width sum.  With
-    w = hi - lo + 1 the cost is O(N w^2) time and O(N^2) memory: O(N) work
-    for the Bell input (w = 2), O(N^3) for a full-width rho.  For inputs
+    A_n moves the (a, m; b, k) entry of rho along its diagonal
+    (a, b, m - k) to (a, m+n; b, k+n) and scales it by its sub-diagonal,
+    so each input entry adds (d_n[a, m] rho) d_n[b, k] for every n with
+    both levels within the cutoff, in one array expression per pass.
+    Terms that land on one output entry come from one diagonal and are
+    added in ascending n, as the dense sum adds them, so the result is bit
+    for bit the full-width dense sum: every product that sum adds besides
+    these is an exact 0.0 (for finite entries).  The sub-diagonals are
+    generated only on the Fock levels lo..hi of rho's entries.  The cost
+    is O(nnz N) time, O(N) for the Bell input, in passes of at most
+    _TERMS_PER_PASS terms, so memory stays O(nnz + output).  For inputs
     supported on span{|0,1>, |1,0>} the output trace equals the input
     trace minus the geometric truncation tail.
     """
@@ -174,19 +207,31 @@ def apply_channel(rho: DensityMatrix, ks: KrausSet) -> DensityMatrix:
             f"density matrix layout {rho.layout} does not match channel "
             f"layout {ks.layout}"
         )
-    dim = ks.cfg.dim
-    rho4 = rho.mat.reshape(2, dim, 2, dim)
-    out = np.zeros_like(rho4)
-    nonzero = rho4 != 0.0
-    live = np.flatnonzero(nonzero.any(axis=(0, 2, 3)) | nonzero.any(axis=(0, 1, 2)))
-    if live.size:
-        lo = int(live[0])
-        for n, d in ks.window(lo, int(live[-1])):
-            top = lo + d.shape[1]
-            out[:, lo + n : top + n, :, lo + n : top + n] += (
-                d[:, :, None, None] * rho4[:, lo:top, :, lo:top] * d[None, None]
-            )
-    return DensityMatrix(rho.layout, out.reshape(rho.mat.shape))
+    if not rho.vals.size:
+        return rho  # the zero matrix maps to itself
+    dim, n_max = ks.cfg.dim, ks.cfg.n_max
+    a, m = np.divmod(rho.rows, dim)  # (Alice, Fock level) of each row
+    b, k = np.divmod(rho.cols, dim)
+    lo = int(min(m.min(), k.min()))
+    table = ks.sub_diagonals(lo, int(max(m.max(), k.max())))
+    # one accumulator slot per (diagonal, output row level)
+    diagonals, diagonal = np.unique(
+        (2 * a + b) * (2 * dim) + (m - k + n_max), return_inverse=True
+    )
+    acc = np.zeros(diagonals.size * dim)
+    step = max(1, _TERMS_PER_PASS // rho.vals.size)
+    for start in range(0, table.shape[0], step):
+        n = np.arange(start, min(start + step, table.shape[0]))[:, None]
+        live = (m + n <= n_max) & (k + n <= n_max)
+        terms = table[n, a, m - lo] * rho.vals * table[n, b, k - lo]
+        # n-major and unbuffered: each slot adds its terms in ascending n
+        np.add.at(acc, (diagonal * dim + m + n)[live], terms[live])
+    slot = np.flatnonzero(acc)
+    level = slot % dim
+    ab, shift = np.divmod(diagonals[slot // dim], 2 * dim)
+    rows = ab // 2 * dim + level
+    cols = ab % 2 * dim + level - (shift - n_max)
+    return DensityMatrix.from_entries(rho.layout, rows, cols, acc[slot])
 
 
 def trace_preservation_defect(ks: KrausSet, probe: StateVector) -> float:
@@ -198,9 +243,13 @@ def trace_preservation_defect(ks: KrausSet, probe: StateVector) -> float:
     on the initial subspace: |1,1> for instance yields sum = cosh^2 r, i.e.
     a defect of sinh^2 r (up to tail).
 
-    As in :func:`apply_channel`, each term is generated on the Fock window
-    lo..hi of the probe's support only, so the cost is O(N w) and entries
-    far from it, which exceed float64 at large n_max and r, are never formed.
+    A_n maps distinct basis states to distinct ones, so each amplitude
+    psi at (a, m) adds (d_n[a, m] psi)^2 for every n with m + n <= n_max,
+    in passes of at most _TERMS_PER_PASS terms: one pass for a probe with
+    a few entries.  As in :func:`apply_channel` the sub-diagonals are
+    generated on the probe's levels only, so the cost is O(nnz N) and
+    entries far from them, which exceed float64 at large n_max and r, are
+    never formed.
     """
     if probe.layout != ks.layout:
         raise LayoutMismatchError(
@@ -208,11 +257,13 @@ def trace_preservation_defect(ks: KrausSet, probe: StateVector) -> float:
         )
     if not abs(probe.norm_sq - 1.0) <= 1e-8:  # a NaN norm fails too
         raise ConfigError(f"probe must be normalized, norm^2 = {probe.norm_sq}")
-    amps = probe.amps.reshape(2, ks.cfg.dim)
-    live = np.flatnonzero((amps != 0.0).any(axis=0))
-    lo = int(live[0])
+    a, m = np.divmod(probe.index, ks.cfg.dim)
+    lo = int(m.min())
+    table = ks.sub_diagonals(lo, int(m.max()))
     total = 0.0
-    for _, d in ks.window(lo, int(live[-1])):
-        image = d * amps[:, lo : lo + d.shape[1]]
-        total += float(np.vdot(image, image))
+    step = max(1, _TERMS_PER_PASS // probe.vals.size)
+    for start in range(0, table.shape[0], step):
+        n = np.arange(start, min(start + step, table.shape[0]))[:, None]
+        image = np.where(m + n <= ks.cfg.n_max, table[n, a, m - lo] * probe.vals, 0.0)
+        total += float((image * image).sum())
     return abs(total - 1.0)

@@ -1,4 +1,4 @@
-"""Truncated Fock-space linear algebra.
+"""Truncated Fock-space linear algebra, stored as nonzero entries.
 
 Everything downstream works in a finite-dimensional slice of the bosonic
 Fock space: each mode keeps occupations 0..n_max, so one mode lives in
@@ -12,12 +12,20 @@ hidden: a state whose squared norm falls short of 1 reports the deficit
 instead of renormalizing, and :func:`truncation_tail_bound` bounds those
 deficits in closed form, for one (r, cutoff) pair or for arrays of them.
 
+A state or density matrix is stored as its nonzero entries only: flat
+indices over the layout, ascending, and their values.  Every state of this
+problem has O(N) of them, so storage is O(nnz), a partial trace or a
+reduction pairs the entries that share a traced index, and the symmetry
+check looks up each entry's mirror in O(nnz log nnz).  Dense input is
+converted to entries once, and a dense array (``.mat``, ``.amps``,
+``reshaped()``) is formed only when a caller asks for one.
+
 The spectra here are the oracle's.  :func:`sym_eigenvalues` splits a matrix
 into the connected blocks of its exact nonzero pattern and eigensolves each
 block, so the 2 x 2 blocks of rho_AR and the diagonal reductions of Rob and
 wedge II cost O(N) solves instead of one O(N^3) solve.  The split is read
-off the matrix alone, never assumed from the physics: an off-block entry of
-any size joins its blocks.
+off the entries alone, never assumed from the physics: an off-block entry
+of any size joins its blocks.
 """
 
 from __future__ import annotations
@@ -35,8 +43,9 @@ from .errors import (
     PositivityError,
 )
 
-# The one rounding slack of the dense checks: symmetry in DensityMatrix and
-# sym_eigenvalues, the [-SYMMETRY_TOL, 0) clamp, and assert_psd's positivity.
+# The one rounding slack of the symmetric checks: symmetry in DensityMatrix
+# and sym_eigenvalues, the [-SYMMETRY_TOL, 0) clamp, and assert_psd's
+# positivity.
 SYMMETRY_TOL = 1e-10
 
 
@@ -116,85 +125,193 @@ class FactorLayout:
         )
 
 
-def _frozen_array(data, shape=None) -> np.ndarray:
-    arr = np.asarray(data, dtype=np.float64)
-    if shape is not None and arr.shape != shape:
-        raise LayoutMismatchError(f"array shape {arr.shape} != layout shape {shape}")
-    arr.setflags(write=False)
-    return arr
+def _entries(key, vals, size: int) -> tuple[np.ndarray, np.ndarray]:
+    """Flat keys in [0, size) and their values: sorted, summed, zeros dropped.
+
+    Values listed at one key are added in the order listed, starting from
+    0.0, so a caller fixes the rounding of a sum by the order of its
+    terms; a key listed once keeps its value.  Exact zeros are dropped, so
+    the stored entries are exactly the nonzero pattern; NaN is kept.  A
+    key out of range is refused.  The arrays returned are read-only.
+    """
+    key = np.asarray(key, dtype=np.int64).ravel()
+    vals = np.asarray(vals, dtype=np.float64).ravel()
+    if key.shape != vals.shape:
+        raise LayoutMismatchError(f"{key.size} indices for {vals.size} values")
+    if key.size and not (0 <= key.min() and key.max() < size):
+        raise LayoutMismatchError(f"entry index outside 0..{size - 1}")
+    key, where = np.unique(key, return_inverse=True)
+    vals = np.bincount(where, weights=vals, minlength=key.size)
+    nonzero = vals != 0.0
+    key, vals = key[nonzero], vals[nonzero]
+    key.setflags(write=False)
+    vals.setflags(write=False)
+    return key, vals
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False, eq=False)
 class StateVector:
     """Real amplitudes over a labeled tensor-product basis.
 
-    The constructor takes ownership of `amps` and marks it read-only.  The
-    squared norm may fall below 1 by the truncation tail; the deficit is
-    ``1 - norm_sq``, never repaired by renormalization.
+    Stored as entries: `index` holds the flat basis indices of the nonzero
+    amplitudes, ascending, and `vals` the amplitudes.  The constructor
+    takes a dense amplitude vector and keeps its nonzeros;
+    :meth:`from_entries` takes the entries.  The squared norm may fall below
+    1 by the truncation tail; the deficit is ``1 - norm_sq``, never repaired
+    by renormalization.
     """
 
     layout: FactorLayout
-    amps: np.ndarray
+    index: np.ndarray
+    vals: np.ndarray
 
-    def __post_init__(self) -> None:
-        amps = _frozen_array(self.amps)
-        if amps.ndim != 1 or amps.size != self.layout.dim:
+    def __init__(self, layout: FactorLayout, amps) -> None:
+        amps = np.asarray(amps, dtype=np.float64)
+        if amps.ndim != 1 or amps.size != layout.dim:
             raise LayoutMismatchError(
                 f"amplitude vector of size {amps.size} does not fit layout "
-                f"dimension {self.layout.dim}"
+                f"dimension {layout.dim}"
             )
-        object.__setattr__(self, "amps", amps)
-        norm_sq = float(amps @ amps)
+        index = np.flatnonzero(amps)
+        self._set(layout, index, amps[index])
+
+    @classmethod
+    def from_entries(cls, layout: FactorLayout, index, vals) -> "StateVector":
+        """The state with amplitude vals[k] at flat basis index index[k].
+
+        Amplitudes listed at one index are added in the order listed.
+        """
+        psi = object.__new__(cls)
+        psi._set(layout, index, vals)
+        return psi
+
+    def _set(self, layout: FactorLayout, index, vals) -> None:
+        index, vals = _entries(index, vals, layout.dim)
+        object.__setattr__(self, "layout", layout)
+        object.__setattr__(self, "index", index)
+        object.__setattr__(self, "vals", vals)
+        norm_sq = self.norm_sq
         if not norm_sq <= 1.0 + 1e-8:  # a NaN norm fails too
             raise ConfigError(f"state norm^2 = {norm_sq} is not at most 1")
 
     @property
     def norm_sq(self) -> float:
-        return float(self.amps @ self.amps)
+        return float(self.vals @ self.vals)
+
+    @property
+    def amps(self) -> np.ndarray:
+        """The dense amplitude vector, built on each access."""
+        amps = np.zeros(self.layout.dim)
+        amps[self.index] = self.vals
+        return amps
 
     def reshaped(self) -> np.ndarray:
-        """Amplitudes as an ndarray with one axis per factor."""
+        """Dense amplitudes with one axis per factor, built on each call."""
         return self.amps.reshape(self.layout.dims)
 
     def reduced_density(self, keep: Iterable[str]) -> "DensityMatrix":
         """Reduced density matrix of the factors in `keep`.
 
-        Equals ``partial_trace(|psi><psi|, keep)`` but never materializes the
-        projector: with the kept axes moved in front, rho = M M^T where M is
-        the (kept, traced) amplitude matrix.
+        Equals ``partial_trace(|psi><psi|, keep)`` but never forms the
+        projector: the amplitudes are grouped by their traced multi-index,
+        and each group adds psi_i psi_j at every pair (i, j) of its kept
+        indices.
         """
         sub = self.layout.subset(keep)
-        axes_keep = [self.layout.axis(lab) for lab in sub.labels]
-        axes_rest = [k for k in range(len(self.layout.dims)) if k not in axes_keep]
-        m = np.transpose(self.reshaped(), axes_keep + axes_rest).reshape(sub.dim, -1)
-        return DensityMatrix(sub, m @ m.T)
+        dims = self.layout.dims
+        kept = [self.layout.axis(lab) for lab in sub.labels]
+        rest = [k for k in range(len(dims)) if k not in kept]
+        coords = np.unravel_index(self.index, dims)
+        k = np.ravel_multi_index([coords[a] for a in kept], sub.dims)
+        t = np.zeros_like(k)
+        if rest:
+            t = np.ravel_multi_index([coords[a] for a in rest], [dims[a] for a in rest])
+        order = np.argsort(t, kind="stable")
+        t, k, v = t[order], k[order], self.vals[order]
+        # every ordered pair (left, right) of entries in one traced group
+        first = np.flatnonzero(np.concatenate(([True], t[1:] != t[:-1])))
+        size = np.diff(np.append(first, t.size))
+        group = np.repeat(size, size)  # the group size of each entry
+        left = np.repeat(np.arange(t.size), group)
+        offset = np.arange(left.size) - np.repeat(np.cumsum(group) - group, group)
+        right = np.repeat(np.repeat(first, size), group) + offset
+        return DensityMatrix.from_entries(sub, k[left], k[right], v[left] * v[right])
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False, eq=False)
 class DensityMatrix:
     """Real symmetric PSD matrix with factor metadata for partial tracing.
 
-    Symmetry is enforced at construction (within :data:`SYMMETRY_TOL`);
-    positivity is checked on demand by :meth:`assert_psd` because it costs an
-    eigensolve.  The trace may fall short of 1 by the truncation tail.
+    Stored as entries: (`rows[k]`, `cols[k]`) is the flat position of the
+    nonzero value `vals[k]`, in ascending row-major order.  The constructor
+    takes a dense matrix and keeps its nonzeros; :meth:`from_entries` takes
+    the entries.  Symmetry is enforced at construction (within
+    :data:`SYMMETRY_TOL`); positivity is checked on demand by
+    :meth:`assert_psd` because it costs an eigensolve.  The trace may fall
+    short of 1 by the truncation tail.
     """
 
     layout: FactorLayout
-    mat: np.ndarray
+    rows: np.ndarray
+    cols: np.ndarray
+    vals: np.ndarray
 
-    def __post_init__(self) -> None:
+    def __init__(self, layout: FactorLayout, mat) -> None:
+        d = layout.dim
+        mat = np.asarray(mat, dtype=np.float64)
+        if mat.shape != (d, d):
+            raise LayoutMismatchError(f"array shape {mat.shape} != layout shape {(d, d)}")
+        rows, cols = np.nonzero(mat)
+        self._set(layout, rows * d + cols, mat[rows, cols])
+
+    @classmethod
+    def from_entries(cls, layout: FactorLayout, rows, cols, vals) -> "DensityMatrix":
+        """The matrix with value vals[k] at (rows[k], cols[k]) and 0 elsewhere.
+
+        Values listed at one position are added in the order listed,
+        starting from 0.0, so a caller fixes the rounding of a sum by the
+        order of its terms.
+        """
+        d = layout.dim
+        rows = np.asarray(rows, dtype=np.int64)
+        cols = np.asarray(cols, dtype=np.int64)
+        if np.any((rows < 0) | (rows >= d) | (cols < 0) | (cols >= d)):
+            raise LayoutMismatchError(f"entry index outside 0..{d - 1}")
+        rho = object.__new__(cls)
+        rho._set(layout, rows * d + cols, vals)
+        return rho
+
+    def _set(self, layout: FactorLayout, key, vals) -> None:
+        d = layout.dim
+        key, vals = _entries(key, vals, d * d)
+        rows, cols = np.divmod(key, d)
+        _check_symmetric(d, rows, cols, vals)
+        rows.setflags(write=False)
+        cols.setflags(write=False)
+        object.__setattr__(self, "layout", layout)
+        object.__setattr__(self, "rows", rows)
+        object.__setattr__(self, "cols", cols)
+        object.__setattr__(self, "vals", vals)
+
+    @property
+    def shape(self) -> tuple[int, int]:
         d = self.layout.dim
-        mat = _frozen_array(self.mat, shape=(d, d))
-        _check_symmetric(mat)
-        object.__setattr__(self, "mat", mat)
+        return (d, d)
+
+    @property
+    def mat(self) -> np.ndarray:
+        """The dense matrix, built on each access."""
+        mat = np.zeros(self.shape)
+        mat[self.rows, self.cols] = self.vals
+        return mat
 
     @property
     def trace(self) -> float:
-        return float(np.trace(self.mat))
+        return float(self.vals[self.rows == self.cols].sum())
 
     def assert_psd(self) -> np.ndarray:
         """Eigenvalues if PSD within the clamp window, else PositivityError."""
-        ev = sym_eigenvalues(self.mat)
+        ev = sym_eigenvalues(self)
         if ev.size and ev[-1] < -SYMMETRY_TOL:
             raise PositivityError(f"eigenvalue {ev[-1]:.3e} below -{SYMMETRY_TOL}")
         return ev
@@ -219,61 +336,65 @@ def creation_matrix(cfg: TruncationConfig) -> np.ndarray:
 def partial_trace(rho: DensityMatrix, keep: Iterable[str]) -> DensityMatrix:
     """Trace out every factor not named in `keep`.
 
-    The trace is preserved exactly (up to float summation reordering) and the
-    result is symmetric because the input is.  Keeping every label returns
-    the input unchanged.
+    Pairs the entries whose row and column share every traced index and
+    sums them, in entry order, at their kept indices.  The trace is
+    preserved exactly (up to float summation reordering).  Keeping every
+    label returns the input unchanged.
     """
     sub = rho.layout.subset(keep)
     if sub.labels == rho.layout.labels:
         return rho
     dims = rho.layout.dims
-    nfac = len(dims)
-    t = rho.mat.reshape(dims + dims)
-    keep_axes = [rho.layout.axis(lab) for lab in sub.labels]
-    # einsum subscripts: traced factors share a symbol between row and column
-    # sides, kept factors get independent row/column symbols.
-    row = list(range(nfac))
-    col = [k if k not in keep_axes else nfac + k for k in range(nfac)]
-    out = [k for k in keep_axes] + [nfac + k for k in keep_axes]
-    reduced = np.einsum(t, row + col, out)
-    return DensityMatrix(sub, reduced.reshape(sub.dim, sub.dim))
+    kept = [rho.layout.axis(lab) for lab in sub.labels]
+    row = np.unravel_index(rho.rows, dims)
+    col = np.unravel_index(rho.cols, dims)
+    same = np.ones(rho.vals.size, dtype=bool)
+    for k in range(len(dims)):
+        if k not in kept:
+            same &= row[k] == col[k]
+    return DensityMatrix.from_entries(
+        sub,
+        np.ravel_multi_index([row[k][same] for k in kept], sub.dims),
+        np.ravel_multi_index([col[k][same] for k in kept], sub.dims),
+        rho.vals[same],
+    )
 
 
-def _check_symmetric(a: np.ndarray) -> None:
-    """NotSymmetricError unless `a` is finite and symmetric within SYMMETRY_TOL.
+def _check_symmetric(d: int, rows, cols, vals) -> None:
+    """NotSymmetricError unless the entries are finite and symmetric within SYMMETRY_TOL.
 
-    An exactly symmetric finite matrix passes without forming the skew.
-    Otherwise the skew max|a - a^T| decides; a NaN or inf entry, on the
-    diagonal too, makes it NaN or inf and fails.
+    The entries of a d x d matrix, in ascending row-major order.  Each
+    entry's mirror (cols, rows) is looked up by binary search, 0.0 where it
+    is not listed, and the skew max|a - a^T| decides; a NaN or inf entry,
+    on the diagonal too, makes it NaN or inf and fails.
     """
-    if np.array_equal(a, a.T) and np.isfinite(a).all():
+    if not vals.size:
         return
-    skew = float(np.abs(a - a.T).max())  # an empty matrix has returned above
+    key = rows * d + cols
+    mirror = cols * d + rows
+    at = np.minimum(np.searchsorted(key, mirror), key.size - 1)
+    mirror_vals = np.where(key[at] == mirror, vals[at], 0.0)
+    with np.errstate(invalid="ignore"):  # inf - inf is NaN, and refused below
+        skew = float(np.abs(vals - mirror_vals).max())
     if not skew <= SYMMETRY_TOL:  # a NaN skew fails too
         raise NotSymmetricError(f"matrix asymmetry {skew:.3e} > {SYMMETRY_TOL}")
 
 
-def _components(a: np.ndarray) -> np.ndarray:
-    """Label each index with the smallest index of its connected component.
+def _components(d: int, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """Label each of d indices with the smallest index of its connected component.
 
-    The graph joins i and j wherever a[i, j] != 0 or a[j, i] != 0: the exact
-    pattern, with no threshold.  Every label points at a smaller or equal
-    index, so the labels form a forest whose roots are the labels of the
-    components.  The first nonzero of each row seeds it; then each round
-    hooks the root at one end of every edge that still joins two trees onto
-    the smaller root and flattens the forest by pointer jumping.  Hooking
-    roots onto roots at least halves the trees of a component every two
-    rounds, so a long chain costs O(log N) rounds, not O(N).
+    The graph joins i and j wherever an entry sits at (i, j) or (j, i): the
+    exact pattern, with no threshold.  Every label points at a smaller or
+    equal index, so the labels form a forest whose roots are the labels of
+    the components.  Each round hooks the root at one end of every edge
+    that still joins two trees onto the smaller root and flattens the
+    forest by pointer jumping.  Hooking roots onto roots at least halves
+    the trees of a component every two rounds, so a long chain costs
+    O(log N) rounds, not O(N).
     """
-    d = a.shape[0]
-    nz = a != 0
-    index = np.arange(d)
-    first = nz.argmax(axis=1)
-    label = np.where(nz[index, first], np.minimum(first, index), index)
-    label = _flatten(label)
-    # Only edges that cross trees after the seeding are listed; an edge
-    # that stops crossing never crosses again.
-    u, v = np.divmod(np.flatnonzero(nz & (label[:, None] != label)), d)
+    label = np.arange(d)
+    off = rows != cols
+    u, v = rows[off], cols[off]  # an edge that stops crossing never crosses again
     while u.size:
         lu, lv = label[u], label[v]
         np.minimum.at(label, np.maximum(lu, lv), np.minimum(lu, lv))
@@ -292,33 +413,49 @@ def _flatten(label: np.ndarray) -> np.ndarray:
         label = up
 
 
-def sym_eigenvalues(mat: np.ndarray) -> np.ndarray:
+def sym_eigenvalues(mat) -> np.ndarray:
     """Eigenvalues of a real symmetric matrix, sorted descending.
 
-    The matrix is split into the connected components of its nonzero
-    pattern (see :func:`_components`); each component's block, with its
-    indices in ascending order, is symmetrized and solved by LAPACK
-    (``np.linalg.eigvalsh``), batched over the blocks of one size.  A
-    matrix with one component is one block, the input itself, so its
-    spectrum is bit for bit ``eigvalsh(0.5 * (a + a.T))``.  Input that is
-    not finite, or asymmetric beyond :data:`SYMMETRY_TOL`, is rejected.
-    Eigenvalues inside the rounding window [-SYMMETRY_TOL, 0) are clamped
-    to 0; genuinely negative eigenvalues pass through untouched, so
-    positivity enforcement stays with the callers that require it.
+    `mat` is a :class:`DensityMatrix`, whose symmetry was checked when it
+    was built, or a dense square array, converted to entries once and
+    checked here.  The matrix is split into the connected components of
+    its nonzero pattern (see :func:`_components`); each component's block,
+    with its indices in ascending order, is filled from its entries,
+    symmetrized and solved by LAPACK (``np.linalg.eigvalsh``), batched over
+    the blocks of one size.  A matrix with one component is one block, the
+    input itself, so its spectrum is bit for bit
+    ``eigvalsh(0.5 * (a + a.T))``.  Input that is not finite, or asymmetric
+    beyond :data:`SYMMETRY_TOL`, is rejected.  Eigenvalues inside the
+    rounding window [-SYMMETRY_TOL, 0) are clamped to 0; genuinely negative
+    eigenvalues pass through untouched, so positivity enforcement stays
+    with the callers that require it.
     """
-    a = np.asarray(mat, dtype=np.float64)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise NotSymmetricError(f"expected a square matrix, got shape {a.shape}")
-    _check_symmetric(a)
-    if not a.size:
+    if isinstance(mat, DensityMatrix):
+        d, rows, cols, vals = mat.shape[0], mat.rows, mat.cols, mat.vals
+    else:
+        a = np.asarray(mat, dtype=np.float64)
+        if a.ndim != 2 or a.shape[0] != a.shape[1]:
+            raise NotSymmetricError(f"expected a square matrix, got shape {a.shape}")
+        d = a.shape[0]
+        rows, cols = np.nonzero(a)
+        vals = a[rows, cols]
+        _check_symmetric(d, rows, cols, vals)
+    if not d:
         return np.empty(0)
-    label = _components(a)
+    label = _components(d, rows, cols)
     order = np.argsort(label, kind="stable")
     _, start, size = np.unique(label[order], return_index=True, return_counts=True)
+    comp = np.empty(d, dtype=np.intp)  # component of each index, by ascending label
+    comp[order] = np.repeat(np.arange(size.size), size)
+    pos = np.empty(d, dtype=np.intp)  # place of each index within its block
+    pos[order] = np.arange(d) - np.repeat(start, size)
+    entry_size = size[comp[rows]]
     parts = []
     for s in np.unique(size):
-        idx = order[start[size == s, None] + np.arange(s)]
-        blocks = a[idx[:, :, None], idx[:, None, :]]
+        slot = np.cumsum(size == s) - 1  # rank of each component among size s
+        sel = entry_size == s
+        blocks = np.zeros((slot[-1] + 1, s, s))
+        blocks[slot[comp[rows[sel]]], pos[rows[sel]], pos[cols[sel]]] = vals[sel]
         parts.append(np.linalg.eigvalsh(0.5 * (blocks + blocks.swapaxes(1, 2))).ravel())
     ev = np.sort(np.concatenate(parts))[::-1].copy()
     ev[(ev >= -SYMMETRY_TOL) & (ev < 0.0)] = 0.0

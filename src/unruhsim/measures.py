@@ -5,15 +5,17 @@ Entropies are in bits (log base 2) throughout.  A sweep record
 costs O(N) per point: two series passes over the block weights a_n, the
 joint spectrum lambda_n = a_n (1 + (n+1)/cosh^2 r) for S(rho_AR) and Rob's
 occupations p_n = a_n + n a_{n-1}/cosh^2 r (a_n (1 + n/sinh^2 r) without
-its 0/0 at r = 0) for S(rho_R).  One block evaluator takes every such sum:
-the per-row series are its one-row case at a fixed cutoff, and
-:func:`entropy_from_probabilities` its sum on one row.  The rest is closed
-forms.  Alice's reduction is diag(||d||^2/2, ||c||^2/2), and the
+its 0/0 at r = 0) for S(rho_R).  One series pass takes every such sum
+(:func:`_series_entropies`): a record adds closed forms to it, the
+per-row series are its one-row case at a fixed cutoff, and
+:func:`entropy_from_probabilities` is its per-row sum on one row.  Alice's reduction is diag(||d||^2/2, ||c||^2/2), and the
 norms of the mode weights c_n and d_n are 1 - tail_c and 1 - tail_d.  Every
 field describes the tripartite state cut at N = n_used, whose last block
 keeps only |1, N> (so lambda_N is a_N); that state is pure, so the entropy
-exchange s_e is s_ar.  The independent routes are the dense eigensolves
-kept here as the oracle that tests and `verify` hold the records against:
+exchange s_e is s_ar.  The independent routes are the blockwise
+eigensolves of the entry-list states (see :mod:`unruhsim.fock`), kept
+here as the oracle that tests and `verify` hold the records against, at
+any cutoff up to the production one:
 the spectra of rho_AR, of Rob's reduction, and of the tripartite state's
 Alice and wedge-II (:func:`entropy_exchange`) reductions; and, for the
 fidelity, the operator-sum trace sum_n (Tr rho A_n)^2, where every n >= 1
@@ -95,18 +97,17 @@ def input_overlap_traces(r: float, cfg: TruncationConfig) -> np.ndarray:
 
     rho_in = |psi><psi| for the Bell amplitudes psi, so Tr(rho_in A_n) =
     sum_{a,m} psi[a, m] psi[a, m+n] <a,m+n|A_n|a,m>.  psi is supported on
-    levels 0 and 1, so only the window (0, 1) enters, and the cost is O(N).
+    levels 0 and 1, so only the sub-diagonals on columns 0 and 1 enter,
+    for every n at once, and the cost is O(N).
     Only n = 0 survives: the input's entries n >= 1 levels apart within an
     Alice block are zero and the trace comes out exactly 0.0, not merely
     small.  The n = 0 value is (1/2) sech r (1 + sech r).
     """
     psi = bell_state(cfg).reshaped()
-    traces = []
-    for n, d in KrausSet.build(r, cfg).window(0, 1):
-        width = d.shape[1]
-        pairs = psi[:, :width] * psi[:, n : n + width]
-        traces.append(float((pairs * d).sum()))
-    return np.array(traces)
+    table = KrausSet.build(r, cfg).sub_diagonals(0, 1)  # d[n, a, m], m = 0, 1
+    ahead = np.append(psi, np.zeros((2, 1)), axis=1)  # 0.0 past the cutoff
+    partner = ahead[:, np.arange(cfg.dim)[:, None] + np.arange(2)]  # psi[a, m + n]
+    return (psi[:, None, :2] * partner * table.transpose(1, 0, 2)).sum(axis=(0, 2))
 
 
 def entanglement_fidelity_kraus(r: float, cfg: TruncationConfig) -> float:
@@ -122,21 +123,21 @@ def entanglement_fidelity_kraus(r: float, cfg: TruncationConfig) -> float:
 def joint_entropy_series(r: float, cfg: TruncationConfig) -> float:
     """S(rho_AR) in bits: the entropy of rho_alice_rob(r, cfg), as a series.
 
-    The s_ar of :func:`_block_records` on this one row, so it is bitwise a
-    sweep row's s_ar at the same cutoff.
+    The s_ar of :func:`_series_entropies` on this one row, so it is bitwise
+    a sweep row's s_ar at the same cutoff.
     """
     check_r(r)
-    return _block_records([r], [cfg.n_max])[0].s_ar
+    return _series_entropies([r], [cfg.n_max])[0][0]
 
 
 def rob_entropy_series(r: float, cfg: TruncationConfig) -> float:
     """S(rho_R) in bits: Rob's occupation series of rho_alice_rob(r, cfg).
 
-    The s_r of :func:`_block_records` on this one row, so it is bitwise a
-    sweep row's s_r at the same cutoff.
+    The s_r of :func:`_series_entropies` on this one row, so it is bitwise
+    a sweep row's s_r at the same cutoff.
     """
     check_r(r)
-    return _block_records([r], [cfg.n_max])[0].s_r
+    return _series_entropies([r], [cfg.n_max])[1][0]
 
 
 def wedge_ii_probabilities(psi) -> np.ndarray:
@@ -145,17 +146,20 @@ def wedge_ii_probabilities(psi) -> np.ndarray:
     The wedge-II reduction is exactly diagonal in the Fock basis: both
     branches of the state tie the wedge-II occupation to the wedge-I one,
     so distinct wedge-II occupations never share an (Alice, wedge-I) index.
-    Its spectrum is therefore this marginal, (c_k^2 + d_k^2)/2.
+    Its spectrum is therefore this marginal, (c_k^2 + d_k^2)/2, summed
+    from psi's entries.
     """
-    return np.ascontiguousarray((psi.reshaped() ** 2).sum(axis=(0, 1)))
+    axis = psi.layout.axis(WEDGE_II)
+    level = np.unravel_index(psi.index, psi.layout.dims)[axis]
+    return np.bincount(level, weights=psi.vals**2, minlength=psi.layout.dims[axis])
 
 
 def entropy_exchange(r: float, cfg: TruncationConfig) -> float:
     """Entropy acquired by the unobservable wedge, spectrally.
 
     S of the wedge-II reduction of the pure tripartite state; by purity it
-    equals S(rho_AR).  This route eigensolves the dense reduction and is
-    meant for moderate truncations.
+    equals S(rho_AR).  This route eigensolves the reduction, built from
+    the state's O(N) entries, so it runs at the production cutoff too.
     """
     psi = tripartite_state(r, cfg)
     rho_env = psi.reduced_density((WEDGE_II,))
@@ -255,15 +259,17 @@ def _cutoffs(rs: list[float], abs_tol: float) -> list[int]:
     return lo.tolist()
 
 
-def _block_records(rs: list[float], n_used: list[int]) -> list[MeasureRecord]:
-    """Records for consecutive rows whose levels 0..n_used share one array.
+def _series_entropies(
+    rs: list[float], n_used: list[int]
+) -> tuple[list[float], list[float]]:
+    """(s_ar, s_r) of consecutive rows whose levels 0..n_used share one array.
 
-    Every row's values are a contiguous slice and each sum is taken over
-    its own slice, so a row's bits do not depend on the rows packed with it.
+    The one series pass: the joint spectrum lambda_n and Rob's occupations
+    p_n of every row, each summed over its own contiguous slice, so a row's
+    bits do not depend on the rows packed with it.
     """
-    ch = [math.cosh(r) for r in rs]
+    ch2 = [math.cosh(r) ** 2 for r in rs]
     q = [math.tanh(r) ** 2 for r in rs]
-    ch2 = [x**2 for x in ch]
     counts = np.array(n_used) + 1
     ends = np.cumsum(counts)
     starts = ends - counts
@@ -275,10 +281,15 @@ def _block_records(rs: list[float], n_used: list[int]) -> list[MeasureRecord]:
     a = np.array(q)[row] ** n / (2.0 * np.array(ch2))[row]
     lam = a * (1.0 + (n + 1.0) / ch2_n)
     lam[ends - 1] = a[ends - 1]  # the state cut at N keeps only |1, N> of block N
-    s_ar = _row_entropies(lam, edges)
     a_prev = np.concatenate(([0.0], a[:-1]))  # n * a_prev is 0 at n = 0
-    s_r = _row_entropies(a + n * a_prev / ch2_n, edges)
+    return _row_entropies(lam, edges), _row_entropies(a + n * a_prev / ch2_n, edges)
 
+
+def _block_records(rs: list[float], n_used: list[int]) -> list[MeasureRecord]:
+    """Records for consecutive rows: :func:`_series_entropies` plus closed forms."""
+    s_ar, s_r = _series_entropies(rs, n_used)
+    ch = [math.cosh(r) for r in rs]
+    ch2 = [x**2 for x in ch]
     records = []
     for k, (r, n_k) in enumerate(zip(rs, n_used)):
         trace_0 = 0.5 * (1.0 + ch[k]) / ch2[k]

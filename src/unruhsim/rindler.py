@@ -96,13 +96,14 @@ def tripartite_state(r: float, cfg: TruncationConfig) -> StateVector:
     layout = tripartite_layout(cfg)
     c, _ = vacuum_mode_weights(r, cfg)
     d, _ = one_particle_mode_weights(r, cfg)
-    amps = np.zeros((2, cfg.dim, cfg.dim))
     inv_sqrt2 = 1.0 / math.sqrt(2.0)
-    n_one = np.arange(cfg.n_max)
-    amps[0, n_one + 1, n_one] = d * inv_sqrt2
-    n_vac = np.arange(cfg.n_max + 1)
-    amps[1, n_vac, n_vac] = c * inv_sqrt2
-    return StateVector(layout, amps.reshape(-1))
+    dim = cfg.dim
+    n_one = np.arange(cfg.n_max)  # (0, n+1, n)
+    n_vac = np.arange(cfg.n_max + 1)  # (1, n, n)
+    index = np.concatenate(((n_one + 1) * dim + n_one, dim * dim + n_vac * (dim + 1)))
+    return StateVector.from_entries(
+        layout, index, np.concatenate((d * inv_sqrt2, c * inv_sqrt2))
+    )
 
 
 def rho_alice_rob(r: float, cfg: TruncationConfig) -> DensityMatrix:
@@ -120,18 +121,16 @@ def rho_alice_rob(r: float, cfg: TruncationConfig) -> DensityMatrix:
     """
     check_r(r)
     dim = cfg.dim
-    mat = np.zeros((2 * dim, 2 * dim))
     q = math.tanh(r) ** 2
     ch = math.cosh(r)
     # scalar pow per level: numpy's array power can differ by an ulp, and
     # the block-by-block assembly in the tests is matched bit for bit
     a = np.fromiter((q**n for n in range(dim)), np.float64, dim) / (2.0 * ch**2)
     one = dim + np.arange(dim)  # flat index of |1,n>, n = 0..n_max
-    mat[one, one] = a
     n = np.arange(cfg.n_max)  # blocks whose |0,n+1> fits
     zero = n + 1  # flat index of |0,n+1>
     cross = a[:-1] * np.sqrt(n + 1.0) / ch
-    mat[zero, zero] = a[:-1] * (n + 1) / ch**2
-    mat[one[:-1], zero] = cross
-    mat[zero, one[:-1]] = cross
-    return DensityMatrix(joint_layout(cfg), mat)
+    rows = np.concatenate((one, zero, one[:-1], zero))
+    cols = np.concatenate((one, zero, zero, one[:-1]))
+    vals = np.concatenate((a, a[:-1] * (n + 1) / ch**2, cross, cross))
+    return DensityMatrix.from_entries(joint_layout(cfg), rows, cols, vals)

@@ -6,6 +6,8 @@ form, the series entropies and the sweep records at their own cutoffs
 against eigensolves, fidelity against its Kraus trace, the purification
 identity, monotonicity along the grid, the truncation-tail budget, and
 the tail of the row at --r-max against the operator sum at its cutoff.
+The oracle's states are stored as their nonzero entries, so the rows at
+--r-max are held at their production cutoffs.
 `fault` deliberately corrupts one Kraus scalar so the sensitivity of the
 channel-equivalence check can be demonstrated.
 
@@ -58,7 +60,7 @@ _FIDELITY_N_MAX = 64
 _PURITY_RS = (0.5, 1.0)
 _PURITY_N_MAX = 64
 _ENTROPY_CASES = ((1.0, 256), (2.0, 64))  # (r, n_max)
-_RECORD_RS = (0.5, 1.0, 1.5)  # cutoffs <= 256 at the default tol
+_RECORD_RS = (0.5, 1.0, 1.5)  # and the row at --r-max
 
 
 @dataclass(frozen=True)
@@ -184,10 +186,12 @@ def _purification_identity(inp: _Inputs):
 
 
 def _records_vs_oracle(inp: _Inputs):
-    # sweep rows at their own cutoffs N, which follow --tol; every field
-    # describes the state cut at N
+    # sweep rows at their own cutoffs N, which follow --tol, up to the row at
+    # --r-max (N = 3134 at the defaults); every field describes the state cut
+    # at N, and s_e against wedge II's spectrum is the purification identity
+    # at that cutoff
     gaps, n_used = [], []
-    for rec in measure_records(_RECORD_RS, inp.cfg.abs_tol):
+    for rec in measure_records(_RECORD_RS + (inp.cfg.r_max,), inp.cfg.abs_tol):
         trunc = TruncationConfig(rec.n_used)
         rho = rho_alice_rob(rec.r, trunc)
         rho_r = partial_trace(rho, (WEDGE_I,))

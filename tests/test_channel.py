@@ -17,6 +17,7 @@ from unruhsim import (
     trace_preservation_defect,
     truncation_tail_bound,
 )
+from unruhsim import channel
 from unruhsim.channel import _alice_weight
 from unruhsim.fock import SYMMETRY_TOL, creation_matrix
 from unruhsim.measures import input_overlap_traces
@@ -279,6 +280,33 @@ def test_channel_window_is_bitwise_full_width(n_max):
     for r in (0.0, 0.46, 1.3, 2.5):
         ks = KrausSet.build(r, cfg)
         assert np.array_equal(apply_channel(rho, ks).mat, full_width_operator_sum(rho, ks))
+
+
+@pytest.mark.parametrize("n_max", [12, 48])
+@pytest.mark.parametrize("lo, hi", [(0, 3), (2, 6), (7, 12)], ids=["w3", "w4", "w5"])
+@pytest.mark.parametrize("r", [0.3, 0.8, 1.5])
+def test_channel_collisions_are_bitwise_full_width(n_max, lo, hi, r):
+    # the input entries (a, m; b, m') and (a, m+1; b, m'+1) both reach
+    # (a, m+n+1; b, m'+n+1), at n+1 and at n, so several n land on one
+    # output entry; the entry-wise sum must add them in ascending n, as the
+    # dense sum does, to match it bit for bit
+    cfg = TruncationConfig(n_max)
+    rho = windowed_input(cfg, lo, hi)
+    ks = KrausSet.build(r, cfg)
+    assert np.array_equal(apply_channel(rho, ks).mat, full_width_operator_sum(rho, ks))
+
+
+@pytest.mark.parametrize("per_pass", [1, 150, 1000])
+def test_channel_passes_are_bitwise_one_pass(monkeypatch, per_pass):
+    # the terms are formed in passes of at most _TERMS_PER_PASS (one level
+    # per pass here for 1, a few levels for 150 and 1000 with this input's
+    # 100 entries); the passes run in ascending n, so the bits are the
+    # full-width dense sum's however the levels are split
+    cfg = TruncationConfig(12)
+    rho = windowed_input(cfg, 2, 7)
+    ks = KrausSet.build(0.8, cfg)
+    monkeypatch.setattr(channel, "_TERMS_PER_PASS", per_pass)
+    assert np.array_equal(apply_channel(rho, ks).mat, full_width_operator_sum(rho, ks))
 
 
 def test_channel_matches_analytic_reduction():

@@ -201,6 +201,55 @@ def test_symmetry_tolerance_is_inclusive():
     assert sym_eigenvalues(mat).shape == (2,)
 
 
+def test_entry_form_is_the_dense_form():
+    # entries listed at one position are added in the order listed, exact
+    # zeros are dropped, and the dense view puts every value back in place
+    lay = FactorLayout((2, 2), ("a", "b"))
+    rho = DensityMatrix.from_entries(
+        lay, [3, 0, 1, 2, 1, 2], [3, 0, 2, 1, 2, 2], [0.25, 0.5, 0.125, 0.25, 0.125, 0.0]
+    )
+    mat = np.zeros((4, 4))
+    mat[0, 0], mat[3, 3], mat[1, 2], mat[2, 1] = 0.5, 0.25, 0.25, 0.25
+    assert np.array_equal(rho.mat, mat)
+    assert rho.rows.tolist() == [0, 1, 2, 3] and rho.cols.tolist() == [0, 2, 1, 3]
+    dense = DensityMatrix(lay, mat)
+    assert np.array_equal(dense.rows, rho.rows) and np.array_equal(dense.vals, rho.vals)
+    assert rho.shape == (4, 4) and rho.trace == 0.75
+    psi = StateVector.from_entries(lay, [2, 1], [0.6, 0.8])
+    assert psi.index.tolist() == [1, 2] and np.array_equal(psi.amps, [0.0, 0.8, 0.6, 0.0])
+    with pytest.raises(LayoutMismatchError):
+        DensityMatrix.from_entries(lay, [4], [0], [1.0])
+    with pytest.raises(LayoutMismatchError):
+        StateVector.from_entries(lay, [0, 1], [1.0])
+
+
+@pytest.mark.parametrize("value", [1e-6, math.nan, math.inf, -math.inf])
+def test_entry_form_refuses_a_one_sided_entry(value):
+    # an entry whose mirror is not listed is held against 0.0: 1e-6 off is
+    # no rounding, and a NaN or inf entry is never symmetric
+    lay = FactorLayout((3,), ("a",))
+    with np.errstate(invalid="ignore"):
+        with pytest.raises(NotSymmetricError):
+            DensityMatrix.from_entries(lay, [0, 1, 0], [0, 1, 2], [1.0, 1.0, value])
+
+
+@pytest.mark.parametrize(
+    "rows, cols, vals",
+    [
+        ([0, 1], [0, 1], [math.nan, 1.0]),
+        ([0, 1], [0, 1], [math.inf, 1.0]),
+        ([0, 2], [2, 0], [math.inf, math.inf]),
+        ([0, 2], [2, 0], [math.nan, math.nan]),
+    ],
+    ids=["nan-diagonal", "inf-diagonal", "inf-pair", "nan-pair"],
+)
+def test_entry_form_refuses_non_finite_entries(rows, cols, vals):
+    # a NaN or inf entry, on the diagonal or with its mirror listed too, makes
+    # the skew NaN
+    with pytest.raises(NotSymmetricError, match="nan"):
+        DensityMatrix.from_entries(FactorLayout((3,), ("a",)), rows, cols, vals)
+
+
 def test_density_matrix_assert_psd():
     lay = FactorLayout((2,), ("x",))
     good = DensityMatrix(lay, np.diag([1.0, -5e-11]))
@@ -348,6 +397,20 @@ def test_sym_eigenvalues_tiny_one_sided_entry_joins_blocks(solved_blocks):
     ev = sym_eigenvalues(a)
     assert sorted(solved_blocks) == [1, 2]
     assert np.allclose(ev, [2.0, 1.0 + 5e-13, 1.0 - 5e-13], rtol=0.0, atol=1e-15)
+
+
+def test_entry_form_one_sided_entry_joins_blocks(solved_blocks):
+    # the planted 1e-12 entry above the diagonal, given as entries: its
+    # missing mirror is within the symmetry tolerance, and it still joins
+    # indices 0 and 2 into one block
+    rho = DensityMatrix.from_entries(
+        FactorLayout((3,), ("a",)), [0, 1, 2, 0], [0, 1, 2, 2], [1.0, 2.0, 1.0, 1e-12]
+    )
+    ev = sym_eigenvalues(rho)
+    assert sorted(solved_blocks) == [1, 2]
+    a = np.diag([1.0, 2.0, 1.0])
+    a[0, 2] = 1e-12
+    assert ev.tobytes() == sym_eigenvalues(a).tobytes()
 
 
 def test_oracle_spectra_are_solved_block_by_block(solved_blocks):

@@ -201,6 +201,26 @@ def test_entropy_exchange_positive_under_acceleration():
     assert entropy_exchange(0.2, CFG) > 0.0
 
 
+def test_oracle_entropies_at_the_production_cutoff_in_bounded_memory():
+    # r = 3 takes N = 3134 at the default tolerance.  Stored as entries,
+    # rho_AR and the tripartite state hold O(N) values; a dense rho_AR
+    # (6270 x 6270) alone is 300 MiB, and the dense route peaked near 581 MB
+    r, cfg = 3.0, TruncationConfig(3134)
+    series = joint_entropy_series(r, cfg)
+    for route in (
+        lambda: von_neumann_entropy(rho_alice_rob(r, cfg), cfg),
+        lambda: entropy_exchange(r, cfg),
+    ):
+        tracemalloc.start()
+        try:
+            value = route()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20
+        assert abs(value - series) <= 1e-10
+
+
 @pytest.mark.parametrize("r", [0.5, 1.0])
 def test_entropy_exchange_equals_joint_entropy(r):
     cfg = TruncationConfig(64)

@@ -238,21 +238,53 @@ def test_verify_oracle_checks_do_not_depend_on_tol():
 def test_verify_catches_a_record_shifted_by_1e_8(monkeypatch, field, caught_by):
     # a record path that is off by 1e-8 in one field: the dense oracle at the
     # rows' own cutoffs sees it, and so does the series check at its fixed
-    # cutoff for s_ar and s_r, whose series are the same evaluator's one-row
-    # case; the grid's one-bit check also holds s_a, and the tail is held
-    # against the operator-sum defect
+    # cutoff for s_ar and s_r, whose series come from the same series pass;
+    # the grid's one-bit check also holds s_a, and the tail is held against
+    # the operator-sum defect.  Each field is shifted where it is computed:
+    # s_ar and s_r in the series pass, the rest in the record assembly
+    if field in ("s_ar", "s_r"):
+        series_entropies = measures._series_entropies
+        k = ("s_ar", "s_r").index(field)
+
+        def shifted(rs, n_used):
+            out = list(series_entropies(rs, n_used))
+            out[k] = [s + 1e-8 for s in out[k]]
+            return tuple(out)
+
+        monkeypatch.setattr(measures, "_series_entropies", shifted)
+    else:
+        block_records = measures._block_records
+
+        def shifted(rs, n_used):
+            return [
+                replace(rec, **{field: getattr(rec, field) + 1e-8})
+                for rec in block_records(rs, n_used)
+            ]
+
+        monkeypatch.setattr(measures, "_block_records", shifted)
+    results = run_verify(SweepConfig())
+    assert len(results) == 12
+    assert [res.name for res in results if not res.passed] == caught_by
+
+
+@pytest.mark.parametrize("field", ["s_ar", "s_r", "s_e", "s_a", "fe_kraus"])
+def test_records_vs_oracle_holds_the_row_at_r_max(monkeypatch, field):
+    # only the row at --r-max (N = 3134) is off by 1e-8: the oracle holds it
+    # at its production cutoff, so records-vs-oracle sees it
+    cfg = SweepConfig()
+    [clean] = run_verify(cfg, names=("records-vs-oracle",))
+    assert clean.passed and clean.detail.endswith(",3134")
     block_records = measures._block_records
 
     def shifted(rs, n_used):
         return [
-            replace(rec, **{field: getattr(rec, field) + 1e-8})
+            replace(rec, **{field: getattr(rec, field) + 1e-8}) if rec.r == cfg.r_max else rec
             for rec in block_records(rs, n_used)
         ]
 
     monkeypatch.setattr(measures, "_block_records", shifted)
-    results = run_verify(SweepConfig())
-    assert len(results) == 12
-    assert [res.name for res in results if not res.passed] == caught_by
+    [res] = run_verify(cfg, names=("records-vs-oracle",))
+    assert not res.passed
 
 
 def test_verify_reports_insufficient_truncation():
