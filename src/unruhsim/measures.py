@@ -2,13 +2,21 @@
 
 Entropies are in bits (log base 2) throughout.  A sweep record
 (:func:`measure_records`; :func:`measure_record` is its one-point case)
-costs O(N) per point: two series passes over the block weights a_n, the
-joint spectrum lambda_n = a_n (1 + (n+1)/cosh^2 r) for S(rho_AR) and Rob's
-occupations p_n = a_n + n a_{n-1}/cosh^2 r (a_n (1 + n/sinh^2 r) without
-its 0/0 at r = 0) for S(rho_R).  One series pass takes every such sum
-(:func:`_series_entropies`): a record adds closed forms to it, the
-per-row series are its one-row case at a fixed cutoff, and
-:func:`entropy_from_probabilities` is its per-row sum on one row.  Alice's reduction is diag(||d||^2/2, ||c||^2/2), and the
+costs O(K + J) per point, whatever its cutoff N.  Its entropies are sums
+over the block weights a_n = tanh^(2n) r / (2 cosh^2 r): the joint
+spectrum lambda_n = a_n (1 + (n+1)/cosh^2 r) for S(rho_AR) and Rob's
+occupations p_n = a_n + n a_{n-1}/cosh^2 r for S(rho_R).  One series pass
+takes every such sum (:func:`_series_entropies`).  It adds the levels
+below K = _EM_HEAD term by term and sums the rest of a longer row by
+Euler-Maclaurin (:func:`_series_tails`): the integral in closed form, with
+one exp(y) E1(y) (:func:`_scaled_e1`, a fixed quadrature, since numpy has
+no E1), the endpoint halves and J = _EM_TERMS Bernoulli terms with
+closed-form derivatives.  Each such row has a closed-form majorant of the
+remainder, and a row whose majorant is not below _EM_BOUND = 1e-13 is
+refused with ConfigError.  A record adds closed forms to the sums, the
+per-row series are its one-row case at a fixed cutoff (each forms only
+its own sum), and :func:`entropy_from_probabilities` is its term-by-term
+sum on one row.  Alice's reduction is diag(||d||^2/2, ||c||^2/2), and the
 norms of the mode weights c_n and d_n are 1 - tail_c and 1 - tail_d.  Every
 field describes the tripartite state cut at N = n_used, whose last block
 keeps only |1, N> (so lambda_N is a_N); that state is pure, so the entropy
@@ -27,7 +35,8 @@ effective cutoff is the smallest one whose tail bound drops below abs_tol;
 one bisection over all the points of a grid finds every cutoff, with the
 bound evaluated on arrays only, and refuses the first r that no cutoff up
 to the cap certifies.  :func:`adaptive_n_max` is its one-point case.  The
-cutoff is always reported.
+cutoff is always reported.  The cap bounds how far r reaches, not the
+work of a row.
 """
 
 from __future__ import annotations
@@ -43,18 +52,54 @@ from .errors import ConfigError
 from .fock import DensityMatrix, TruncationConfig, truncation_tail_bound
 from .rindler import WEDGE_II, check_r, discarded_weights, tripartite_state
 
-# Cap on adaptively grown truncation; it bounds the length of a record's
-# series.  At the default abs_tol 1e-10 the reach lies between r = 3.12962
-# (certified at exactly the cap) and r = 3.12964 (refused by adaptive_n_max).
+# Cap on adaptively grown truncation.  It bounds the reach, not the work
+# of a record, which is the same at every cutoff.  At the default abs_tol
+# 1e-10 the reach lies between r = 3.12962 (certified at exactly the cap)
+# and r = 3.12964 (refused by adaptive_n_max).
 ADAPTIVE_N_CAP = 4096
 
 # Probabilities below this are treated as exact zeros (0 log 0 = 0).
 _PROB_FLOOR = 1e-300
 
-# Largest number of Fock levels (summed over rows) that measure_records
-# evaluates in one numpy pass: 32 KB per float64 array.  A row with more
-# levels is a block of its own.
-_BLOCK_LEVELS = 4096
+# Rows that measure_records evaluates in one numpy pass.  A row takes at
+# most _EM_HEAD + 1 levels of direct sum and a fixed number of tail terms,
+# so a pass holds O(_BLOCK_ROWS) values whatever the cutoffs.
+_BLOCK_ROWS = 256
+
+# The entropy series of a record, as named in MeasureRecord.
+_SERIES = ("s_ar", "s_r")
+
+# A row longer than _EM_HEAD levels sums its levels from _EM_HEAD on by
+# Euler-Maclaurin with _EM_TERMS Bernoulli terms.  With K = 32 and J = 5
+# the remainder majorant stays below 3.1e-15 for every r up to the reach
+# (largest, for S_R, near r = 1.23); a row whose majorant is not below
+# _EM_BOUND is refused.
+_EM_HEAD = 32
+_EM_TERMS = 5
+_EM_BOUND = 1e-13
+
+# Bernoulli numbers B_2, B_4, ..., B_10, and the terms (j, i, B_2j / (2j)!
+# C(2j - 1, i)) of sum_j B_2j / (2j)! (d/dx - beta)^(2j-1) g by Leibniz:
+# each weighs (-beta)^(2j-1-i) g^(i).
+_BERNOULLI = (1 / 6, -1 / 30, 1 / 42, -1 / 30, 5 / 66)
+_LEIBNIZ = [
+    (j, i, 2 * j - 1 - i, b / math.factorial(2 * j) * math.comb(2 * j - 1, i))
+    for j, b in enumerate(_BERNOULLI, start=1)
+    for i in range(2 * j)
+]
+_BINOMIALS = [
+    [math.comb(n, i) for i in range(n + 1)] for n in range(2 * len(_BERNOULLI) + 1)
+]
+
+# exp(y) E1(y) = the integral of e^(-t) / (y + t) over t > 0, by the
+# trapezoid rule in tau after t = exp(tau - e^(-tau)), step 1/4 over
+# [-4, 4]: 33 (node t, weight) pairs, all positive, so no sum cancels.
+# Within 5 ulp of mpmath over y in [1, 1e8].
+_E1_TERMS = [
+    (t, 0.25 * t * (1.0 + math.exp(-tau)) * math.exp(-t))
+    for tau in (k / 4.0 for k in range(-16, 17))
+    for t in [math.exp(tau - math.exp(-tau))]
+]
 
 
 def check_abs_tol(abs_tol: float) -> None:
@@ -69,8 +114,7 @@ def check_abs_tol(abs_tol: float) -> None:
 
 def entropy_from_probabilities(probs: np.ndarray) -> float:
     """- sum p log2 p (0 log 0 = 0; need not sum to 1): _row_entropies of one row."""
-    p = np.asarray(probs, dtype=np.float64).ravel()
-    return _row_entropies(p, [0, p.size])[0]
+    return _row_entropies(np.asarray(probs, dtype=np.float64).reshape(1, -1))[0]
 
 
 def von_neumann_entropy(rho: DensityMatrix, cfg: TruncationConfig) -> float:
@@ -127,7 +171,7 @@ def joint_entropy_series(r: float, cfg: TruncationConfig) -> float:
     a sweep row's s_ar at the same cutoff.
     """
     check_r(r)
-    return _series_entropies([r], [cfg.n_max])[0][0]
+    return _series_entropies([r], [cfg.n_max], ("s_ar",))[0][0]
 
 
 def rob_entropy_series(r: float, cfg: TruncationConfig) -> float:
@@ -137,7 +181,7 @@ def rob_entropy_series(r: float, cfg: TruncationConfig) -> float:
     a sweep row's s_r at the same cutoff.
     """
     check_r(r)
-    return _series_entropies([r], [cfg.n_max])[1][0]
+    return _series_entropies([r], [cfg.n_max], ("s_r",))[0][0]
 
 
 def wedge_ii_probabilities(psi) -> np.ndarray:
@@ -219,14 +263,9 @@ def measure_records(rs: Iterable[float], abs_tol: float) -> list[MeasureRecord]:
     rs = [float(r) for r in rs]
     n_used = _cutoffs(rs, abs_tol)
     records: list[MeasureRecord] = []
-    start = levels = 0
-    for k, n in enumerate(n_used):
-        if levels and levels + n + 1 > _BLOCK_LEVELS:
-            records += _block_records(rs[start:k], n_used[start:k])
-            start, levels = k, 0
-        levels += n + 1
-    if rs:
-        records += _block_records(rs[start:], n_used[start:])
+    for start in range(0, len(rs), _BLOCK_ROWS):
+        block = slice(start, start + _BLOCK_ROWS)
+        records += _block_records(rs[block], n_used[block])
     return records
 
 
@@ -260,29 +299,201 @@ def _cutoffs(rs: list[float], abs_tol: float) -> list[int]:
 
 
 def _series_entropies(
-    rs: list[float], n_used: list[int]
-) -> tuple[list[float], list[float]]:
-    """(s_ar, s_r) of consecutive rows whose levels 0..n_used share one array.
+    rs: list[float], n_used: list[int], series: tuple[str, ...] = _SERIES
+) -> tuple[list[float], ...]:
+    """The entropies `series` (each "s_ar" or "s_r") of consecutive rows.
 
     The one series pass: the joint spectrum lambda_n and Rob's occupations
-    p_n of every row, each summed over its own contiguous slice, so a row's
-    bits do not depend on the rows packed with it.
+    p_n of every row, with the levels 0.._EM_HEAD of a row on one line of
+    an array.  A row with n_used = N <= _EM_HEAD is summed there term by
+    term; the state cut at N keeps only |1, N> of block N, so its last
+    joint eigenvalue is lambda_N = a_N.  A longer row sums its levels below
+    _EM_HEAD there and the rest in :func:`_series_tails`.  No step mixes
+    rows, so a row's bits do not depend on the rows evaluated with it.
     """
     ch2 = [math.cosh(r) ** 2 for r in rs]
     q = [math.tanh(r) ** 2 for r in rs]
-    counts = np.array(n_used) + 1
-    ends = np.cumsum(counts)
-    starts = ends - counts
-    row = np.repeat(np.arange(len(rs)), counts)
-    n = (np.arange(int(ends[-1])) - starts[row]).astype(np.float64)
-    edges = np.append(starts, len(n))
-    ch2_n = np.array(ch2)[row]
+    s = [1.0 / c for c in ch2]
+    long = [k for k, n_k in enumerate(n_used) if n_k > _EM_HEAD]
+    short = tuple(zip(*[(k, n_k) for k, n_k in enumerate(n_used) if n_k <= _EM_HEAD]))
+    # a short row's slots are its levels 0..N, a long row's 0.._EM_HEAD - 1
+    # and a 0.0, which leaves its pairwise sum unchanged, if a short row
+    # needs slot _EM_HEAD
+    slot = np.arange(_EM_HEAD + (len(long) < len(rs)) + 0.0)
+    # lambda_n = q^n (s/2) (1 + (n+1) s) and p_n = q^n (s/2) + n s a_(n-1)
+    q_k, s_k, lam_0, lam_1 = np.array(
+        [q, s, [0.5 * x * (1.0 + x) for x in s], [0.5 * x * x for x in s]]
+    )[:, :, None]
+    power = q_k**slot
+    sums = []
+    for name in series:
+        if name == "s_ar":
+            probs = power * (lam_0 + lam_1 * slot)
+            if short:
+                probs[short] = power[short] * (0.5 * s_k[short[0], 0])  # lambda_N = a_N
+        else:
+            a = power * (0.5 * s_k)
+            probs = a.copy()
+            probs[:, 1:] += slot[1:] * s_k * a[:, :-1]
+        if long and len(slot) > _EM_HEAD:
+            probs[long, _EM_HEAD] = 0.0  # a long row's level _EM_HEAD is in its tail
+        if min(n_used) + 1 < len(slot):  # some row ends before the last slot
+            probs[slot > np.array(n_used)[:, None]] = 0.0
+        sums.append(_row_entropies(probs))
+    if long:
+        tails, _ = _series_tails(
+            [rs[k] for k in long],
+            [n_used[k] for k in long],
+            [ch2[k] for k in long],
+            [q[k] for k in long],
+            series,
+        )
+        for row_sums, row_tails in zip(sums, tails):
+            for k, tail in zip(long, row_tails):
+                row_sums[k] += tail
+    return tuple(sums)
 
-    a = np.array(q)[row] ** n / (2.0 * np.array(ch2))[row]
-    lam = a * (1.0 + (n + 1.0) / ch2_n)
-    lam[ends - 1] = a[ends - 1]  # the state cut at N keeps only |1, N> of block N
-    a_prev = np.concatenate(([0.0], a[:-1]))  # n * a_prev is 0 at n = 0
-    return _row_entropies(lam, edges), _row_entropies(a + n * a_prev / ch2_n, edges)
+
+def _series_tails(
+    rs: list[float],
+    n_used: list[int],
+    ch2: list[float],
+    q: list[float],
+    series: tuple[str, ...],
+) -> tuple[list[list[float]], list[list[float]]]:
+    """Sums of the levels _EM_HEAD..N of each series, and their remainder majorants.
+
+    The summand at level x is -w u ln(w u) / ln 2 with w = (s/2) q^(x - d)
+    and u = c + s x, where s = sech^2 r: c = 1 + s and d = 0 for lambda_x,
+    which is smooth up to x = N - 1 (lambda_N = a_N = (s/2) q^N is added
+    on its own), and c = q and d = 1 for p_x, up to x = N.  Over the levels
+    [K, M] the Euler-Maclaurin sum is :func:`_tail_end` at K and at M.  Both
+    results are lists per series of lists per row; a row whose majorant is
+    not below _EM_BOUND raises ConfigError.
+
+    Both series and both endpoints of every row are stacked in one array.
+    A single row runs the same operations on floats, which numpy rounds as
+    Python does, so its bits are those of the row in any block.
+    """
+    per_row = [
+        [1.0 / c2 for c2 in ch2],
+        q,
+        [2.0 * math.log1p(2.0 / math.expm1(2.0 * r)) for r in rs],  # -ln q
+        [math.log(0.5 / c2) for c2 in ch2],
+        [float(n) for n in n_used],
+    ]
+    one = len(rs) == 1
+    s, q, beta, log_half_s, n = (col[0] if one else np.array(col) for col in per_row)
+    weights = _bernoulli_weights(beta)
+    x, c, d, sign = [], [], [], []
+    for name in series:
+        joint = name == "s_ar"
+        x += [float(_EM_HEAD), n - 1.0 if joint else n + 0.0]
+        c += [1.0 + s if joint else q] * 2
+        d += [0.0 if joint else 1.0] * 2
+        sign += [1.0, -1.0]
+    log_edge = log_half_s - beta * n  # ln a_N
+    edge = _elementwise(math.exp, log_edge) * log_edge
+    if one:
+        ends = [
+            _tail_end(*end, s, beta, log_half_s, weights, end[3] > 0)
+            for end in zip(x, c, d, sign)
+        ]
+        values, majorants = [[v] for v, _ in ends], [[m] for _, m in ends]
+        edge = [edge]
+    else:
+        x = np.array(np.broadcast_arrays(*x))
+        d, sign = np.array(d)[:, None], np.array(sign)[:, None]
+        values, majorants = _tail_end(
+            x, np.array(c), d, sign, s, beta, log_half_s, weights, True
+        )
+        values, majorants, edge = values.tolist(), majorants.tolist(), edge.tolist()
+    ln2 = math.log(2.0)
+    tails = []
+    for k, name in enumerate(series):
+        for r, majorant in zip(rs, majorants[2 * k]):
+            if not majorant < _EM_BOUND:
+                raise ConfigError(
+                    f"r = {r:g}: the Euler-Maclaurin remainder bound {majorant:.3e} "
+                    f"of {name} is not below {_EM_BOUND:g}"
+                )
+        extra = edge if name == "s_ar" else [0.0] * len(rs)
+        sums = zip(values[2 * k], values[2 * k + 1], extra)
+        tails.append([-(lo + hi + e) / ln2 for lo, hi, e in sums])
+    return tails, majorants[0::2]
+
+
+def _bernoulli_weights(beta):
+    """c_i(beta), i < 2J, with sum_j B_2j/(2j)! (d/dx - beta)^(2j-1) g = sum_i c_i g^(i).
+
+    beta is a float or an array of them, and so is every c_i.
+    """
+    minus_beta = [1.0]  # (-beta)^p
+    for _ in range(2 * _EM_TERMS):
+        minus_beta.append(minus_beta[-1] * -beta)
+    weights = [0.0] * (2 * _EM_TERMS)
+    for j, i, p, scale in _LEIBNIZ:
+        if j <= _EM_TERMS:
+            weights[i] = weights[i] + scale * minus_beta[p]
+    return weights
+
+
+def _tail_end(x, c, d, sign, s, beta, log_half_s, weights, bound):
+    """(w (sign (I - B) + g / 2), remainder majorant or None) at the level x.
+
+    f = -e^(-beta x) g / ln 2 up to the row's constant, with g = u ln(w u);
+    I = the integral of e^(-beta (t - x)) g(t) over [x, oo), closed-form
+    with one exp(y) E1(y) at y = (beta / s) u >= 1; B = the Bernoulli terms,
+    sum_i c_i g^(i), every g^(i) closed-form (-s (i-2)! (-s/u)^(i-1) past
+    the second).  sign is +1 at the first level K and -1 at the last.  The
+    majorant, formed when `bound` is true and read at K, is |B_2J| / (2J)!
+    times a bound on the integral of |f^(2J)| over [K, oo), taken term by
+    term of its Leibniz sum.  Every argument is a float or an array, with
+    the same operations either way, and every transcendental comes from
+    math.
+    """
+    order = 2 * _EM_TERMS
+    log_w = log_half_s - beta * (x - d)
+    u = c + s * x
+    log_f = log_w + _elementwise(math.log, u)
+    y = beta / s * u
+    rest = s / (beta * beta) * ((y + 1.0) * (log_f - 1.0) + _scaled_e1(y))
+    rho = -s / u
+    g = [u * log_f, s * (log_f + 1.0) - beta * u, s * (s / u - 2.0 * beta)]
+    for i in range(3, order + 1):
+        g.append(-s * rho * rho if i == 3 else g[-1] * ((i - 2) * rho))
+    bernoulli = 0.0
+    for weight, g_i in zip(weights, g):
+        bernoulli = bernoulli + weight * g_i
+    w = _elementwise(math.exp, log_w)
+    value = w * (sign * (rest - bernoulli) + 0.5 * g[0])
+    if not bound:
+        return value, None
+
+    # bounds on the integrals of e^(-beta (t - x)) |g^(i)(t)| over [x, oo),
+    # combined with the Leibniz weights C(2J, i) beta^(2J - i) by Horner
+    bounds = [-rest, s * (3.0 - log_w) / beta + u, 2.0 * s + s * s / (beta * u)]
+    bounds += [abs(g_i) / beta for g_i in g[3:]]
+    total = 0.0
+    for binomial, integral in zip(_BINOMIALS[order], bounds):
+        total = total * beta + binomial * integral
+    scale = abs(_BERNOULLI[_EM_TERMS - 1]) / math.factorial(order) / math.log(2.0)
+    return value, scale * w * total
+
+
+def _elementwise(func, v):
+    """func (a math function) of a float, or of every entry of an array."""
+    if isinstance(v, np.ndarray):
+        return np.array([func(t) for t in v.ravel().tolist()]).reshape(v.shape)
+    return func(v)
+
+
+def _scaled_e1(y):
+    """exp(y) E1(y) for y >= 1 (a float or an array): the _E1_TERMS, in order."""
+    total = 0.0
+    for t, w in _E1_TERMS:
+        total = total + w / (y + t)
+    return total
 
 
 def _block_records(rs: list[float], n_used: list[int]) -> list[MeasureRecord]:
@@ -318,18 +529,11 @@ def _plogp(p: float) -> float:
     return -p * math.log2(p) if p > _PROB_FLOOR else 0.0
 
 
-def _row_entropies(probs: np.ndarray, edges: np.ndarray) -> list[float]:
-    """- sum p log2 p over probs[edges[k]:edges[k + 1]], for every k.
+def _row_entropies(probs: np.ndarray) -> list[float]:
+    """- sum p log2 p along each row of a 2-D array, 0 log 0 = 0.
 
-    p log2 p is evaluated once over the entries of the whole block above
-    _PROB_FLOOR (0 log 0 = 0); each row's run of it is summed on its own,
-    pairwise, so a row's result does not depend on the other rows.
+    Entries at or below _PROB_FLOOR count as exact zeros; each row is summed
+    on its own, pairwise, so a row's result does not depend on the others.
     """
-    kept = np.flatnonzero(probs > _PROB_FLOOR)
-    x = probs[kept]
-    plogp = x * np.log2(x)
-    cuts = np.searchsorted(kept, edges).tolist()
-    return [
-        -float(plogp[lo:hi].sum()) + 0.0 if hi > lo else 0.0
-        for lo, hi in zip(cuts, cuts[1:])
-    ]
+    x = np.where(probs > _PROB_FLOOR, probs, 1.0)
+    return [0.0 - v for v in np.add.reduce(x * np.log2(x), axis=-1).tolist()]

@@ -33,9 +33,13 @@ from unruhsim import (
     vacuum_mode_weights,
     von_neumann_entropy,
 )
+from unruhsim import measures
 from unruhsim.measures import (
-    _BLOCK_LEVELS,
+    _BLOCK_ROWS,
+    _EM_HEAD,
     ADAPTIVE_N_CAP,
+    _scaled_e1,
+    _series_tails,
     entropy_from_probabilities,
     wedge_ii_probabilities,
 )
@@ -350,8 +354,8 @@ def assert_bitwise(rec: MeasureRecord, ref: MeasureRecord) -> None:
     assert [type(v) for v in astuple(rec)] == [type(v) for v in astuple(ref)]
 
 
-# r = 3.1296 needs 4096 levels at tol 1e-10 (4097 with level 0, a block of
-# its own); 3.1295 needs 4095, exactly one full block.
+# r = 3.1296 needs 4096 levels at tol 1e-10, 3.1295 needs 4095; the
+# to-the-reach grid spans more than one pass of _BLOCK_ROWS rows.
 GRIDS = {
     "to-the-reach": SweepConfig(r_max=3.1296, points=300),
     "underflow": SweepConfig(r_min=1e-200, r_max=1e-100, points=7),
@@ -369,16 +373,21 @@ def test_sweep_rows_are_bitwise_the_per_row_series(grid, tol):
     assert [rec.r for rec in records] == r_grid(cfg).tolist()
     for rec in records:
         assert_bitwise(rec, measure_record(rec.r, tol))
+        # and each one-row series, which forms only its own sum
+        cut = TruncationConfig(rec.n_used)
+        assert joint_entropy_series(rec.r, cut) == rec.s_ar, rec
+        assert rob_entropy_series(rec.r, cut) == rec.s_r, rec
     if grid == "to-the-reach":
         assert records[0].r == 0.0
-        assert sum(rec.n_used + 1 for rec in records) > 10 * _BLOCK_LEVELS
+        assert len(records) > _BLOCK_ROWS
         if tol == 1e-10:
             assert records[-1].n_used == ADAPTIVE_N_CAP
 
 
-# rows of every width side by side: exactly one block, wider than one,
-# entries under the probability floor, r = 0 between them
-ANY_ORDER_RS = [3.1295, 0.0, 1e-300, 3.1296, 1e-150, 0.5, 3.0, 1e-120, 0.0, 2.0]
+# rows of every width side by side: direct sums and Euler-Maclaurin
+# tails, a row whose direct sum fills every slot (0.7895, whose cutoff is
+# _EM_HEAD at tol 1e-10), entries under the probability floor, r = 0
+ANY_ORDER_RS = [3.1295, 0.0, 1e-300, 3.1296, 1e-150, 0.5, 3.0, 1e-120, 0.0, 2.0, 0.7895]
 
 
 @pytest.mark.parametrize("tol", [1e-3, 1e-10])
@@ -415,8 +424,9 @@ def test_closed_forms_match_the_mode_weights(rows, tol):
 
 
 def test_record_memory_is_bounded_by_the_block():
-    # blocks of at most _BLOCK_LEVELS levels keep the traced peak far below
-    # what one array over the whole grid (> 10^5 levels) would need
+    # passes of at most _BLOCK_ROWS rows, each of at most _EM_HEAD + 1
+    # direct levels and a fixed number of tail terms, keep the traced peak
+    # far below what the grid's > 10^5 levels would need
     rs = r_grid(GRIDS["to-the-reach"]).tolist()
     tracemalloc.start()
     try:
@@ -503,16 +513,97 @@ def _mp_series(r, n_max=None):
     return joint / ln2, rob / ln2
 
 
+@functools.lru_cache
+def _mp_series_40(r, n_max):
+    """_mp_series(r, n_max) at 40 digits, as floats."""
+    with mpmath.workdps(40):
+        return tuple(float(v) for v in _mp_series(r, n_max))
+
+
+# (2.9397, 2767) and (2.9095, 2599) are default-sweep rows whose float64
+# term-by-term sums missed by 1.6e-13 and 1.3e-13; _EM_HEAD + 1 and + 2 are
+# the first cutoffs with a Euler-Maclaurin tail, (1.26, 85) a row near the
+# largest remainder majorant, and (3.1296, 4096) the reach
 @pytest.mark.parametrize(
-    "r, n_max", [(0.0, 8), (0.1, 6), (0.5, 17), (1.0, 256), (2.0, 500), (3.0, 3134)]
+    "r, n_max",
+    [
+        (0.0, 8), (0.1, 6), (0.5, 17), (1.0, 256), (2.0, 500), (3.0, 3134),
+        (2.9396984924623113, 2767), (2.909547738693467, 2599),
+        (1.0, _EM_HEAD + 1), (1.0, _EM_HEAD + 2), (1.26, 85), (3.1296, 4096),
+    ],
 )
 def test_series_match_a_40_digit_sum_at_a_fixed_cutoff(r, n_max):
     # the production evaluator's sums over the same levels, independently
-    with mpmath.workdps(40):
-        s_joint, s_rob = _mp_series(r, n_max)
+    s_joint, s_rob = _mp_series_40(r, n_max)
     cfg = TruncationConfig(n_max)
-    assert abs(joint_entropy_series(r, cfg) - float(s_joint)) <= 1e-13
-    assert abs(rob_entropy_series(r, cfg) - float(s_rob)) <= 1e-13
+    assert abs(joint_entropy_series(r, cfg) - s_joint) <= 1e-13
+    assert abs(rob_entropy_series(r, cfg) - s_rob) <= 1e-13
+
+
+def test_scaled_e1_matches_mpmath():
+    # exp(y) E1(y) on the tails' whole range y >= 1; a float runs the same
+    # additions as an array, in the same order
+    ys = np.geomspace(1.0, 1e4, 121)
+    with mpmath.workdps(30):
+        ref = np.array([float(mpmath.e1(y) * mpmath.exp(y)) for y in ys.tolist()])
+    got = _scaled_e1(ys)
+    assert np.max(np.abs(got / ref - 1.0)) <= 1e-14
+    assert [_scaled_e1(y) for y in ys.tolist()] == got.tolist()
+
+
+# rows up to the reach, at their cutoffs and at shorter ones
+MAJORANT_PAIRS = [
+    (r, n)
+    for r in (0.8, 1.0, 1.26, 1.5, 2.0, 2.5, 3.0, 3.1296)
+    for n in (_EM_HEAD + 3, 200, adaptive_n_max(r, 1e-10))
+]
+
+
+@pytest.mark.parametrize("head, terms", [(32, 1), (32, 2), (16, 2), (16, 3), (8, 3)])
+def test_remainder_majorant_bounds_the_error(monkeypatch, head, terms):
+    # with fewer Bernoulli terms or a shorter head the tails miss by far
+    # more than rounding, and every miss stays within the row's majorant
+    # (plus 1e-14 for rounding); no row is refused here
+    monkeypatch.setattr(measures, "_EM_HEAD", head)
+    monkeypatch.setattr(measures, "_EM_TERMS", terms)
+    monkeypatch.setattr(measures, "_EM_BOUND", math.inf)
+    tightest = 0.0
+    for r, n in MAJORANT_PAIRS:
+        ch2, q = math.cosh(r) ** 2, math.tanh(r) ** 2
+        _, majorants = _series_tails([r], [n], [ch2], [q], ("s_ar", "s_r"))
+        cfg = TruncationConfig(n)
+        values = (joint_entropy_series(r, cfg), rob_entropy_series(r, cfg))
+        for value, ref, [majorant] in zip(values, _mp_series_40(r, n), majorants):
+            assert abs(value - ref) <= majorant + 1e-14, (r, n, value - ref, majorant)
+            if majorant > 1e-12:
+                tightest = max(tightest, abs(value - ref) / majorant)
+    assert tightest > 1e-3  # and it is not vacuous
+
+
+def test_remainder_majorant_is_below_the_bound_to_the_reach():
+    rs = np.linspace(0.0, 3.1296, 2000).tolist()
+    long = [(r, n) for r, n in zip(rs, measures._cutoffs(rs, 1e-10)) if n > _EM_HEAD]
+    _, majorants = _series_tails(
+        [r for r, _ in long],
+        [n for _, n in long],
+        [math.cosh(r) ** 2 for r, _ in long],
+        [math.tanh(r) ** 2 for r, _ in long],
+        ("s_ar", "s_r"),
+    )
+    assert len(long) > 1400
+    assert max(max(m) for m in majorants) < measures._EM_BOUND
+
+
+def test_rows_whose_majorant_is_too_large_are_refused(monkeypatch):
+    # one Bernoulli term leaves a remainder bound far above _EM_BOUND at
+    # r = 1.26: the row is refused, not returned; a row summed term by term
+    # is unaffected
+    monkeypatch.setattr(measures, "_EM_TERMS", 1)
+    with pytest.raises(ConfigError, match="Euler-Maclaurin remainder bound"):
+        measure_records([0.1, 1.26], 1e-10)
+    with pytest.raises(ConfigError, match="Euler-Maclaurin remainder bound"):
+        joint_entropy_series(1.26, TruncationConfig(85))
+    assert measure_records([0.1], 1e-10) == [measure_record(0.1, 1e-10)]
 
 
 @functools.lru_cache
