@@ -14,9 +14,8 @@ no E1), the endpoint halves and J = _EM_TERMS Bernoulli terms with
 closed-form derivatives.  Each such row has a closed-form majorant of the
 remainder, and a row whose majorant is not below _EM_BOUND = 1e-13 is
 refused with ConfigError.  A record adds closed forms to the sums, the
-per-row series are its one-row case at a fixed cutoff (each forms only
-its own sum), and :func:`entropy_from_probabilities` is its term-by-term
-sum on one row.  Alice's reduction is diag(||d||^2/2, ||c||^2/2), and the
+per-row series are its one-row case at a fixed cutoff, and
+:func:`entropy_from_probabilities` is its term-by-term sum on one row.  Alice's reduction is diag(||d||^2/2, ||c||^2/2), and the
 norms of the mode weights c_n and d_n are 1 - tail_c and 1 - tail_d.  Every
 field describes the tripartite state cut at N = n_used, whose last block
 keeps only |1, N> (so lambda_N is a_N); that state is pure, so the entropy
@@ -64,10 +63,7 @@ _PROB_FLOOR = 1e-300
 # Rows that measure_records evaluates in one numpy pass.  A row takes at
 # most _EM_HEAD + 1 levels of direct sum and a fixed number of tail terms,
 # so a pass holds O(_BLOCK_ROWS) values whatever the cutoffs.
-_BLOCK_ROWS = 256
-
-# The entropy series of a record, as named in MeasureRecord.
-_SERIES = ("s_ar", "s_r")
+_BLOCK_ROWS = 128
 
 # A row longer than _EM_HEAD levels sums its levels from _EM_HEAD on by
 # Euler-Maclaurin with _EM_TERMS Bernoulli terms.  With K = 32 and J = 5
@@ -78,28 +74,19 @@ _EM_HEAD = 32
 _EM_TERMS = 5
 _EM_BOUND = 1e-13
 
-# Bernoulli numbers B_2, B_4, ..., B_10, and the terms (j, i, B_2j / (2j)!
-# C(2j - 1, i)) of sum_j B_2j / (2j)! (d/dx - beta)^(2j-1) g by Leibniz:
-# each weighs (-beta)^(2j-1-i) g^(i).
+# Bernoulli numbers B_2, B_4, ..., B_10.
 _BERNOULLI = (1 / 6, -1 / 30, 1 / 42, -1 / 30, 5 / 66)
-_LEIBNIZ = [
-    (j, i, 2 * j - 1 - i, b / math.factorial(2 * j) * math.comb(2 * j - 1, i))
-    for j, b in enumerate(_BERNOULLI, start=1)
-    for i in range(2 * j)
-]
-_BINOMIALS = [
-    [math.comb(n, i) for i in range(n + 1)] for n in range(2 * len(_BERNOULLI) + 1)
-]
+
+# The sign of each end's integral and Bernoulli terms: + at K, - at the last level.
+_END_SIGNS = np.array([[1.0], [1.0], [-1.0], [-1.0]])
 
 # exp(y) E1(y) = the integral of e^(-t) / (y + t) over t > 0, by the
 # trapezoid rule in tau after t = exp(tau - e^(-tau)), step 1/4 over
-# [-4, 4]: 33 (node t, weight) pairs, all positive, so no sum cancels.
-# Within 5 ulp of mpmath over y in [1, 1e8].
-_E1_TERMS = [
-    (t, 0.25 * t * (1.0 + math.exp(-tau)) * math.exp(-t))
-    for tau in (k / 4.0 for k in range(-16, 17))
-    for t in [math.exp(tau - math.exp(-tau))]
-]
+# [-4, 4]: 33 nodes t, with weights all positive, so no sum cancels.
+# Within 6 ulp of mpmath over y in [1, 1e8].
+_E1_TAU = np.arange(-16, 17) / 4.0
+_E1_NODES = np.exp(_E1_TAU - np.exp(-_E1_TAU))
+_E1_WEIGHTS = 0.25 * _E1_NODES * (1.0 + np.exp(-_E1_TAU)) * np.exp(-_E1_NODES)
 
 
 def check_abs_tol(abs_tol: float) -> None:
@@ -171,7 +158,7 @@ def joint_entropy_series(r: float, cfg: TruncationConfig) -> float:
     a sweep row's s_ar at the same cutoff.
     """
     check_r(r)
-    return _series_entropies([r], [cfg.n_max], ("s_ar",))[0][0]
+    return _series_entropies([r], [cfg.n_max])[0][0]
 
 
 def rob_entropy_series(r: float, cfg: TruncationConfig) -> float:
@@ -181,7 +168,7 @@ def rob_entropy_series(r: float, cfg: TruncationConfig) -> float:
     a sweep row's s_r at the same cutoff.
     """
     check_r(r)
-    return _series_entropies([r], [cfg.n_max], ("s_r",))[0][0]
+    return _series_entropies([r], [cfg.n_max])[1][0]
 
 
 def wedge_ii_probabilities(psi) -> np.ndarray:
@@ -298,10 +285,8 @@ def _cutoffs(rs: list[float], abs_tol: float) -> list[int]:
     return lo.tolist()
 
 
-def _series_entropies(
-    rs: list[float], n_used: list[int], series: tuple[str, ...] = _SERIES
-) -> tuple[list[float], ...]:
-    """The entropies `series` (each "s_ar" or "s_r") of consecutive rows.
+def _series_entropies(rs: list[float], n_used: list[int]) -> tuple[list[float], list[float]]:
+    """(s_ar, s_r) of consecutive rows.
 
     The one series pass: the joint spectrum lambda_n and Rob's occupations
     p_n of every row, with the levels 0.._EM_HEAD of a row on one line of
@@ -325,175 +310,162 @@ def _series_entropies(
         [q, s, [0.5 * x * (1.0 + x) for x in s], [0.5 * x * x for x in s]]
     )[:, :, None]
     power = q_k**slot
-    sums = []
-    for name in series:
-        if name == "s_ar":
-            probs = power * (lam_0 + lam_1 * slot)
-            if short:
-                probs[short] = power[short] * (0.5 * s_k[short[0], 0])  # lambda_N = a_N
-        else:
-            a = power * (0.5 * s_k)
-            probs = a.copy()
-            probs[:, 1:] += slot[1:] * s_k * a[:, :-1]
-        if long and len(slot) > _EM_HEAD:
-            probs[long, _EM_HEAD] = 0.0  # a long row's level _EM_HEAD is in its tail
-        if min(n_used) + 1 < len(slot):  # some row ends before the last slot
-            probs[slot > np.array(n_used)[:, None]] = 0.0
-        sums.append(_row_entropies(probs))
+    joint, rob = probs = np.empty((2,) + power.shape)
+    np.multiply(power, lam_0 + lam_1 * slot, out=joint)
+    if short:
+        joint[short] = power[short] * (0.5 * s_k[short[0], 0])  # lambda_N = a_N
+    np.multiply(power, 0.5 * s_k, out=rob)
+    rob[:, 1:] += slot[1:] * s_k * rob[:, :-1]
+    if long and len(slot) > _EM_HEAD:
+        probs[:, long, _EM_HEAD] = 0.0  # a long row's level _EM_HEAD is in its tail
+    if min(n_used) + 1 < len(slot):  # some row ends before the last slot
+        probs[:, slot > np.array(n_used)[:, None]] = 0.0
+    sums = _row_entropies(probs.reshape(2 * len(rs), -1))
+    s_ar, s_r = sums[: len(rs)], sums[len(rs) :]
     if long:
         tails, _ = _series_tails(
             [rs[k] for k in long],
             [n_used[k] for k in long],
             [ch2[k] for k in long],
             [q[k] for k in long],
-            series,
         )
-        for row_sums, row_tails in zip(sums, tails):
+        for row_sums, row_tails in zip((s_ar, s_r), tails):
             for k, tail in zip(long, row_tails):
                 row_sums[k] += tail
-    return tuple(sums)
+    return s_ar, s_r
 
 
 def _series_tails(
-    rs: list[float],
-    n_used: list[int],
-    ch2: list[float],
-    q: list[float],
-    series: tuple[str, ...],
+    rs: list[float], n_used: list[int], ch2: list[float], q: list[float]
 ) -> tuple[list[list[float]], list[list[float]]]:
-    """Sums of the levels _EM_HEAD..N of each series, and their remainder majorants.
+    """Sums of the levels _EM_HEAD..N of both series, and their remainder majorants.
 
     The summand at level x is -w u ln(w u) / ln 2 with w = (s/2) q^(x - d)
     and u = c + s x, where s = sech^2 r: c = 1 + s and d = 0 for lambda_x,
     which is smooth up to x = N - 1 (lambda_N = a_N = (s/2) q^N is added
     on its own), and c = q and d = 1 for p_x, up to x = N.  Over the levels
-    [K, M] the Euler-Maclaurin sum is :func:`_tail_end` at K and at M.  Both
-    results are lists per series of lists per row; a row whose majorant is
-    not below _EM_BOUND raises ConfigError.
-
-    Both series and both endpoints of every row are stacked in one array.
-    A single row runs the same operations on floats, which numpy rounds as
-    Python does, so its bits are those of the row in any block.
+    [K, M] the Euler-Maclaurin sum is :func:`_tail_ends` at K plus at M.
+    Both results are [s_ar, s_r] of lists per row; a row whose majorant is
+    not below _EM_BOUND raises ConfigError.  Every operation is elementwise
+    or sums along the last axis, so a row's bits do not depend on the rows
+    evaluated with it.
     """
-    per_row = [
-        [1.0 / c2 for c2 in ch2],
-        q,
-        [2.0 * math.log1p(2.0 / math.expm1(2.0 * r)) for r in rs],  # -ln q
-        [math.log(0.5 / c2) for c2 in ch2],
-        [float(n) for n in n_used],
-    ]
-    one = len(rs) == 1
-    s, q, beta, log_half_s, n = (col[0] if one else np.array(col) for col in per_row)
-    weights = _bernoulli_weights(beta)
-    x, c, d, sign = [], [], [], []
-    for name in series:
-        joint = name == "s_ar"
-        x += [float(_EM_HEAD), n - 1.0 if joint else n + 0.0]
-        c += [1.0 + s if joint else q] * 2
-        d += [0.0 if joint else 1.0] * 2
-        sign += [1.0, -1.0]
-    log_edge = log_half_s - beta * n  # ln a_N
-    edge = _elementwise(math.exp, log_edge) * log_edge
-    if one:
-        ends = [
-            _tail_end(*end, s, beta, log_half_s, weights, end[3] > 0)
-            for end in zip(x, c, d, sign)
+    sech2 = [1.0 / c2 for c2 in ch2]
+    c_joint = [1.0 + v for v in sech2]
+    head = [float(_EM_HEAD)] * len(rs)
+    last = [n - 1.0 for n in n_used]
+    # one line per end: lambda at K, p at K, lambda at N - 1, p at N
+    ends = np.array(
+        [
+            *(head, head, last, [n + 0.0 for n in n_used]),  # x
+            *(c_joint, q, c_joint, q),  # c
+            *(head, [_EM_HEAD - 1.0] * len(rs), last, last),  # x - d
+            sech2,
+            [2.0 * math.log1p(2.0 / math.expm1(2.0 * r)) for r in rs],  # -ln q
+            [math.log(0.5 / c2) for c2 in ch2],
+            [float(n) for n in n_used],
         ]
-        values, majorants = [[v] for v, _ in ends], [[m] for _, m in ends]
-        edge = [edge]
-    else:
-        x = np.array(np.broadcast_arrays(*x))
-        d, sign = np.array(d)[:, None], np.array(sign)[:, None]
-        values, majorants = _tail_end(
-            x, np.array(c), d, sign, s, beta, log_half_s, weights, True
-        )
-        values, majorants, edge = values.tolist(), majorants.tolist(), edge.tolist()
-    ln2 = math.log(2.0)
-    tails = []
-    for k, name in enumerate(series):
-        for r, majorant in zip(rs, majorants[2 * k]):
+    )
+    s, beta, log_half_s, n = ends[12:]
+    values, majorants = _tail_ends(ends[:4], ends[4:8], ends[8:12], s, beta, log_half_s)
+    for k, name in enumerate(("s_ar", "s_r")):
+        for r, majorant in zip(rs, majorants[k].tolist()):
             if not majorant < _EM_BOUND:
                 raise ConfigError(
                     f"r = {r:g}: the Euler-Maclaurin remainder bound {majorant:.3e} "
                     f"of {name} is not below {_EM_BOUND:g}"
                 )
-        extra = edge if name == "s_ar" else [0.0] * len(rs)
-        sums = zip(values[2 * k], values[2 * k + 1], extra)
-        tails.append([-(lo + hi + e) / ln2 for lo, hi, e in sums])
-    return tails, majorants[0::2]
+    log_edge = log_half_s - beta * n  # ln a_N
+    sums = values[:2] + values[2:]
+    sums[0] += np.exp(log_edge) * log_edge
+    return (sums / -math.log(2.0)).tolist(), majorants.tolist()
 
 
-def _bernoulli_weights(beta):
-    """c_i(beta), i < 2J, with sum_j B_2j/(2j)! (d/dx - beta)^(2j-1) g = sum_i c_i g^(i).
+def _tail_ends(x, c, shift, s, beta, log_half_s):
+    """w (+-(I - B) + g / 2) at each end x, and the remainder majorants at the K ends.
 
-    beta is a float or an array of them, and so is every c_i.
+    Each line of x, c and shift = x - d is one end; s, beta and ln(s/2)
+    are per row.  f = -e^(-beta x) g / ln 2 up to the row's constant, with
+    g = u ln(w u); I = the integral of e^(-beta (t - x)) g(t) over
+    [x, oo), closed-form with one exp(y) E1(y) at y = (beta / s) u >= 1;
+    B = the Bernoulli terms.  Both B and the majorant, read at the K ends
+    (the first two lines), are sums over the basis of :func:`_em_tables`
+    with coefficients polynomial in beta.
     """
-    minus_beta = [1.0]  # (-beta)^p
-    for _ in range(2 * _EM_TERMS):
-        minus_beta.append(minus_beta[-1] * -beta)
-    weights = [0.0] * (2 * _EM_TERMS)
-    for j, i, p, scale in _LEIBNIZ:
-        if j <= _EM_TERMS:
-            weights[i] = weights[i] + scale * minus_beta[p]
-    return weights
-
-
-def _tail_end(x, c, d, sign, s, beta, log_half_s, weights, bound):
-    """(w (sign (I - B) + g / 2), remainder majorant or None) at the level x.
-
-    f = -e^(-beta x) g / ln 2 up to the row's constant, with g = u ln(w u);
-    I = the integral of e^(-beta (t - x)) g(t) over [x, oo), closed-form
-    with one exp(y) E1(y) at y = (beta / s) u >= 1; B = the Bernoulli terms,
-    sum_i c_i g^(i), every g^(i) closed-form (-s (i-2)! (-s/u)^(i-1) past
-    the second).  sign is +1 at the first level K and -1 at the last.  The
-    majorant, formed when `bound` is true and read at K, is |B_2J| / (2J)!
-    times a bound on the integral of |f^(2J)| over [K, oo), taken term by
-    term of its Leibniz sum.  Every argument is a float or an array, with
-    the same operations either way, and every transcendental comes from
-    math.
-    """
-    order = 2 * _EM_TERMS
-    log_w = log_half_s - beta * (x - d)
+    log_w = log_half_s - beta * shift
     u = c + s * x
-    log_f = log_w + _elementwise(math.log, u)
+    log_f = log_w + np.log(u)
     y = beta / s * u
     rest = s / (beta * beta) * ((y + 1.0) * (log_f - 1.0) + _scaled_e1(y))
-    rho = -s / u
-    g = [u * log_f, s * (log_f + 1.0) - beta * u, s * (s / u - 2.0 * beta)]
+    tables = _EM_TABLES[_EM_TERMS]
+    basis = np.empty(u.shape + (tables.shape[1],))
+    basis[..., 0] = u * log_f
+    basis[..., 1] = s * log_f
+    basis[..., 2] = u
+    basis[..., 3] = rest
+    basis[..., 4] = s * log_w
+    basis[..., 5:] = (s / u)[..., None]
+    basis[..., 5] = s
+    np.multiply.accumulate(basis[..., 5:], axis=-1, out=basis[..., 5:])
+    powers = beta[:, None] ** np.arange(-1.0, tables.shape[2] - 1.0)
+    coefficients = (tables[:, None] * powers[:, None, :]).sum(axis=-1)  # [t, row, m]
+    bernoulli, bound = (basis * coefficients[:, None]).sum(axis=-1)
+    w = np.exp(log_w)
+    values = w * (_END_SIGNS * (rest - bernoulli) + 0.5 * basis[..., 0])
+    return values, w[:2] * bound[:2]
+
+
+def _em_tables(terms: int) -> np.ndarray:
+    """Coefficient tables of the Bernoulli terms and the majorant, for J = terms.
+
+    At an end, B is sum_m basis_m sum_p [0, m, p] beta^(p-1) and the
+    majorant is the same sum over [1, m, p].  With rho = s / u, the basis at an end is (m = 0..4) u ln f, s ln f, u,
+    I and s ln w, then (m = 5 + k) s rho^k for k < 2J.  B is sum_j B_2j /
+    (2j)! (d/dx - beta)^(2j-1) g = sum_i c_i(beta) g^(i) by Leibniz, with
+    g^(0) = u ln f, g' = s (ln f + 1) - beta u, g'' = s (rho - 2 beta)
+    and g^(i) = -s (i-2)! (-rho)^(i-1) for i >= 3.  The majorant is
+    |B_2J| / (2J)! / ln 2 times sum_i C(2J, i) beta^(2J-i) b_i, where b_i
+    bounds the integral of e^(-beta (t - x)) |g^(i)(t)| over [x, oo):
+    b_0 = -I, b_1 = s (3 - ln w) / beta + u, b_2 = 2 s + s rho / beta and
+    b_i = |g^(i)| / beta past the second.
+    """
+    order = 2 * terms
+    table = np.zeros((2, 5 + order, order + 2))
+    bern, bound = table
+    for j, b_2j in enumerate(_BERNOULLI[:terms], start=1):
+        for i in range(2 * j):
+            e = 2 * j - 1 - i  # c_i gets this times beta^e
+            weight = b_2j / math.factorial(2 * j) * math.comb(2 * j - 1, i) * (-1) ** e
+            if i == 0:
+                bern[0, e + 1] += weight
+            elif i == 1:
+                bern[1, e + 1] += weight
+                bern[2, e + 2] -= weight
+                bern[5, e + 1] += weight
+            elif i == 2:
+                bern[6, e + 1] += weight
+                bern[5, e + 2] -= 2.0 * weight
+            else:
+                bern[4 + i, e + 1] += weight * math.factorial(i - 2) * (-1) ** i
+    scale = abs(_BERNOULLI[terms - 1]) / math.factorial(order) / math.log(2.0)
+    binomial = [scale * math.comb(order, i) for i in range(order + 1)]
+    bound[3, order + 1] = -binomial[0]
+    bound[4, order - 1] = -binomial[1]
+    bound[2, order] = binomial[1]
+    bound[5, order - 1] = 3.0 * binomial[1] + 2.0 * binomial[2]
+    bound[6, order - 2] = binomial[2]
     for i in range(3, order + 1):
-        g.append(-s * rho * rho if i == 3 else g[-1] * ((i - 2) * rho))
-    bernoulli = 0.0
-    for weight, g_i in zip(weights, g):
-        bernoulli = bernoulli + weight * g_i
-    w = _elementwise(math.exp, log_w)
-    value = w * (sign * (rest - bernoulli) + 0.5 * g[0])
-    if not bound:
-        return value, None
-
-    # bounds on the integrals of e^(-beta (t - x)) |g^(i)(t)| over [x, oo),
-    # combined with the Leibniz weights C(2J, i) beta^(2J - i) by Horner
-    bounds = [-rest, s * (3.0 - log_w) / beta + u, 2.0 * s + s * s / (beta * u)]
-    bounds += [abs(g_i) / beta for g_i in g[3:]]
-    total = 0.0
-    for binomial, integral in zip(_BINOMIALS[order], bounds):
-        total = total * beta + binomial * integral
-    scale = abs(_BERNOULLI[_EM_TERMS - 1]) / math.factorial(order) / math.log(2.0)
-    return value, scale * w * total
+        bound[4 + i, order - i] = binomial[i] * math.factorial(i - 2)
+    return table
 
 
-def _elementwise(func, v):
-    """func (a math function) of a float, or of every entry of an array."""
-    if isinstance(v, np.ndarray):
-        return np.array([func(t) for t in v.ravel().tolist()]).reshape(v.shape)
-    return func(v)
+# _em_tables(J) for every J that _BERNOULLI allows.
+_EM_TABLES = {terms: _em_tables(terms) for terms in range(1, len(_BERNOULLI) + 1)}
 
 
 def _scaled_e1(y):
-    """exp(y) E1(y) for y >= 1 (a float or an array): the _E1_TERMS, in order."""
-    total = 0.0
-    for t, w in _E1_TERMS:
-        total = total + w / (y + t)
-    return total
+    """exp(y) E1(y) for every entry of an array of y >= 1, by the _E1_NODES rule."""
+    return (_E1_WEIGHTS / (y[..., None] + _E1_NODES)).sum(axis=-1)
 
 
 def _block_records(rs: list[float], n_used: list[int]) -> list[MeasureRecord]:

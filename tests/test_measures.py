@@ -373,7 +373,7 @@ def test_sweep_rows_are_bitwise_the_per_row_series(grid, tol):
     assert [rec.r for rec in records] == r_grid(cfg).tolist()
     for rec in records:
         assert_bitwise(rec, measure_record(rec.r, tol))
-        # and each one-row series, which forms only its own sum
+        # and each one-row series
         cut = TruncationConfig(rec.n_used)
         assert joint_entropy_series(rec.r, cut) == rec.s_ar, rec
         assert rob_entropy_series(rec.r, cut) == rec.s_r, rec
@@ -541,14 +541,11 @@ def test_series_match_a_40_digit_sum_at_a_fixed_cutoff(r, n_max):
 
 
 def test_scaled_e1_matches_mpmath():
-    # exp(y) E1(y) on the tails' whole range y >= 1; a float runs the same
-    # additions as an array, in the same order
+    # exp(y) E1(y) on the tails' whole range y >= 1
     ys = np.geomspace(1.0, 1e4, 121)
     with mpmath.workdps(30):
         ref = np.array([float(mpmath.e1(y) * mpmath.exp(y)) for y in ys.tolist()])
-    got = _scaled_e1(ys)
-    assert np.max(np.abs(got / ref - 1.0)) <= 1e-14
-    assert [_scaled_e1(y) for y in ys.tolist()] == got.tolist()
+    assert np.max(np.abs(_scaled_e1(ys) / ref - 1.0)) <= 1e-14
 
 
 # rows up to the reach, at their cutoffs and at shorter ones
@@ -570,7 +567,7 @@ def test_remainder_majorant_bounds_the_error(monkeypatch, head, terms):
     tightest = 0.0
     for r, n in MAJORANT_PAIRS:
         ch2, q = math.cosh(r) ** 2, math.tanh(r) ** 2
-        _, majorants = _series_tails([r], [n], [ch2], [q], ("s_ar", "s_r"))
+        _, majorants = _series_tails([r], [n], [ch2], [q])
         cfg = TruncationConfig(n)
         values = (joint_entropy_series(r, cfg), rob_entropy_series(r, cfg))
         for value, ref, [majorant] in zip(values, _mp_series_40(r, n), majorants):
@@ -588,7 +585,6 @@ def test_remainder_majorant_is_below_the_bound_to_the_reach():
         [n for _, n in long],
         [math.cosh(r) ** 2 for r, _ in long],
         [math.tanh(r) ** 2 for r, _ in long],
-        ("s_ar", "s_r"),
     )
     assert len(long) > 1400
     assert max(max(m) for m in majorants) < measures._EM_BOUND
