@@ -31,7 +31,6 @@ from .fock import (
     creation_matrix,
     partial_trace,
     sym_eigenvalues,
-    truncation_tail_bound,
 )
 from .measures import (
     MeasureRecord,
@@ -49,6 +48,7 @@ from .rindler import (
     one_particle_mode_weights,
     rho_alice_rob,
     tripartite_state,
+    truncation_tail_bound,
     vacuum_mode_weights,
 )
 from .sweep import SweepConfig, run_sweep, to_csv, to_json

@@ -34,7 +34,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Iterator
 
 import numpy as np
 
@@ -86,11 +85,10 @@ class KrausSet:
 
     A_n maps |a, m> to |a, m+n> and nothing else, so it is described by its
     one nonzero sub-diagonal.  :meth:`sub_diagonals` generates all of them
-    at once on the Fock levels an input occupies, and :meth:`window` yields
-    them per n as views of that table; nothing is stored.  The index range is tied
-    to the Fock truncation so one knob governs both.  `fault`, set by
-    :meth:`with_scalar_offset`, is (index, offset).  Dense matrices come
-    from :func:`kraus_operator`.
+    at once on the Fock levels an input occupies; nothing is stored.  The
+    index range is tied to the Fock truncation so one knob governs both.
+    `fault`, set by :meth:`with_scalar_offset`, is (index, offset).  Dense
+    matrices come from :func:`kraus_operator`.
     """
 
     r: float
@@ -152,18 +150,6 @@ class KrausSet:
                 power = roots[n - 1 : n - 1 + t] * power
             table[index, :, :t] += offset * (alice * power)
         return table
-
-    def window(self, lo: int, hi: int) -> Iterator[tuple[int, np.ndarray]]:
-        """(n, d) for ascending n, with d[a, k] = <a, m+n| A_n |a, m>, m = lo + k.
-
-        d covers the columns lo..top-1, top = min(hi + 1, n_max + 1 - n), and
-        n runs while top > lo.  Each d is a view of :meth:`sub_diagonals`.
-        """
-        table = self.sub_diagonals(lo, hi)
-        count, _, width = table.shape
-        if width:
-            for n in range(count):
-                yield n, table[n, :, : min(width, count - n)]
 
 
 def bell_state(cfg: TruncationConfig) -> StateVector:

@@ -13,10 +13,13 @@ one exp(y) E1(y) (:func:`_scaled_e1`, a fixed quadrature, since numpy has
 no E1), the endpoint halves and J = _EM_TERMS Bernoulli terms with
 closed-form derivatives.  Each such row has a closed-form majorant of the
 remainder, and a row whose majorant is not below _EM_BOUND = 1e-13 is
-refused with ConfigError.  A record adds closed forms to the sums, the
-per-row series are its one-row case at a fixed cutoff, and
-:func:`entropy_from_probabilities` is its term-by-term sum on one row.  Alice's reduction is diag(||d||^2/2, ||c||^2/2), and the
-norms of the mode weights c_n and d_n are 1 - tail_c and 1 - tail_d.  Every
+refused with ConfigError.  A block of _BLOCK_ROWS records is one array
+pass (:func:`_block_fields`): the series pass, then closed forms written
+once on arrays, whose scalar calls are their length-1 case.  The per-row
+series are the series pass on one row, and
+:func:`entropy_from_probabilities` is its term-by-term sum on one row.
+Alice's reduction is diag(||d||^2/2, ||c||^2/2), and the norms of the
+mode weights c_n and d_n are 1 - tail_c and 1 - tail_d.  Every
 field describes the tripartite state cut at N = n_used, whose last block
 keeps only |1, N> (so lambda_N is a_N); that state is pure, so the entropy
 exchange s_e is s_ar.  The independent routes are the blockwise
@@ -48,8 +51,14 @@ import numpy as np
 
 from .channel import KrausSet, bell_state
 from .errors import ConfigError
-from .fock import DensityMatrix, TruncationConfig, truncation_tail_bound
-from .rindler import WEDGE_II, check_r, discarded_weights, tripartite_state
+from .fock import DensityMatrix, TruncationConfig
+from .rindler import (
+    WEDGE_II,
+    check_r,
+    discarded_weights,
+    tripartite_state,
+    truncation_tail_bound,
+)
 
 # Cap on adaptively grown truncation.  It bounds the reach, not the work
 # of a record, which is the same at every cutoff.  At the default abs_tol
@@ -101,7 +110,7 @@ def check_abs_tol(abs_tol: float) -> None:
 
 def entropy_from_probabilities(probs: np.ndarray) -> float:
     """- sum p log2 p (0 log 0 = 0; need not sum to 1): _row_entropies of one row."""
-    return _row_entropies(np.asarray(probs, dtype=np.float64).reshape(1, -1))[0]
+    return float(_row_entropies(np.asarray(probs, dtype=np.float64).reshape(1, -1))[0])
 
 
 def von_neumann_entropy(rho: DensityMatrix, cfg: TruncationConfig) -> float:
@@ -113,14 +122,19 @@ def von_neumann_entropy(rho: DensityMatrix, cfg: TruncationConfig) -> float:
     return entropy_from_probabilities(ev)
 
 
-def entanglement_fidelity_closed(r: float) -> float:
+def entanglement_fidelity_closed(r: float | np.ndarray) -> float | np.ndarray:
     """Closed-form entanglement fidelity (1/4) sech^2 r (1 + sech r)^2.
 
     Equals 1 at r = 0 and decreases strictly to 0 as the acceleration grows.
+    Evaluated on arrays, like :func:`~unruhsim.rindler.discarded_weights`:
+    a scalar r is checked with check_r and is the length-1 case, returned
+    as a float.
     """
-    check_r(r)
-    sech = 1.0 / math.cosh(r)
-    return 0.25 * sech**2 * (1.0 + sech) ** 2
+    if np.ndim(r) == 0:
+        check_r(r)
+    sech = 1.0 / np.cosh(np.atleast_1d(r))
+    fidelity = 0.25 * sech**2 * (1.0 + sech) ** 2
+    return float(fidelity[0]) if np.ndim(r) == 0 else fidelity
 
 
 def input_overlap_traces(r: float, cfg: TruncationConfig) -> np.ndarray:
@@ -157,8 +171,7 @@ def joint_entropy_series(r: float, cfg: TruncationConfig) -> float:
     The s_ar of :func:`_series_entropies` on this one row, so it is bitwise
     a sweep row's s_ar at the same cutoff.
     """
-    check_r(r)
-    return _series_entropies([r], [cfg.n_max])[0][0]
+    return _row_series(r, cfg.n_max)[0]
 
 
 def rob_entropy_series(r: float, cfg: TruncationConfig) -> float:
@@ -167,8 +180,7 @@ def rob_entropy_series(r: float, cfg: TruncationConfig) -> float:
     The s_r of :func:`_series_entropies` on this one row, so it is bitwise
     a sweep row's s_r at the same cutoff.
     """
-    check_r(r)
-    return _series_entropies([r], [cfg.n_max])[1][0]
+    return _row_series(r, cfg.n_max)[1]
 
 
 def wedge_ii_probabilities(psi) -> np.ndarray:
@@ -208,7 +220,7 @@ def adaptive_n_max(r: float, abs_tol: float) -> int:
     """
     check_r(r)
     check_abs_tol(abs_tol)
-    return _cutoffs([r], abs_tol)[0]
+    return int(_cutoffs(np.array([r], dtype=np.float64), abs_tol)[0])
 
 
 @dataclass(frozen=True)
@@ -238,25 +250,53 @@ def measure_records(rs: Iterable[float], abs_tol: float) -> list[MeasureRecord]:
 
     Each cutoff n_used is :func:`adaptive_n_max`'s, found for all rows by
     one search; the first r in order that no cutoff certifies raises
-    ConfigError before any row is evaluated.  tail is the mean of the exact
-    weights the two truncated branches discard.  fe_kraus keeps the one
-    nonzero operator-sum term: on the input support A_0 = diag(1, cosh r)
-    (x) 1 / cosh^2 r, so Tr(rho_in A_0) = (1 + cosh r) / (2 cosh^2 r).
+    ConfigError before any row is evaluated.  The rows are then evaluated
+    in passes of _BLOCK_ROWS (:func:`_block_fields`), and the records are
+    built once, from the columns.
     """
     rs = list(rs)
     for r in rs:
         check_r(r)
     check_abs_tol(abs_tol)
-    rs = [float(r) for r in rs]
-    n_used = _cutoffs(rs, abs_tol)
-    records: list[MeasureRecord] = []
-    for start in range(0, len(rs), _BLOCK_ROWS):
-        block = slice(start, start + _BLOCK_ROWS)
-        records += _block_records(rs[block], n_used[block])
-    return records
+    r = np.array(rs, dtype=np.float64)
+    n_used = _cutoffs(r, abs_tol)
+    edges = range(_BLOCK_ROWS, r.size, _BLOCK_ROWS)
+    blocks = map(_block_fields, np.split(r, edges), np.split(n_used, edges))
+    columns = [np.concatenate(column).tolist() for column in zip(*blocks)]
+    return [MeasureRecord(*row) for row in zip(*columns, n_used.tolist())]
 
 
-def _cutoffs(rs: list[float], abs_tol: float) -> list[int]:
+def _block_fields(r: np.ndarray, n_used: np.ndarray) -> tuple[np.ndarray, ...]:
+    """The fields of consecutive records but n_used, in MeasureRecord order, as arrays.
+
+    One array pass: cosh r once, for :func:`_series_entropies` and
+    fe_kraus, then the closed forms.  tail is the mean of the exact weights
+    the two truncated branches discard, and s_a the entropy of Alice's
+    reduction diag(1 - tail_d, 1 - tail_c) / 2.
+    fe_kraus keeps the one nonzero operator-sum term: on the input support
+    A_0 = diag(1, cosh r) (x) 1 / cosh^2 r, so Tr(rho_in A_0) =
+    (1 + cosh r) / (2 cosh^2 r).
+    """
+    ch = np.cosh(r)
+    s_ar, s_r = _series_entropies(r, n_used, ch)
+    tail_c, tail_d = discarded_weights(r, n_used)
+    s_a = _row_entropies(np.stack((1.0 - tail_d, 1.0 - tail_c), axis=-1) / 2.0)
+    trace_0 = 0.5 * (1.0 + ch) / (ch * ch)
+    return (
+        r,
+        entanglement_fidelity_closed(r),
+        trace_0 * trace_0,
+        s_ar,
+        s_r,
+        s_a,
+        s_ar,
+        1.0 + s_r - s_ar,
+        s_a + s_r - s_ar,
+        (tail_c + tail_d) / 2.0,
+    )
+
+
+def _cutoffs(r: np.ndarray, abs_tol: float) -> np.ndarray:
     """The smallest N >= 1 with truncation_tail_bound(r, N) < abs_tol, per r.
 
     One bisection over all rows at once, which finds the smallest N because
@@ -265,7 +305,6 @@ def _cutoffs(rs: list[float], abs_tol: float) -> list[int]:
     the other rows.  The first r in order with no cutoff up to the cap
     raises ConfigError.
     """
-    r = np.array(rs, dtype=np.float64)
     lo = np.ones(r.size, dtype=np.int64)
     hi = np.full(r.size, ADAPTIVE_N_CAP + 1, dtype=np.int64)
     while (active := lo < hi).any():
@@ -275,18 +314,25 @@ def _cutoffs(rs: list[float], abs_tol: float) -> list[int]:
         lo = np.where(active & ~below, mid + 1, lo)
     refused = np.flatnonzero(lo > ADAPTIVE_N_CAP)
     if refused.size:
-        first = rs[refused[0]]
+        first = float(r[refused[0]])
         bound = truncation_tail_bound(first, ADAPTIVE_N_CAP)
         raise ConfigError(
             f"r = {first:g} needs a cutoff above the adaptive cap n_max = "
             f"{ADAPTIVE_N_CAP}: there the tail bound {bound:.3e} is not below "
             f"abs_tol = {abs_tol:g}"
         )
-    return lo.tolist()
+    return lo
 
 
-def _series_entropies(rs: list[float], n_used: list[int]) -> tuple[list[float], list[float]]:
-    """(s_ar, s_r) of consecutive rows.
+def _row_series(r: float, n_used: int) -> list[float]:
+    """(s_ar, s_r) of one checked r: :func:`_series_entropies` on length-1 arrays."""
+    check_r(r)
+    r = np.array([r], dtype=np.float64)
+    return _series_entropies(r, np.array([n_used]), np.cosh(r))[:, 0].tolist()
+
+
+def _series_entropies(r: np.ndarray, n_used: np.ndarray, ch: np.ndarray) -> np.ndarray:
+    """[s_ar, s_r] of consecutive rows, given ch = cosh r, as a (2, rows) array.
 
     The one series pass: the joint spectrum lambda_n and Rob's occupations
     p_n of every row, with the levels 0.._EM_HEAD of a row on one line of
@@ -296,48 +342,36 @@ def _series_entropies(rs: list[float], n_used: list[int]) -> tuple[list[float], 
     _EM_HEAD there and the rest in :func:`_series_tails`.  No step mixes
     rows, so a row's bits do not depend on the rows evaluated with it.
     """
-    ch2 = [math.cosh(r) ** 2 for r in rs]
-    q = [math.tanh(r) ** 2 for r in rs]
-    s = [1.0 / c for c in ch2]
-    long = [k for k, n_k in enumerate(n_used) if n_k > _EM_HEAD]
-    short = tuple(zip(*[(k, n_k) for k, n_k in enumerate(n_used) if n_k <= _EM_HEAD]))
+    q, s = np.tanh(r) ** 2, 1.0 / (ch * ch)
+    short = (n_used <= _EM_HEAD).nonzero()[0]
     # a short row's slots are its levels 0..N, a long row's 0.._EM_HEAD - 1
     # and a 0.0, which leaves its pairwise sum unchanged, if a short row
     # needs slot _EM_HEAD
-    slot = np.arange(_EM_HEAD + (len(long) < len(rs)) + 0.0)
-    # lambda_n = q^n (s/2) (1 + (n+1) s) and p_n = q^n (s/2) + n s a_(n-1)
-    q_k, s_k, lam_0, lam_1 = np.array(
-        [q, s, [0.5 * x * (1.0 + x) for x in s], [0.5 * x * x for x in s]]
-    )[:, :, None]
-    power = q_k**slot
-    joint, rob = probs = np.empty((2,) + power.shape)
-    np.multiply(power, lam_0 + lam_1 * slot, out=joint)
-    if short:
-        joint[short] = power[short] * (0.5 * s_k[short[0], 0])  # lambda_N = a_N
-    np.multiply(power, 0.5 * s_k, out=rob)
-    rob[:, 1:] += slot[1:] * s_k * rob[:, :-1]
-    if long and len(slot) > _EM_HEAD:
-        probs[:, long, _EM_HEAD] = 0.0  # a long row's level _EM_HEAD is in its tail
-    if min(n_used) + 1 < len(slot):  # some row ends before the last slot
-        probs[:, slot > np.array(n_used)[:, None]] = 0.0
-    sums = _row_entropies(probs.reshape(2 * len(rs), -1))
-    s_ar, s_r = sums[: len(rs)], sums[len(rs) :]
-    if long:
-        tails, _ = _series_tails(
-            [rs[k] for k in long],
-            [n_used[k] for k in long],
-            [ch2[k] for k in long],
-            [q[k] for k in long],
-        )
-        for row_sums, row_tails in zip((s_ar, s_r), tails):
-            for k, tail in zip(long, row_tails):
-                row_sums[k] += tail
-    return s_ar, s_r
+    slot = np.arange(_EM_HEAD + (short.size > 0) + 0.0)
+    # a_n = q^n s/2, lambda_n = a_n (1 + (n+1) s) and p_n = a_n + n s a_(n-1)
+    joint, rob = probs = np.empty((2, r.size, slot.size))
+    np.multiply(q[:, None] ** slot, 0.5 * s[:, None], out=rob)
+    level_s = (slot + 1.0) * s[:, None]  # (n + 1) s
+    np.multiply(rob, 1.0 + level_s, out=joint)
+    if short.size:
+        edge = n_used[short]
+        joint[short, edge] = rob[short, edge]  # lambda_N = a_N
+    rob[:, 1:] += level_s[:, :-1] * rob[:, :-1]
+    if short.size:
+        # zero the slots past a row's last: N, or _EM_HEAD - 1 for a long
+        # row, whose level _EM_HEAD is in its tail
+        long = n_used > _EM_HEAD
+        probs[:, slot > np.where(long, _EM_HEAD - 1, n_used)[:, None]] = 0.0
+    sums = _row_entropies(probs)
+    if short.size < r.size:  # some row is long
+        rows = long if short.size else slice(None)  # all long: views, not copies
+        sums[:, rows] += _series_tails(r[rows], n_used[rows], q[rows], s[rows])[0]
+    return sums
 
 
 def _series_tails(
-    rs: list[float], n_used: list[int], ch2: list[float], q: list[float]
-) -> tuple[list[list[float]], list[list[float]]]:
+    r: np.ndarray, n_used: np.ndarray, q: np.ndarray, s: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
     """Sums of the levels _EM_HEAD..N of both series, and their remainder majorants.
 
     The summand at level x is -w u ln(w u) / ln 2 with w = (s/2) q^(x - d)
@@ -345,40 +379,35 @@ def _series_tails(
     which is smooth up to x = N - 1 (lambda_N = a_N = (s/2) q^N is added
     on its own), and c = q and d = 1 for p_x, up to x = N.  Over the levels
     [K, M] the Euler-Maclaurin sum is :func:`_tail_ends` at K plus at M.
-    Both results are [s_ar, s_r] of lists per row; a row whose majorant is
-    not below _EM_BOUND raises ConfigError.  Every operation is elementwise
-    or sums along the last axis, so a row's bits do not depend on the rows
-    evaluated with it.
+    Both results are [s_ar, s_r] arrays of shape (2, rows); a row whose
+    majorant is not below _EM_BOUND raises ConfigError.  Every operation
+    is elementwise or sums along the last axis, so a row's bits do not
+    depend on the rows evaluated with it.
     """
-    sech2 = [1.0 / c2 for c2 in ch2]
-    c_joint = [1.0 + v for v in sech2]
-    head = [float(_EM_HEAD)] * len(rs)
-    last = [n - 1.0 for n in n_used]
+    head = np.full(r.shape, _EM_HEAD + 0.0)
+    last = n_used - 1.0
+    c_joint = 1.0 + s
     # one line per end: lambda at K, p at K, lambda at N - 1, p at N
-    ends = np.array(
+    x, c, shift = np.array(
         [
-            *(head, head, last, [n + 0.0 for n in n_used]),  # x
-            *(c_joint, q, c_joint, q),  # c
-            *(head, [_EM_HEAD - 1.0] * len(rs), last, last),  # x - d
-            sech2,
-            [2.0 * math.log1p(2.0 / math.expm1(2.0 * r)) for r in rs],  # -ln q
-            [math.log(0.5 / c2) for c2 in ch2],
-            [float(n) for n in n_used],
+            *(head, head, last, n_used),
+            *(c_joint, q, c_joint, q),
+            *(head, head - 1.0, last, last),  # x - d
         ]
-    )
-    s, beta, log_half_s, n = ends[12:]
-    values, majorants = _tail_ends(ends[:4], ends[4:8], ends[8:12], s, beta, log_half_s)
-    for k, name in enumerate(("s_ar", "s_r")):
-        for r, majorant in zip(rs, majorants[k].tolist()):
-            if not majorant < _EM_BOUND:
-                raise ConfigError(
-                    f"r = {r:g}: the Euler-Maclaurin remainder bound {majorant:.3e} "
-                    f"of {name} is not below {_EM_BOUND:g}"
-                )
-    log_edge = log_half_s - beta * n  # ln a_N
+    ).reshape(3, 4, -1)
+    beta = -np.log1p(-s)  # -ln q
+    log_half_s = np.log(0.5 * s)
+    values, majorants = _tail_ends(x, c, shift, s, beta, log_half_s)
+    if not majorants.max() < _EM_BOUND:  # NaN fails too
+        k, row = np.argwhere(~(majorants < _EM_BOUND))[0]
+        raise ConfigError(
+            f"r = {r[row]:g}: the Euler-Maclaurin remainder bound "
+            f"{majorants[k, row]:.3e} of {('s_ar', 's_r')[k]} is not below {_EM_BOUND:g}"
+        )
+    log_edge = log_half_s - beta * n_used  # ln a_N
     sums = values[:2] + values[2:]
     sums[0] += np.exp(log_edge) * log_edge
-    return (sums / -math.log(2.0)).tolist(), majorants.tolist()
+    return sums / -math.log(2.0), majorants
 
 
 def _tail_ends(x, c, shift, s, beta, log_half_s):
@@ -468,44 +497,11 @@ def _scaled_e1(y):
     return (_E1_WEIGHTS / (y[..., None] + _E1_NODES)).sum(axis=-1)
 
 
-def _block_records(rs: list[float], n_used: list[int]) -> list[MeasureRecord]:
-    """Records for consecutive rows: :func:`_series_entropies` plus closed forms."""
-    s_ar, s_r = _series_entropies(rs, n_used)
-    ch = [math.cosh(r) for r in rs]
-    ch2 = [x**2 for x in ch]
-    records = []
-    for k, (r, n_k) in enumerate(zip(rs, n_used)):
-        trace_0 = 0.5 * (1.0 + ch[k]) / ch2[k]
-        tail_c, tail_d = discarded_weights(r, n_k)
-        s_a = _plogp((1.0 - tail_d) / 2.0) + _plogp((1.0 - tail_c) / 2.0)
-        records.append(
-            MeasureRecord(
-                r=r,
-                fe_closed=entanglement_fidelity_closed(r),
-                fe_kraus=trace_0 * trace_0,
-                s_ar=s_ar[k],
-                s_r=s_r[k],
-                s_a=s_a,
-                s_e=s_ar[k],
-                mutual_info=1.0 + s_r[k] - s_ar[k],
-                subadd_margin=s_a + s_r[k] - s_ar[k],
-                tail=(tail_c + tail_d) / 2.0,
-                n_used=n_k,
-            )
-        )
-    return records
-
-
-def _plogp(p: float) -> float:
-    """-p log2 p, and 0 for p at or below _PROB_FLOOR (0 log 0 = 0)."""
-    return -p * math.log2(p) if p > _PROB_FLOOR else 0.0
-
-
-def _row_entropies(probs: np.ndarray) -> list[float]:
-    """- sum p log2 p along each row of a 2-D array, 0 log 0 = 0.
+def _row_entropies(probs: np.ndarray) -> np.ndarray:
+    """- sum p log2 p along the last axis, 0 log 0 = 0.
 
     Entries at or below _PROB_FLOOR count as exact zeros; each row is summed
     on its own, pairwise, so a row's result does not depend on the others.
     """
     x = np.where(probs > _PROB_FLOOR, probs, 1.0)
-    return [0.0 - v for v in np.add.reduce(x * np.log2(x), axis=-1).tolist()]
+    return 0.0 - np.add.reduce(x * np.log2(x), axis=-1)

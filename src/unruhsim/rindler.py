@@ -60,9 +60,9 @@ def one_particle_mode_weights(
     """Weights d_n = sqrt(n+1) tanh^n r / cosh^2 r over |n+1>_I |n>_II.
 
     Only n = 0..n_max-1 fit (occupation n+1 must stay in range), so the
-    returned array has length n_max.  The exact discarded weight is
-    q^n_max ((n_max+1) - n_max q) with q = tanh^2 r; it joins the reported
-    tail rather than being silently renormalized away.
+    returned array has length n_max.  The exact discarded weight, tail_d of
+    :func:`discarded_weights`, joins the reported tail rather than being
+    silently renormalized away.
     """
     check_r(r)
     n = np.arange(cfg.n_max)
@@ -70,11 +70,42 @@ def one_particle_mode_weights(
     return weights, discarded_weights(r, cfg.n_max)[1]
 
 
-def discarded_weights(r: float, n_max: int) -> tuple[float, float]:
-    """(tail_c, tail_d): the exact squared weights the cutoff drops from c and d."""
-    t = math.tanh(r)
-    q = t**2
-    return t ** (2 * (n_max + 1)), q**n_max * ((n_max + 1) - n_max * q)
+def discarded_weights(
+    r: float | np.ndarray, n_max: int | np.ndarray
+) -> tuple[float, float] | tuple[np.ndarray, np.ndarray]:
+    """(tail_c, tail_d): the exact squared weights a cutoff at n_max drops from c and d.
+
+    With q = tanh^2 r, tail_c = q^(n_max + 1) and tail_d = q^n_max
+    ((n_max + 1) - n_max q).  r and n_max broadcast against each other.
+    The weights are always evaluated on arrays of at least one dimension,
+    because numpy's array pow can differ in the last ulp from the scalar
+    pow of Python and of a 0-d array: a scalar call is the length-1 case,
+    returned as floats, and equals the matching elements of any array call.
+    """
+    q = np.tanh(np.atleast_1d(r)) ** 2
+    n = np.atleast_1d(n_max)
+    tails = q ** (n + 1), q**n * ((n + 1) - n * q)
+    if np.ndim(r) == 0 and np.ndim(n_max) == 0:
+        return float(tails[0][0]), float(tails[1][0])
+    return tails
+
+
+def truncation_tail_bound(
+    r: float | np.ndarray, n_max: int | np.ndarray
+) -> float | np.ndarray:
+    """Bound max((n_max + 2) tail_c, tail_d) on the weight a cutoff at n_max drops.
+
+    tail_c and tail_d are :func:`discarded_weights`.  (n_max + 2) tail_c
+    majorizes the vacuum branch's tail; tail_d is the exact weight the
+    one-particle branch drops because it keeps only n_max levels.  The
+    first term wins for q >= 1/2; the second for q < 1/2.  Its factor
+    n_max + 2 is looser than the vacuum tail needs; it stays because it
+    sets every cutoff n_used.  Like the weights, a scalar call is the
+    length-1 case, returned as a float.
+    """
+    tail_c, tail_d = discarded_weights(r, n_max)
+    bound = np.maximum((np.asarray(n_max) + 2) * tail_c, tail_d)
+    return float(bound) if np.ndim(bound) == 0 else bound
 
 
 def tripartite_layout(cfg: TruncationConfig) -> FactorLayout:

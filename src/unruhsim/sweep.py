@@ -22,8 +22,8 @@ from .measures import MeasureRecord, check_abs_tol, measure_records
 
 SCHEMA = "unruh-sweep/1"
 
-# Largest accepted grid.  With every row's cutoff at most ADAPTIVE_N_CAP
-# levels, it bounds the work and the buffered output of any sweep.
+# Largest accepted grid.  Every row costs the same work whatever its
+# cutoff, so the cap bounds only the output a sweep buffers.
 MAX_POINTS = 100_000
 
 CSV_COLUMNS = (

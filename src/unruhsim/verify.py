@@ -32,7 +32,7 @@ from .channel import (
     trace_preservation_defect,
 )
 from .errors import ConfigError, NotSymmetricError
-from .fock import StateVector, TruncationConfig, partial_trace, truncation_tail_bound
+from .fock import StateVector, TruncationConfig, partial_trace
 from .measures import (
     adaptive_n_max,
     entanglement_fidelity_closed,
@@ -44,7 +44,14 @@ from .measures import (
     rob_entropy_series,
     von_neumann_entropy,
 )
-from .rindler import ALICE, WEDGE_I, joint_layout, rho_alice_rob, tripartite_state
+from .rindler import (
+    ALICE,
+    WEDGE_I,
+    joint_layout,
+    rho_alice_rob,
+    tripartite_state,
+    truncation_tail_bound,
+)
 from .sweep import SweepConfig, r_grid, run_sweep
 
 # Spot-check constants.  The trace-preservation probes sit in [1.05, 1.5]:
@@ -208,7 +215,7 @@ def _records_vs_oracle(inp: _Inputs):
 
 
 def _fidelity_monotonic(inp: _Inputs):
-    fe = np.array([entanglement_fidelity_closed(r) for r in r_grid(inp.cfg)])
+    fe = entanglement_fidelity_closed(r_grid(inp.cfg))
     return float(np.max(np.diff(fe))), 0.0, "max consecutive increase"
 
 

@@ -82,6 +82,13 @@ def test_kraus_action_on_initial_subspace(n):
     assert np.allclose(image, expected, atol=1e-15)
 
 
+def window(ks, lo, hi):
+    """(n, d) for ascending n: the rows of ks.sub_diagonals(lo, hi), cut at the cutoff."""
+    table = ks.sub_diagonals(lo, hi)
+    count, _, width = table.shape
+    return [(n, table[n, :, : min(width, count - n)]) for n in range(count)]
+
+
 def sub_diagonals(op, n, dim):
     """The n-th sub-diagonal of each Alice block of a dense operator, (2, dim - n)."""
     blocks = op.reshape(2, dim, 2, dim)
@@ -90,7 +97,7 @@ def sub_diagonals(op, n, dim):
 
 def test_kraus_set_matches_single_operators():
     r, cfg = 0.9, TruncationConfig(8)
-    rows = list(KrausSet.build(r, cfg).window(0, cfg.n_max))
+    rows = window(KrausSet.build(r, cfg), 0, cfg.n_max)
     assert [n for n, _ in rows] == list(range(cfg.n_max + 1))
     for n, diag in rows:
         assert diag.shape == (2, cfg.dim - n)
@@ -104,7 +111,7 @@ def test_kraus_diagonals_are_the_dense_operators(n_max, r):
     # the generated sub-diagonal is the whole dense operator: equal bit for
     # bit on that sub-diagonal of each Alice block and exactly 0 elsewhere
     cfg = TruncationConfig(n_max)
-    for n, diag in KrausSet.build(r, cfg).window(0, cfg.n_max):
+    for n, diag in window(KrausSet.build(r, cfg), 0, cfg.n_max):
         op = kraus_operator(n, r, cfg)
         assert np.array_equal(diag, sub_diagonals(op, n, cfg.dim))
         m = np.arange(cfg.dim - n)
@@ -120,7 +127,7 @@ def test_window_matches_closed_form(n_max, hi, r):
     # <a, m+n| A_n |a, m> = tanh^n r sqrt(C(m+n, n)) (cosh r)^a / cosh^2 r,
     # with the binomial in exact integers: a route that shares no recurrence
     th, ch = math.tanh(r), math.cosh(r)
-    rows = list(KrausSet.build(r, TruncationConfig(n_max)).window(0, hi))
+    rows = window(KrausSet.build(r, TruncationConfig(n_max)), 0, hi)
     assert [n for n, _ in rows] == list(range(n_max + 1))
     for n, d in rows:
         assert d.shape == (2, min(hi + 1, n_max + 1 - n))
@@ -138,9 +145,9 @@ def test_window_columns_are_the_full_window(r, fault):
     ks = KrausSet.build(r, cfg)
     if fault is not None:
         ks = ks.with_scalar_offset(*fault)
-    full = dict(ks.window(0, cfg.n_max))
+    full = dict(window(ks, 0, cfg.n_max))
     for lo, hi in ((0, 1), (3, 8), (8, 12), (0, cfg.n_max)):
-        rows = list(ks.window(lo, hi))
+        rows = window(ks, lo, hi)
         assert [n for n, _ in rows] == list(range(cfg.dim - lo))
         for n, d in rows:
             assert d.shape == (2, min(hi + 1, cfg.dim - n) - lo)
@@ -154,8 +161,8 @@ def test_kraus_scalar_offset_fault_helper():
     assert faulted.fault == (2, 1e-3)
     with pytest.raises(ConfigError):
         ks.with_scalar_offset(cfg.n_max + 1, 1e-3)
-    clean = dict(ks.window(0, cfg.n_max))
-    shifted = dict(faulted.window(0, cfg.n_max))
+    clean = dict(window(ks, 0, cfg.n_max))
+    shifted = dict(window(faulted, 0, cfg.n_max))
     bump = 1e-3 * np.kron(
         _alice_weight(r), np.linalg.matrix_power(creation_matrix(cfg), 2)
     )
@@ -265,7 +272,7 @@ def full_width_operator_sum(rho, ks):
     dim = ks.cfg.dim
     rho4 = rho.mat.reshape(2, dim, 2, dim)
     out = np.zeros_like(rho4)
-    for n, d in ks.window(0, ks.cfg.n_max):
+    for n, d in window(ks, 0, ks.cfg.n_max):
         k = dim - n
         out[:, n:, :, n:] += d[:, :, None, None] * rho4[:, :k, :, :k] * d[None, None]
     return out.reshape(rho.mat.shape)
@@ -429,7 +436,7 @@ def test_defect_requires_normalized_probe():
 def completeness_diagonal(ks):
     """Diagonal of sum_n A_n^T A_n, ascending n, from the full window; (2, dim)."""
     diag = np.zeros((2, ks.cfg.dim))
-    for _, d in ks.window(0, ks.cfg.n_max):
+    for _, d in window(ks, 0, ks.cfg.n_max):
         diag[:, : d.shape[1]] += d * d
     return diag
 

@@ -17,7 +17,6 @@ from unruhsim import (
     creation_matrix,
     partial_trace,
     sym_eigenvalues,
-    truncation_tail_bound,
 )
 from unruhsim.fock import SYMMETRY_TOL
 from unruhsim.measures import entropy_exchange, von_neumann_entropy
@@ -427,18 +426,4 @@ def test_oracle_spectra_are_solved_block_by_block(solved_blocks):
         solved_blocks.clear()
         reduced()
         assert solved_blocks and set(solved_blocks) == {1}
-
-
-# ---------------------------------------------------------------- tail bound
-
-
-def test_truncation_tail_bound_formula():
-    assert truncation_tail_bound(0.0, 16) == 0.0
-    q = math.tanh(1.2) ** 2
-    assert truncation_tail_bound(1.2, 16) == pytest.approx(18 * q**17, rel=1e-14)
-    # below q = 1/2 the n_max-level one-particle branch's exact tail is larger
-    q = math.tanh(0.3) ** 2
-    assert truncation_tail_bound(0.3, 8) == pytest.approx(
-        q**8 * (9 - 8 * q), rel=1e-14
-    )
 

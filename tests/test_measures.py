@@ -415,6 +415,9 @@ def test_closed_forms_match_the_mode_weights(rows, tol):
         wedge[:-1] += 0.5 * d * d
         s_a = entropy_from_probabilities(np.array([d @ d, c @ c]) / 2.0)
         assert abs(rec.s_a - s_a) <= 1e-12, rec
+        # and bit for bit the one entropy function on the discarded weights
+        alice = np.array([1.0 - tail_d, 1.0 - tail_c]) / 2.0
+        assert rec.s_a == entropy_from_probabilities(alice), rec
         assert abs(rec.s_ar - entropy_from_probabilities(wedge)) <= 1e-12, rec
         assert rec.s_e == rec.s_ar, rec
         assert rec.tail == (tail_c + tail_d) / 2.0, rec
@@ -548,6 +551,12 @@ def test_scaled_e1_matches_mpmath():
     assert np.max(np.abs(_scaled_e1(ys) / ref - 1.0)) <= 1e-14
 
 
+def _tail_inputs(rs, n_used):
+    """(r, n_used, q, s) of rows, as arrays, for _series_tails."""
+    r = np.asarray(rs, dtype=np.float64)
+    return r, np.asarray(n_used), np.tanh(r) ** 2, 1.0 / np.cosh(r) ** 2
+
+
 # rows up to the reach, at their cutoffs and at shorter ones
 MAJORANT_PAIRS = [
     (r, n)
@@ -566,8 +575,7 @@ def test_remainder_majorant_bounds_the_error(monkeypatch, head, terms):
     monkeypatch.setattr(measures, "_EM_BOUND", math.inf)
     tightest = 0.0
     for r, n in MAJORANT_PAIRS:
-        ch2, q = math.cosh(r) ** 2, math.tanh(r) ** 2
-        _, majorants = _series_tails([r], [n], [ch2], [q])
+        _, majorants = _series_tails(*_tail_inputs([r], [n]))
         cfg = TruncationConfig(n)
         values = (joint_entropy_series(r, cfg), rob_entropy_series(r, cfg))
         for value, ref, [majorant] in zip(values, _mp_series_40(r, n), majorants):
@@ -578,16 +586,12 @@ def test_remainder_majorant_bounds_the_error(monkeypatch, head, terms):
 
 
 def test_remainder_majorant_is_below_the_bound_to_the_reach():
-    rs = np.linspace(0.0, 3.1296, 2000).tolist()
-    long = [(r, n) for r, n in zip(rs, measures._cutoffs(rs, 1e-10)) if n > _EM_HEAD]
-    _, majorants = _series_tails(
-        [r for r, _ in long],
-        [n for _, n in long],
-        [math.cosh(r) ** 2 for r, _ in long],
-        [math.tanh(r) ** 2 for r, _ in long],
-    )
-    assert len(long) > 1400
-    assert max(max(m) for m in majorants) < measures._EM_BOUND
+    rs = np.linspace(0.0, 3.1296, 2000)
+    n_used = measures._cutoffs(rs, 1e-10)
+    long = n_used > _EM_HEAD
+    _, majorants = _series_tails(*_tail_inputs(rs[long], n_used[long]))
+    assert long.sum() > 1400
+    assert majorants.max() < measures._EM_BOUND
 
 
 def test_rows_whose_majorant_is_too_large_are_refused(monkeypatch):

@@ -23,7 +23,7 @@ from unruhsim import (
     vacuum_mode_weights,
 )
 from unruhsim.fock import creation_matrix
-from unruhsim.rindler import ALICE, WEDGE_I, WEDGE_II, check_r
+from unruhsim.rindler import ALICE, WEDGE_I, WEDGE_II, check_r, discarded_weights
 
 
 # ---------------------------------------------------------------- parameterization
@@ -120,6 +120,42 @@ def test_one_particle_weights_matrix_apply_oracle():
     d, _ = one_particle_mode_weights(r, cfg)
     for n in range(cfg.n_max):
         assert excited[n + 1, n] == pytest.approx(d[n], abs=1e-12)
+
+
+# ---------------------------------------------------------------- discarded weights
+
+
+def test_truncation_tail_bound_formula():
+    assert truncation_tail_bound(0.0, 16) == 0.0
+    q = math.tanh(1.2) ** 2
+    assert truncation_tail_bound(1.2, 16) == pytest.approx(18 * q**17, rel=1e-14)
+    # below q = 1/2 the n_max-level one-particle branch's exact tail is larger
+    q = math.tanh(0.3) ** 2
+    assert truncation_tail_bound(0.3, 8) == pytest.approx(
+        q**8 * (9 - 8 * q), rel=1e-14
+    )
+
+
+def test_discarded_weights_are_one_definition():
+    # the weights and the bound are written once, on arrays: on the grid
+    # where numpy's array pow and Python's disagree by an ulp, every element
+    # of an array call is its scalar call, bit for bit, and the bound is
+    # max((N + 2) tail_c, tail_d) of those very weights
+    rs = np.linspace(0.7, 1.2, 51)
+    ns = np.arange(1, 1001)
+    tail_c, tail_d = discarded_weights(rs[:, None], ns)
+    bound = truncation_tail_bound(rs[:, None], ns)
+    python_pow = 0
+    for r, row_c, row_d, row_bound in zip(rs.tolist(), tail_c, tail_d, bound):
+        q = np.tanh(np.array([r])).item() ** 2
+        rows = zip(ns.tolist(), row_c.tolist(), row_d.tolist(), row_bound.tolist())
+        for n, c, d, b in rows:
+            assert discarded_weights(r, n) == (c, d), (r, n)
+            assert truncation_tail_bound(r, n) == b == max((n + 2) * c, d), (r, n)
+            python_pow += c != q ** (n + 1)
+    assert python_pow > 0  # the grid does hold such pairs
+    assert [type(v) for v in discarded_weights(1.0, 3)] == [float, float]
+    assert type(truncation_tail_bound(1.0, 3)) is float
 
 
 # ---------------------------------------------------------------- tripartite state

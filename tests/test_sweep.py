@@ -1,7 +1,7 @@
 import json
 import math
 import sys
-from dataclasses import replace
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -11,6 +11,8 @@ from unruhsim import (
     ConfigError,
     KrausScalarFault,
     KrausSet,
+    MeasureRecord,
+    StateVector,
     SweepConfig,
     TruncationConfig,
     adaptive_n_max,
@@ -160,18 +162,33 @@ def test_json_schema_fields():
 
 
 def test_sweep_does_not_touch_dense_routes(monkeypatch):
-    # records come from the 1-D mode weights; the dense Kraus family, the
-    # tripartite state and the eigensolver are oracle routes only
+    # records come from closed forms and the series pass; the Kraus family
+    # and its application, the states and their reductions, the mode-weight
+    # arrays and the eigensolver are oracle routes only
     def refuse(*args, **kwargs):
         raise AssertionError("dense oracle route called")
 
     monkeypatch.setattr(KrausSet, "build", refuse)
-    dense = ("tripartite_state", "sym_eigenvalues", "wedge_ii_probabilities")
+    monkeypatch.setattr(StateVector, "reduced_density", refuse)
+    dense = (
+        "tripartite_state",
+        "rho_alice_rob",
+        "partial_trace",
+        "apply_channel",
+        "entanglement_fidelity_kraus",
+        "vacuum_mode_weights",
+        "one_particle_mode_weights",
+        "sym_eigenvalues",
+        "wedge_ii_probabilities",
+    )
+    refused = set()
     for name, module in list(sys.modules.items()):
         if name.partition(".")[0] == "unruhsim":
             for attr in dense:
                 if hasattr(module, attr):
                     monkeypatch.setattr(module, attr, refuse)
+                    refused.add(attr)
+    assert refused == set(dense)
     with pytest.raises(AssertionError, match="dense oracle"):
         entropy_exchange(0.5, TruncationConfig(8))
 
@@ -224,6 +241,19 @@ def test_verify_oracle_checks_do_not_depend_on_tol():
     assert all(run == runs[0] for run in runs[1:])
 
 
+def shift_block_field(monkeypatch, field, offset):
+    """Make measures._block_fields add offset(r), an array over r, to one field."""
+    block_fields = measures._block_fields
+    k = [f.name for f in fields(MeasureRecord)].index(field)
+
+    def shifted(r, n_used):
+        columns = list(block_fields(r, n_used))
+        columns[k] = columns[k] + offset(r)
+        return tuple(columns)
+
+    monkeypatch.setattr(measures, "_block_fields", shifted)
+
+
 @pytest.mark.parametrize(
     "field, caught_by",
     [
@@ -245,23 +275,14 @@ def test_verify_catches_a_record_shifted_by_1e_8(monkeypatch, field, caught_by):
     if field in ("s_ar", "s_r"):
         series_entropies = measures._series_entropies
 
-        def shifted(rs, n_used):
-            s_ar, s_r = series_entropies(rs, n_used)
-            if field == "s_ar":
-                return [s + 1e-8 for s in s_ar], s_r
-            return s_ar, [s + 1e-8 for s in s_r]
+        def shifted(*args):
+            sums = series_entropies(*args)
+            sums[("s_ar", "s_r").index(field)] += 1e-8
+            return sums
 
         monkeypatch.setattr(measures, "_series_entropies", shifted)
     else:
-        block_records = measures._block_records
-
-        def shifted(rs, n_used):
-            return [
-                replace(rec, **{field: getattr(rec, field) + 1e-8})
-                for rec in block_records(rs, n_used)
-            ]
-
-        monkeypatch.setattr(measures, "_block_records", shifted)
+        shift_block_field(monkeypatch, field, lambda r: 1e-8)
     results = run_verify(SweepConfig())
     assert len(results) == 12
     assert [res.name for res in results if not res.passed] == caught_by
@@ -274,15 +295,7 @@ def test_records_vs_oracle_holds_the_row_at_r_max(monkeypatch, field):
     cfg = SweepConfig()
     [clean] = run_verify(cfg, names=("records-vs-oracle",))
     assert clean.passed and clean.detail.endswith(",3134")
-    block_records = measures._block_records
-
-    def shifted(rs, n_used):
-        return [
-            replace(rec, **{field: getattr(rec, field) + 1e-8}) if rec.r == cfg.r_max else rec
-            for rec in block_records(rs, n_used)
-        ]
-
-    monkeypatch.setattr(measures, "_block_records", shifted)
+    shift_block_field(monkeypatch, field, lambda r: 1e-8 * (r == cfg.r_max))
     [res] = run_verify(cfg, names=("records-vs-oracle",))
     assert not res.passed
 
