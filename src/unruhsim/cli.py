@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import asdict
 
 from .errors import ConfigError
 from .measures import measure_record
@@ -110,9 +109,9 @@ def _cmd_point(r: float, abs_tol: float) -> int:
         "mutual_info": "mutual information [bits]",
         "subadd_margin": "sub-additivity margin [bits]",
         "tail": "truncation tail",
-        "n_used": "effective truncation",
+        "n_used": "effective truncation (0: untruncated)",
     }
-    for key, value in asdict(rec).items():
+    for key, value in rec._asdict().items():
         print(f"{labels[key]:38s} {value}")
     return 0
 

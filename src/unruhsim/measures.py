@@ -2,50 +2,36 @@
 
 Entropies are in bits (log base 2) throughout.  A sweep record
 (:func:`measure_records`; :func:`measure_record` is its one-point case)
-costs O(K + J) per point, whatever its cutoff N.  Its entropies are sums
-over the block weights a_n = tanh^(2n) r / (2 cosh^2 r): the joint
-spectrum lambda_n = a_n (1 + (n+1)/cosh^2 r) for S(rho_AR) and Rob's
-occupations p_n = a_n + n a_{n-1}/cosh^2 r for S(rho_R).  One series pass
-takes every such sum (:func:`_series_entropies`).  It adds the levels
-below K = _EM_HEAD term by term and sums the rest of a longer row by
-Euler-Maclaurin (:func:`_series_tails`): the integral in closed form, with
-one exp(y) E1(y) (:func:`_scaled_e1`, a fixed quadrature, since numpy has
-no E1), the endpoint halves and J = _EM_TERMS Bernoulli terms with
-closed-form derivatives.  Each such row has a closed-form majorant of the
-remainder, and a row whose majorant is not below _EM_BOUND = 1e-13 is
-refused with ConfigError.  A block of _BLOCK_ROWS records is one array
-pass (:func:`_block_fields`): the series pass, then closed forms written
-once on arrays, whose scalar calls are their length-1 case.  The per-row
-series are the series pass on one row, and
-:func:`entropy_from_probabilities` is its term-by-term sum on one row.
-Alice's reduction is diag(||d||^2/2, ||c||^2/2), and the norms of the
-mode weights c_n and d_n are 1 - tail_c and 1 - tail_d.  Every
-field describes the tripartite state cut at N = n_used, whose last block
-keeps only |1, N> (so lambda_N is a_N); that state is pure, so the entropy
-exchange s_e is s_ar.  The independent routes are the blockwise
-eigensolves of the entry-list states (see :mod:`unruhsim.fock`), kept
-here as the oracle that tests and `verify` hold the records against, at
-any cutoff up to the production one:
-the spectra of rho_AR, of Rob's reduction, and of the tripartite state's
-Alice and wedge-II (:func:`entropy_exchange`) reductions; and, for the
-fidelity, the operator-sum trace sum_n (Tr rho A_n)^2, where every n >= 1
-trace vanishes identically because A_n shifts the mode occupation.
+describes the untruncated state and costs O(K + J) per point.  Its
+entropies sum all the block weights a_n = tanh^(2n) r / (2 cosh^2 r):
+the joint spectrum lambda_n = a_n (1 + (n+1)/cosh^2 r) for S(rho_AR) and
+Rob's occupations p_n = a_n + n a_{n-1}/cosh^2 r for S(rho_R).  One
+series pass (:func:`_series_entropies`) adds the levels below
+K = _EM_HEAD term by term and every level from K on by Euler-Maclaurin
+(:func:`_series_tails`), whose end at infinity is zero.  A row's
+certified bound is the remainder's closed-form majorant plus a stated
+rounding term; a row whose majorant is not below _EM_BOUND, whose bound
+is not below abs_tol, or whose r is above R_MAX is refused with
+ConfigError, so abs_tol is a ceiling on the error, not an input to the
+values.  Untruncated, Alice holds one bit (s_a = 1), nothing is discarded
+(tail = 0), the state is pure (s_e = s_ar) and the sub-additivity margin
+is the mutual information.
 
-Truncation grows adaptively with r: the mean occupation grows like
-sinh^2 r, so honest entropies at r = 3 need thousands of Fock levels.  The
-effective cutoff is the smallest one whose tail bound drops below abs_tol;
-one bisection over all the points of a grid finds every cutoff, with the
-bound evaluated on arrays only, and refuses the first r that no cutoff up
-to the cap certifies.  :func:`adaptive_n_max` is its one-point case.  The
-cutoff is always reported.  The cap bounds how far r reaches, not the
-work of a row.
+The oracle is the states cut at a Fock cutoff N (:func:`adaptive_n_max`
+certifies one) and their blockwise eigensolves (see :mod:`unruhsim.fock`):
+the spectra of rho_AR, of Rob's reduction and of the tripartite state's
+Alice and wedge-II (:func:`entropy_exchange`) reductions, the same cut
+spectra summed directly (:func:`joint_entropy_series`,
+:func:`rob_entropy_series`), and the operator-sum fidelity
+sum_n (Tr rho A_n)^2, whose n >= 1 traces vanish because A_n shifts the
+mode occupation.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Iterable
+from itertools import repeat
+from typing import Iterable, NamedTuple
 
 import numpy as np
 
@@ -55,39 +41,49 @@ from .fock import DensityMatrix, TruncationConfig
 from .rindler import (
     WEDGE_II,
     check_r,
-    discarded_weights,
+    decay_rate,
     tripartite_state,
     truncation_tail_bound,
 )
 
-# Cap on adaptively grown truncation.  It bounds the reach, not the work
-# of a record, which is the same at every cutoff.  At the default abs_tol
-# 1e-10 the reach lies between r = 3.12962 (certified at exactly the cap)
-# and r = 3.12964 (refused by adaptive_n_max).
+# Largest accepted r.  Rows are anchored to 40-digit sums up to here.
+# Past it the rounding part of a row's bound grows with S (about 2.9 bits
+# per unit of r), and I - 1 falls like e^(-2r) into the rounding of
+# 1 + s_r - s_ar.
+R_MAX = 6.0
+
+# Cap on the oracle's cutoff from adaptive_n_max.  At the default abs_tol
+# 1e-10 its reach lies between r = 3.12962 (certified at exactly the cap)
+# and r = 3.12964 (refused).
 ADAPTIVE_N_CAP = 4096
 
 # Probabilities below this are treated as exact zeros (0 log 0 = 0).
 _PROB_FLOOR = 1e-300
 
-# Rows that measure_records evaluates in one numpy pass.  A row takes at
-# most _EM_HEAD + 1 levels of direct sum and a fixed number of tail terms,
-# so a pass holds O(_BLOCK_ROWS) values whatever the cutoffs.
-_BLOCK_ROWS = 128
+# Rows that measure_records evaluates in one numpy pass.  A row takes
+# _EM_HEAD levels of direct sum and a fixed number of tail terms, so a
+# pass holds O(_BLOCK_ROWS) values.
+_BLOCK_ROWS = 256
 
-# A row longer than _EM_HEAD levels sums its levels from _EM_HEAD on by
-# Euler-Maclaurin with _EM_TERMS Bernoulli terms.  With K = 32 and J = 5
-# the remainder majorant stays below 3.1e-15 for every r up to the reach
-# (largest, for S_R, near r = 1.23); a row whose majorant is not below
-# _EM_BOUND is refused.
+# Every row sums its levels from _EM_HEAD on by Euler-Maclaurin with
+# _EM_TERMS Bernoulli terms.  With K = 32 and J = 5 the remainder majorant
+# stays below 3.1e-15 for every r up to R_MAX (largest, for S_R, near
+# r = 1.23); a row whose majorant is not below _EM_BOUND is refused.
 _EM_HEAD = 32
 _EM_TERMS = 5
 _EM_BOUND = 1e-13
 
+# A row's bound adds _ROUNDING_ULPS eps (S_AR + S_R) for float64 rounding.
+# Each entropy is a pairwise sum of _EM_HEAD non-negative terms, each within
+# a few ulp (under about 11 eps S), plus a tail that is a short product of
+# factors within a few ulp, of which w = exp(ln w) carries |ln w| eps <=
+# 12 eps below R_MAX: under 16 eps S <= 16 eps (S_AR + S_R) in all.  Against
+# 40-digit sums up to R_MAX the misses stay below 3 eps (S_AR + S_R).
+_ROUNDING_ULPS = 16
+_EPS = np.finfo(np.float64).eps
+
 # Bernoulli numbers B_2, B_4, ..., B_10.
 _BERNOULLI = (1 / 6, -1 / 30, 1 / 42, -1 / 30, 5 / 66)
-
-# The sign of each end's integral and Bernoulli terms: + at K, - at the last level.
-_END_SIGNS = np.array([[1.0], [1.0], [-1.0], [-1.0]])
 
 # exp(y) E1(y) = the integral of e^(-t) / (y + t) over t > 0, by the
 # trapezoid rule in tau after t = exp(tau - e^(-tau)), step 1/4 over
@@ -166,21 +162,34 @@ def entanglement_fidelity_kraus(r: float, cfg: TruncationConfig) -> float:
 
 
 def joint_entropy_series(r: float, cfg: TruncationConfig) -> float:
-    """S(rho_AR) in bits: the entropy of rho_alice_rob(r, cfg), as a series.
-
-    The s_ar of :func:`_series_entropies` on this one row, so it is bitwise
-    a sweep row's s_ar at the same cutoff.
-    """
-    return _row_series(r, cfg.n_max)[0]
+    """S(rho_AR) in bits: the entropy of rho_alice_rob(r, cfg), summed directly."""
+    return entropy_from_probabilities(_cut_spectra(r, cfg.n_max)[0])
 
 
 def rob_entropy_series(r: float, cfg: TruncationConfig) -> float:
-    """S(rho_R) in bits: Rob's occupation series of rho_alice_rob(r, cfg).
+    """S(rho_R) in bits: Rob's occupations in rho_alice_rob(r, cfg), summed directly."""
+    return entropy_from_probabilities(_cut_spectra(r, cfg.n_max)[1])
 
-    The s_r of :func:`_series_entropies` on this one row, so it is bitwise
-    a sweep row's s_r at the same cutoff.
+
+def _cut_spectra(r: float, n_max: int) -> tuple[np.ndarray, np.ndarray]:
+    """(lambda_n, p_n), n = 0..N: the spectra of the state cut at N = n_max and of Rob's part.
+
+    a_n = (s/2) e^(-beta n) with s = sech^2 r and beta
+    :func:`~unruhsim.rindler.decay_rate` (only a_0 is nonzero where beta
+    is infinite).  The cut keeps blocks 0..N-1 whole and only |1, N> of
+    block N, so lambda_n = a_n (1 + (n+1) s) for n < N and lambda_N = a_N,
+    and it keeps Rob's p_n = a_n + n s a_(n-1) whole.  O(N).
     """
-    return _row_series(r, cfg.n_max)[1]
+    check_r(r)
+    s = 1.0 / math.cosh(r) ** 2
+    n = np.arange(n_max + 1.0)
+    beta = decay_rate(r)
+    a = 0.5 * s * (np.exp(-beta * n) if beta < math.inf else n == 0)
+    lam = a * (1.0 + (n + 1.0) * s)
+    lam[-1] = a[-1]
+    p = a.copy()
+    p[1:] += n[1:] * s * a[:-1]
+    return lam, p
 
 
 def wedge_ii_probabilities(psi) -> np.ndarray:
@@ -202,7 +211,7 @@ def entropy_exchange(r: float, cfg: TruncationConfig) -> float:
 
     S of the wedge-II reduction of the pure tripartite state; by purity it
     equals S(rho_AR).  This route eigensolves the reduction, built from
-    the state's O(N) entries, so it runs at the production cutoff too.
+    the state's O(N) entries, so it runs at large cutoffs too.
     """
     psi = tripartite_state(r, cfg)
     rho_env = psi.reduced_density((WEDGE_II,))
@@ -210,22 +219,33 @@ def entropy_exchange(r: float, cfg: TruncationConfig) -> float:
 
 
 def adaptive_n_max(r: float, abs_tol: float) -> int:
-    """Certified truncation for the given r; :func:`_cutoffs` of one row.
+    """The oracle's certified cutoff for the given r.
 
-    The smallest N >= 1 with truncation_tail_bound(r, N) < abs_tol,
-    searched up to ADAPTIVE_N_CAP.  Raises ConfigError for an r that is
-    negative or not finite, for an abs_tol outside (0, 1), and for an r
-    whose bound at the cap is not below abs_tol, rather than returning an
-    uncertified cutoff.
+    The smallest N >= 1 with truncation_tail_bound(r, N) < abs_tol, read
+    off the bound at every cutoff up to ADAPTIVE_N_CAP, whose certified
+    cutoffs are the interval [N, ADAPTIVE_N_CAP].  Raises ConfigError for
+    an r that is negative or not finite, for an abs_tol outside (0, 1),
+    and for an r whose bound at the cap is not below abs_tol, rather than
+    returning an uncertified cutoff.
     """
     check_r(r)
     check_abs_tol(abs_tol)
-    return int(_cutoffs(np.array([r], dtype=np.float64), abs_tol)[0])
+    bounds = truncation_tail_bound(r, np.arange(1, ADAPTIVE_N_CAP + 1))
+    if not bounds[-1] < abs_tol:
+        raise ConfigError(
+            f"r = {r:g} needs a cutoff above the adaptive cap n_max = "
+            f"{ADAPTIVE_N_CAP}: there the tail bound {bounds[-1]:.3e} is not below "
+            f"abs_tol = {abs_tol:g}"
+        )
+    return int(np.argmax(bounds < abs_tol)) + 1
 
 
-@dataclass(frozen=True)
-class MeasureRecord:
-    """Everything measured at one acceleration grid point."""
+class MeasureRecord(NamedTuple):
+    """Everything measured at one acceleration grid point, untruncated.
+
+    s_a = 1.0, tail = 0.0, subadd_margin = mutual_info and n_used = 0
+    (untruncated) are constants of the untruncated state.
+    """
 
     r: float
     fe_closed: float
@@ -248,186 +268,108 @@ def measure_record(r: float, abs_tol: float) -> MeasureRecord:
 def measure_records(rs: Iterable[float], abs_tol: float) -> list[MeasureRecord]:
     """Evaluate the full record at every r, in order.
 
-    Each cutoff n_used is :func:`adaptive_n_max`'s, found for all rows by
-    one search; the first r in order that no cutoff certifies raises
-    ConfigError before any row is evaluated.  The rows are then evaluated
-    in passes of _BLOCK_ROWS (:func:`_block_fields`), and the records are
-    built once, from the columns.
+    An r that is negative, not finite or above R_MAX raises ConfigError
+    before any row is evaluated.  The rows are evaluated in passes of
+    _BLOCK_ROWS (:func:`_block_fields`); the first r in order whose
+    certified bound is not below abs_tol raises ConfigError.  The values
+    do not depend on abs_tol.  The records are built once, from the columns
+    and the untruncated state's constants.
     """
     rs = list(rs)
     for r in rs:
         check_r(r)
+        if r > R_MAX:
+            raise ConfigError(
+                f"r = {r:g} is above R_MAX = {R_MAX:g}, the largest r whose rows are certified"
+            )
     check_abs_tol(abs_tol)
     r = np.array(rs, dtype=np.float64)
-    n_used = _cutoffs(r, abs_tol)
     edges = range(_BLOCK_ROWS, r.size, _BLOCK_ROWS)
-    blocks = map(_block_fields, np.split(r, edges), np.split(n_used, edges))
-    columns = [np.concatenate(column).tolist() for column in zip(*blocks)]
-    return [MeasureRecord(*row) for row in zip(*columns, n_used.tolist())]
+    blocks = [_block_fields(rows) for rows in np.split(r, edges)]
+    *columns, bound = blocks[0] if len(blocks) == 1 else map(np.concatenate, zip(*blocks))
+    refused = np.flatnonzero(~(bound < abs_tol))  # NaN is refused too
+    if refused.size:
+        k = refused[0]
+        raise ConfigError(
+            f"r = {rs[k]:g}: the certified error bound {bound[k]:.3e} of its "
+            f"entropies is not below abs_tol = {abs_tol:g}"
+        )
+    r, fe_closed, fe_kraus, s_ar, s_r, mutual = (column.tolist() for column in columns)
+    # s_a = 1, s_e = s_ar, subadd_margin = mutual_info, tail = 0, n_used = 0
+    rows = zip(r, fe_closed, fe_kraus, s_ar, s_r, repeat(1.0), s_ar, mutual, mutual,
+               repeat(0.0), repeat(0))
+    return list(map(MeasureRecord._make, rows))
 
 
-def _block_fields(r: np.ndarray, n_used: np.ndarray) -> tuple[np.ndarray, ...]:
-    """The fields of consecutive records but n_used, in MeasureRecord order, as arrays.
+def _block_fields(r: np.ndarray) -> tuple[np.ndarray, ...]:
+    """r, fe_closed, fe_kraus, s_ar, s_r and mutual_info of consecutive rows, and their bounds.
 
     One array pass: cosh r once, for :func:`_series_entropies` and
-    fe_kraus, then the closed forms.  tail is the mean of the exact weights
-    the two truncated branches discard, and s_a the entropy of Alice's
-    reduction diag(1 - tail_d, 1 - tail_c) / 2.
-    fe_kraus keeps the one nonzero operator-sum term: on the input support
-    A_0 = diag(1, cosh r) (x) 1 / cosh^2 r, so Tr(rho_in A_0) =
-    (1 + cosh r) / (2 cosh^2 r).
+    fe_kraus, then the closed forms.  fe_kraus keeps the one nonzero
+    operator-sum term: on the input support A_0 = diag(1, cosh r) (x) 1 /
+    cosh^2 r, so Tr(rho_in A_0) = (1 + cosh r) / (2 cosh^2 r).
     """
     ch = np.cosh(r)
-    s_ar, s_r = _series_entropies(r, n_used, ch)
-    tail_c, tail_d = discarded_weights(r, n_used)
-    s_a = _row_entropies(np.stack((1.0 - tail_d, 1.0 - tail_c), axis=-1) / 2.0)
+    (s_ar, s_r), bound = _series_entropies(r, ch)
     trace_0 = 0.5 * (1.0 + ch) / (ch * ch)
-    return (
-        r,
-        entanglement_fidelity_closed(r),
-        trace_0 * trace_0,
-        s_ar,
-        s_r,
-        s_a,
-        s_ar,
-        1.0 + s_r - s_ar,
-        s_a + s_r - s_ar,
-        (tail_c + tail_d) / 2.0,
-    )
+    fidelity, mutual = entanglement_fidelity_closed(r), 1.0 + s_r - s_ar
+    return r, fidelity, trace_0 * trace_0, s_ar, s_r, mutual, bound
 
 
-def _cutoffs(r: np.ndarray, abs_tol: float) -> np.ndarray:
-    """The smallest N >= 1 with truncation_tail_bound(r, N) < abs_tol, per r.
+def _series_entropies(r: np.ndarray, ch: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """[s_ar, s_r] of consecutive rows, given ch = cosh r, and each row's certified bound.
 
-    One bisection over all rows at once, which finds the smallest N because
-    a row's certified cutoffs are the interval [N, ADAPTIVE_N_CAP].  The
-    bound is evaluated elementwise, so a row's result does not depend on
-    the other rows.  The first r in order with no cutoff up to the cap
-    raises ConfigError.
-    """
-    lo = np.ones(r.size, dtype=np.int64)
-    hi = np.full(r.size, ADAPTIVE_N_CAP + 1, dtype=np.int64)
-    while (active := lo < hi).any():
-        mid = (lo + hi) // 2
-        below = truncation_tail_bound(r, mid) < abs_tol
-        hi = np.where(active & below, mid, hi)
-        lo = np.where(active & ~below, mid + 1, lo)
-    refused = np.flatnonzero(lo > ADAPTIVE_N_CAP)
-    if refused.size:
-        first = float(r[refused[0]])
-        bound = truncation_tail_bound(first, ADAPTIVE_N_CAP)
-        raise ConfigError(
-            f"r = {first:g} needs a cutoff above the adaptive cap n_max = "
-            f"{ADAPTIVE_N_CAP}: there the tail bound {bound:.3e} is not below "
-            f"abs_tol = {abs_tol:g}"
-        )
-    return lo
-
-
-def _row_series(r: float, n_used: int) -> list[float]:
-    """(s_ar, s_r) of one checked r: :func:`_series_entropies` on length-1 arrays."""
-    check_r(r)
-    r = np.array([r], dtype=np.float64)
-    return _series_entropies(r, np.array([n_used]), np.cosh(r))[:, 0].tolist()
-
-
-def _series_entropies(r: np.ndarray, n_used: np.ndarray, ch: np.ndarray) -> np.ndarray:
-    """[s_ar, s_r] of consecutive rows, given ch = cosh r, as a (2, rows) array.
-
-    The one series pass: the joint spectrum lambda_n and Rob's occupations
-    p_n of every row, with the levels 0.._EM_HEAD of a row on one line of
-    an array.  A row with n_used = N <= _EM_HEAD is summed there term by
-    term; the state cut at N keeps only |1, N> of block N, so its last
-    joint eigenvalue is lambda_N = a_N.  A longer row sums its levels below
-    _EM_HEAD there and the rest in :func:`_series_tails`.  No step mixes
-    rows, so a row's bits do not depend on the rows evaluated with it.
+    The levels 0.._EM_HEAD - 1 of lambda_n and p_n, one row per line, are
+    summed term by term, and :func:`_series_tails` adds the rest.  A row
+    whose s rounds to 1 (cosh r = 1: r < 2.2e-8, q < 5e-16, r = 0 too) has
+    an infinite beta and gets its head alone; its levels from _EM_HEAD on
+    weigh below q^32 < 1e-490.  The bound is the larger majorant plus
+    _ROUNDING_ULPS eps (s_ar + s_r).  No step mixes rows.
     """
     q, s = np.tanh(r) ** 2, 1.0 / (ch * ch)
-    short = (n_used <= _EM_HEAD).nonzero()[0]
-    # a short row's slots are its levels 0..N, a long row's 0.._EM_HEAD - 1
-    # and a 0.0, which leaves its pairwise sum unchanged, if a short row
-    # needs slot _EM_HEAD
-    slot = np.arange(_EM_HEAD + (short.size > 0) + 0.0)
+    level = np.arange(float(_EM_HEAD))
     # a_n = q^n s/2, lambda_n = a_n (1 + (n+1) s) and p_n = a_n + n s a_(n-1)
-    joint, rob = probs = np.empty((2, r.size, slot.size))
-    np.multiply(q[:, None] ** slot, 0.5 * s[:, None], out=rob)
-    level_s = (slot + 1.0) * s[:, None]  # (n + 1) s
+    joint, rob = probs = np.empty((2, r.size, _EM_HEAD))
+    np.multiply(q[:, None] ** level, 0.5 * s[:, None], out=rob)
+    level_s = (level + 1.0) * s[:, None]  # (n + 1) s
     np.multiply(rob, 1.0 + level_s, out=joint)
-    if short.size:
-        edge = n_used[short]
-        joint[short, edge] = rob[short, edge]  # lambda_N = a_N
     rob[:, 1:] += level_s[:, :-1] * rob[:, :-1]
-    if short.size:
-        # zero the slots past a row's last: N, or _EM_HEAD - 1 for a long
-        # row, whose level _EM_HEAD is in its tail
-        long = n_used > _EM_HEAD
-        probs[:, slot > np.where(long, _EM_HEAD - 1, n_used)[:, None]] = 0.0
     sums = _row_entropies(probs)
-    if short.size < r.size:  # some row is long
-        rows = long if short.size else slice(None)  # all long: views, not copies
-        sums[:, rows] += _series_tails(r[rows], n_used[rows], q[rows], s[rows])[0]
-    return sums
+    majorants = np.zeros_like(sums)
+    tail = s < 1.0
+    values, majorants[:, tail] = _series_tails(r[tail], q[tail], s[tail])
+    sums[:, tail] += values
+    return sums, majorants.max(axis=0) + _ROUNDING_ULPS * _EPS * sums.sum(axis=0)
 
 
 def _series_tails(
-    r: np.ndarray, n_used: np.ndarray, q: np.ndarray, s: np.ndarray
+    r: np.ndarray, q: np.ndarray, s: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Sums of the levels _EM_HEAD..N of both series, and their remainder majorants.
+    """Sums of the levels _EM_HEAD.. oo of both series, and their remainder majorants.
 
     The summand at level x is -w u ln(w u) / ln 2 with w = (s/2) q^(x - d)
-    and u = c + s x, where s = sech^2 r: c = 1 + s and d = 0 for lambda_x,
-    which is smooth up to x = N - 1 (lambda_N = a_N = (s/2) q^N is added
-    on its own), and c = q and d = 1 for p_x, up to x = N.  Over the levels
-    [K, M] the Euler-Maclaurin sum is :func:`_tail_ends` at K plus at M.
-    Both results are [s_ar, s_r] arrays of shape (2, rows); a row whose
-    majorant is not below _EM_BOUND raises ConfigError.  Every operation
-    is elementwise or sums along the last axis, so a row's bits do not
-    depend on the rows evaluated with it.
+    and u = c + s x, where s = sech^2 r < 1: c = 1 + s and d = 0 for
+    lambda_x, c = q and d = 1 for p_x, one line each.  Over [K, oo) the
+    Euler-Maclaurin sum is w (I - B + g / 2) at x = K, with f = -e^(-beta x)
+    g / ln 2 up to the row's constant, g = u ln(w u), beta = -ln q,
+    I = the integral of e^(-beta (t - x)) g(t) over [x, oo), closed-form
+    with one exp(y) E1(y) at y = (beta / s) u >= 1, and B = the Bernoulli
+    terms.  B and the majorant are sums over the basis of
+    :func:`_em_tables` with coefficients polynomial in beta, evaluated by
+    Horner with the rows along the last axis.  Both results are
+    [s_ar, s_r] arrays of shape (2, rows); a row whose majorant is not
+    below _EM_BOUND raises ConfigError.  Every operation is elementwise or
+    sums along the last axis, so a row's bits do not depend on the rows
+    evaluated with it.
     """
-    head = np.full(r.shape, _EM_HEAD + 0.0)
-    last = n_used - 1.0
-    c_joint = 1.0 + s
-    # one line per end: lambda at K, p at K, lambda at N - 1, p at N
-    x, c, shift = np.array(
-        [
-            *(head, head, last, n_used),
-            *(c_joint, q, c_joint, q),
-            *(head, head - 1.0, last, last),  # x - d
-        ]
-    ).reshape(3, 4, -1)
-    beta = -np.log1p(-s)  # -ln q
-    log_half_s = np.log(0.5 * s)
-    values, majorants = _tail_ends(x, c, shift, s, beta, log_half_s)
-    if not majorants.max() < _EM_BOUND:  # NaN fails too
-        k, row = np.argwhere(~(majorants < _EM_BOUND))[0]
-        raise ConfigError(
-            f"r = {r[row]:g}: the Euler-Maclaurin remainder bound "
-            f"{majorants[k, row]:.3e} of {('s_ar', 's_r')[k]} is not below {_EM_BOUND:g}"
-        )
-    log_edge = log_half_s - beta * n_used  # ln a_N
-    sums = values[:2] + values[2:]
-    sums[0] += np.exp(log_edge) * log_edge
-    return sums / -math.log(2.0), majorants
-
-
-def _tail_ends(x, c, shift, s, beta, log_half_s):
-    """w (+-(I - B) + g / 2) at each end x, and the remainder majorants at the K ends.
-
-    Each line of x, c and shift = x - d is one end; s, beta and ln(s/2)
-    are per row.  f = -e^(-beta x) g / ln 2 up to the row's constant, with
-    g = u ln(w u); I = the integral of e^(-beta (t - x)) g(t) over
-    [x, oo), closed-form with one exp(y) E1(y) at y = (beta / s) u >= 1;
-    B = the Bernoulli terms.  Both B and the majorant, read at the K ends
-    (the first two lines), are sums over the basis of :func:`_em_tables`
-    with coefficients polynomial in beta.
-    """
-    log_w = log_half_s - beta * shift
-    u = c + s * x
+    beta = -np.log1p(-s)
+    log_w = np.log(0.5 * s) - beta * np.array([[_EM_HEAD], [_EM_HEAD - 1.0]])
+    u = np.stack((1.0 + s, q)) + s * _EM_HEAD
     log_f = log_w + np.log(u)
     y = beta / s * u
     rest = s / (beta * beta) * ((y + 1.0) * (log_f - 1.0) + _scaled_e1(y))
     tables = _EM_TABLES[_EM_TERMS]
-    basis = np.empty(u.shape + (tables.shape[1],))
+    basis = np.empty(u.shape + (tables.shape[2],))
     basis[..., 0] = u * log_f
     basis[..., 1] = s * log_f
     basis[..., 2] = u
@@ -436,20 +378,34 @@ def _tail_ends(x, c, shift, s, beta, log_half_s):
     basis[..., 5:] = (s / u)[..., None]
     basis[..., 5] = s
     np.multiply.accumulate(basis[..., 5:], axis=-1, out=basis[..., 5:])
-    powers = beta[:, None] ** np.arange(-1.0, tables.shape[2] - 1.0)
-    coefficients = (tables[:, None] * powers[:, None, :]).sum(axis=-1)  # [t, row, m]
-    bernoulli, bound = (basis * coefficients[:, None]).sum(axis=-1)
+    # sum_p tables[p, t, m] beta^(p - 1), as [t, m, row]
+    coefficients = tables[-1] * beta
+    for table in tables[-2:0:-1]:
+        coefficients += table
+        coefficients *= beta
+    coefficients += tables[0]
+    coefficients /= beta
+    bernoulli, bound = (basis * coefficients.transpose(0, 2, 1)[:, None]).sum(axis=-1)
     w = np.exp(log_w)
-    values = w * (_END_SIGNS * (rest - bernoulli) + 0.5 * basis[..., 0])
-    return values, w[:2] * bound[:2]
+    majorants = w * bound
+    refused = np.argwhere(~(majorants < _EM_BOUND))  # NaN is refused too
+    if refused.size:
+        k, row = refused[0]
+        raise ConfigError(
+            f"r = {r[row]:g}: the Euler-Maclaurin remainder bound "
+            f"{majorants[k, row]:.3e} of {('s_ar', 's_r')[k]} is not below {_EM_BOUND:g}"
+        )
+    return w * (rest - bernoulli + 0.5 * basis[..., 0]) / -math.log(2.0), majorants
 
 
 def _em_tables(terms: int) -> np.ndarray:
     """Coefficient tables of the Bernoulli terms and the majorant, for J = terms.
 
-    At an end, B is sum_m basis_m sum_p [0, m, p] beta^(p-1) and the
-    majorant is the same sum over [1, m, p].  With rho = s / u, the basis at an end is (m = 0..4) u ln f, s ln f, u,
-    I and s ln w, then (m = 5 + k) s rho^k for k < 2J.  B is sum_j B_2j /
+    At an end, B is sum_m basis_m sum_p [p, 0, m] beta^(p-1) and the
+    majorant is the same sum over [p, 1, m]; the trailing axis of length 1
+    broadcasts against the rows.  With rho = s / u, the basis at an end is
+    (m = 0..4) u ln f, s ln f, u, I and s ln w, then (m = 5 + k) s rho^k
+    for k < 2J.  B is sum_j B_2j /
     (2j)! (d/dx - beta)^(2j-1) g = sum_i c_i(beta) g^(i) by Leibniz, with
     g^(0) = u ln f, g' = s (ln f + 1) - beta u, g'' = s (rho - 2 beta)
     and g^(i) = -s (i-2)! (-rho)^(i-1) for i >= 3.  The majorant is
@@ -485,7 +441,7 @@ def _em_tables(terms: int) -> np.ndarray:
     bound[6, order - 2] = binomial[2]
     for i in range(3, order + 1):
         bound[4 + i, order - i] = binomial[i] * math.factorial(i - 2)
-    return table
+    return np.moveaxis(table, -1, 0)[..., None].copy()
 
 
 # _em_tables(J) for every J that _BERNOULLI allows.

@@ -100,12 +100,46 @@ def truncation_tail_bound(
     one-particle branch drops because it keeps only n_max levels.  The
     first term wins for q >= 1/2; the second for q < 1/2.  Its factor
     n_max + 2 is looser than the vacuum tail needs; it stays because it
-    sets every cutoff n_used.  Like the weights, a scalar call is the
-    length-1 case, returned as a float.
+    sets the oracle's cutoffs (adaptive_n_max).  Like the weights, a
+    scalar call is the length-1 case, returned as a float.
     """
     tail_c, tail_d = discarded_weights(r, n_max)
     bound = np.maximum((np.asarray(n_max) + 2) * tail_c, tail_d)
     return float(bound) if np.ndim(bound) == 0 else bound
+
+
+def decay_rate(r: float) -> float:
+    """beta = -ln tanh^2 r = 2 log1p(2 / expm1(2 r)): a_n = (s/2) e^(-beta n).
+
+    No rounding of tanh^2 r enters, which q^n would amplify n times.  inf
+    at r = 0 and where 2 / expm1(2 r) overflows (r below about 1e-308).
+    """
+    return 2.0 * math.log1p(2.0 / math.expm1(2.0 * r)) if r > 0 else math.inf
+
+
+def entropy_tail_bound(r: float, n_max: int) -> float:
+    """Bound in bits on how far both entropies of the state cut at N = n_max are from S.
+
+    With q = tanh^2 r, s = sech^2 r and beta = -ln q: past N,
+    lambda_n >= lambda_N q^(n - N), so sum_(n >= N) -lambda_n ln lambda_n
+    <= M (-ln lambda_N) + beta X, with the tail mass M and X = sum_(n >= N)
+    (n - N) lambda_n closed-form geometric sums.  S_AR - S_AR,N is that sum
+    less the cut state's edge -a_N ln a_N, no larger, as a_N <= lambda_N <
+    1/e for N >= 1.  The cut keeps Rob's p_m for m <= N, so S_R - S_R,N is
+    the sum over m > N, bounded the same way from p_(N+1).  Returns the
+    larger bound; 0.0 where q^N underflows.
+    """
+    s = 1.0 / math.cosh(r) ** 2
+    q = 1.0 - s
+    beta = decay_rate(r)
+    g = math.exp(-beta * n_max)  # q^N
+    if g == 0.0:
+        return 0.0
+    n1s = (n_max + 1) * s
+    decay = beta * n_max - math.log(0.5 * s)  # -ln(q^N s / 2)
+    joint = (1.0 + q + n1s) * (decay - math.log1p(n1s)) + beta * q / s * (2.0 + q + n1s)
+    rob = (2.0 * q + n1s) * (decay - math.log(q + n1s)) + beta * q / s * (1.0 + 2.0 * q + n1s)
+    return 0.5 * g * max(joint, rob) / math.log(2.0)
 
 
 def tripartite_layout(cfg: TruncationConfig) -> FactorLayout:

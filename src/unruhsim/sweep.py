@@ -12,8 +12,8 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import asdict, dataclass
+from itertools import starmap
 from numbers import Integral
-from operator import attrgetter
 
 import numpy as np
 
@@ -22,30 +22,20 @@ from .measures import MeasureRecord, check_abs_tol, measure_records
 
 SCHEMA = "unruh-sweep/1"
 
-# Largest accepted grid.  Every row costs the same work whatever its
-# cutoff, so the cap bounds only the output a sweep buffers.
+# Largest accepted grid.  Every row costs the same work whatever its r,
+# so the cap bounds only the output a sweep buffers.
 MAX_POINTS = 100_000
 
-CSV_COLUMNS = (
-    "r",
-    "fe_closed",
-    "fe_kraus",
-    "s_ar",
-    "s_r",
-    "s_a",
-    "s_e",
-    "mutual_info",
-    "subadd_margin",
-    "tail",
-    "n_used",
-)
+# The record's fields, in its order.  Until schema unruh-sweep/2, s_a,
+# tail, subadd_margin and n_used print the untruncated state's constants:
+# 1, 0, mutual_info and 0 (meaning untruncated).
+CSV_COLUMNS = MeasureRecord._fields
 
 OUTPUT_FORMATS = ("csv", "json")
 
 # One CSV row: floats in fixed 12-significant-digit scientific format, the
 # integer cutoff as is.
 _CSV_ROW = ",".join("{}" if col == "n_used" else "{:.11e}" for col in CSV_COLUMNS)
-_fields = attrgetter(*CSV_COLUMNS)
 
 
 @dataclass(frozen=True)
@@ -102,13 +92,9 @@ def run_sweep(cfg: SweepConfig) -> list[MeasureRecord]:
     return measure_records(r_grid(cfg).tolist(), cfg.abs_tol)
 
 
-def _row(rec: MeasureRecord) -> dict:
-    return dict(zip(CSV_COLUMNS, _fields(rec)))
-
-
 def to_csv(records: list[MeasureRecord]) -> str:
     lines = [f"# schema: {SCHEMA}", ",".join(CSV_COLUMNS)]
-    lines += [_CSV_ROW.format(*_fields(rec)) for rec in records]
+    lines += starmap(_CSV_ROW.format, records)
     return "\n".join(lines) + "\n"
 
 
@@ -116,7 +102,7 @@ def to_json(cfg: SweepConfig, records: list[MeasureRecord]) -> str:
     doc = {
         "schema": SCHEMA,
         "config": asdict(cfg),
-        "rows": [_row(rec) for rec in records],
+        "rows": [rec._asdict() for rec in records],
     }
     return json.dumps(doc, indent=2) + "\n"
 

@@ -2,14 +2,13 @@
 
 Each check pits two independent routes to the same quantity against each
 other at a pinned tolerance: the operator-sum channel against the closed
-form, the series entropies and the sweep records at their own cutoffs
-against eigensolves, fidelity against its Kraus trace, the purification
-identity, monotonicity along the grid, the truncation-tail budget, and
-the tail of the row at --r-max against the operator sum at its cutoff.
-The oracle's states are stored as their nonzero entries, so the rows at
---r-max are held at their production cutoffs.
-`fault` deliberately corrupts one Kraus scalar so the sensitivity of the
-channel-equivalence check can be demonstrated.
+form, the cut-state series against eigensolves, the untruncated records
+against eigensolves of states cut where their entropies are certified
+within 1e-12, fidelity against its Kraus trace, the purification
+identity, monotonicity along the grid, both sides of sub-additivity, the
+oracle's truncation-tail budget, and the operator sum at the oracle's
+cutoff for --r-max against the weight it discards.  `fault` corrupts one
+Kraus scalar so the channel-equivalence check's sensitivity can be shown.
 
 Every check reports `worst`, its largest signed excess, and passes exactly
 when worst < tol: a negative worst is a margin, and NaN never passes.
@@ -39,7 +38,6 @@ from .measures import (
     entanglement_fidelity_kraus,
     entropy_exchange,
     joint_entropy_series,
-    measure_record,
     measure_records,
     rob_entropy_series,
     von_neumann_entropy,
@@ -47,6 +45,9 @@ from .measures import (
 from .rindler import (
     ALICE,
     WEDGE_I,
+    decay_rate,
+    discarded_weights,
+    entropy_tail_bound,
     joint_layout,
     rho_alice_rob,
     tripartite_state,
@@ -68,6 +69,7 @@ _PURITY_RS = (0.5, 1.0)
 _PURITY_N_MAX = 64
 _ENTROPY_CASES = ((1.0, 256), (2.0, 64))  # (r, n_max)
 _RECORD_RS = (0.5, 1.0, 1.5)  # and the row at --r-max
+_ORACLE_TAIL = 1e-12  # records-vs-oracle's entropy_tail_bound, under its 1e-10
 
 
 @dataclass(frozen=True)
@@ -193,25 +195,41 @@ def _purification_identity(inp: _Inputs):
 
 
 def _records_vs_oracle(inp: _Inputs):
-    # sweep rows at their own cutoffs N, which follow --tol, up to the row at
-    # --r-max (N = 3134 at the defaults); every field describes the state cut
-    # at N, and s_e against wedge II's spectrum is the purification identity
-    # at that cutoff
-    gaps, n_used = [], []
+    # untruncated rows against the oracle cut where both entropies are
+    # within _ORACLE_TAIL of the untruncated ones (its discarded weight and
+    # Alice's deficit from one bit are smaller still).  The oracle's reach
+    # is adaptive_n_max's: an --r-max past it is refused before any state
+    adaptive_n_max(inp.cfg.r_max, inp.cfg.abs_tol)
+    gaps, cutoffs = [], []
     for rec in measure_records(_RECORD_RS + (inp.cfg.r_max,), inp.cfg.abs_tol):
-        trunc = TruncationConfig(rec.n_used)
+        trunc = TruncationConfig(_oracle_cutoff(rec.r))
         rho = rho_alice_rob(rec.r, trunc)
         rho_r = partial_trace(rho, (WEDGE_I,))
-        alice = tripartite_state(rec.r, trunc).reduced_density((ALICE,))
+        psi = tripartite_state(rec.r, trunc)
         gaps += [
             rec.s_ar - von_neumann_entropy(rho, trunc),
             rec.s_r - von_neumann_entropy(rho_r, trunc),
             rec.s_e - entropy_exchange(rec.r, trunc),
-            rec.s_a - von_neumann_entropy(alice, trunc),
+            rec.s_a - von_neumann_entropy(psi.reduced_density((ALICE,)), trunc),
             rec.fe_kraus - entanglement_fidelity_kraus(rec.r, trunc),
+            rec.tail - (1.0 - psi.norm_sq),
         ]
-        n_used.append(str(rec.n_used))
-    return float(np.max(np.abs(gaps))), 1e-10, f"n_used={','.join(n_used)}"
+        cutoffs.append(str(trunc.n_max))
+    return float(np.max(np.abs(gaps))), 1e-10, f"oracle n_max={','.join(cutoffs)}"
+
+
+def _oracle_cutoff(r: float) -> int:
+    """A cutoff N >= 1 with entropy_tail_bound(r, N) < _ORACLE_TAIL.
+
+    The first guess ln(_ORACLE_TAIL) / ln q; while the bound is not below
+    _ORACLE_TAIL, N grows by ln(bound / _ORACLE_TAIL) / beta, the levels
+    over which q^N falls by that factor.
+    """
+    beta = decay_rate(r)
+    n_max = max(1, math.ceil(math.log(_ORACLE_TAIL) / -beta))
+    while not (bound := entropy_tail_bound(r, n_max)) < _ORACLE_TAIL:
+        n_max += max(1, math.ceil(math.log(bound / _ORACLE_TAIL) / beta))
+    return n_max
 
 
 def _fidelity_monotonic(inp: _Inputs):
@@ -225,33 +243,38 @@ def _mutual_information_monotonic(inp: _Inputs):
 
 
 def _subadditivity(inp: _Inputs):
-    margins = np.array([rec.subadd_margin for rec in inp.records])
-    return float(np.max(-margins)), inp.cfg.abs_tol, "minus the minimum margin"
-
-
-def _alice_entropy(inp: _Inputs):
-    # SweepConfig guarantees r_max > r_min >= 0, so some row has r > 0
-    gaps = np.array([abs(rec.s_a - 1.0) for rec in inp.records if rec.r > 0])
-    return float(np.max(gaps)), inp.cfg.abs_tol
+    # both sides of 0 <= I <= 2 min(S_A, S_R), I the sub-additivity margin;
+    # the upper one is Araki-Lieb's S_AR >= |S_A - S_R|, tight at r = 0,
+    # where a wrong s_r breaks it
+    margin, s_a, s_r = np.array(
+        [(rec.subadd_margin, rec.s_a, rec.s_r) for rec in inp.records]
+    ).T
+    lower = np.max(-margin)
+    upper = np.max(margin - 2.0 * np.minimum(s_a, s_r))
+    side = "I >= 0" if lower >= upper else "I <= 2 min(S_A, S_R)"
+    return float(np.max([lower, upper])), inp.cfg.abs_tol, f"worst side: {side}"
 
 
 def _truncation_tail_bound(inp: _Inputs):
     # adaptive_n_max refuses an r it cannot certify; the bound is evaluated
     # again here as a cross-check of the cutoff it returns
     r_max = inp.cfg.r_max
-    n_used = adaptive_n_max(r_max, inp.cfg.abs_tol)
-    bound = truncation_tail_bound(r_max, n_used)
-    return bound, inp.cfg.abs_tol, f"n_used={n_used} at r={r_max:g}"
+    n_max = adaptive_n_max(r_max, inp.cfg.abs_tol)
+    bound = truncation_tail_bound(r_max, n_max)
+    return bound, inp.cfg.abs_tol, f"n_max={n_max} at r={r_max:g}"
 
 
 def _operator_sum_tail(inp: _Inputs):
-    # the row at --r-max against the operator sum at its own cutoff: A_n|0,1>
-    # and A_n|1,0> lie in different Alice blocks, so the Bell probe's defect
-    # is (tail_c + tail_d) / 2, the row's tail, in exact arithmetic
-    rec = measure_record(inp.cfg.r_max, inp.cfg.abs_tol)
-    trunc = TruncationConfig(rec.n_used)
-    defect = trace_preservation_defect(KrausSet.build(rec.r, trunc), bell_state(trunc))
-    return abs(defect - rec.tail), 1e-12, f"n_used={rec.n_used} at r={rec.r:g}"
+    # the operator sum at the oracle's cutoff for --r-max: A_n|0,1> and
+    # A_n|1,0> lie in different Alice blocks, so the Bell probe's defect is
+    # (tail_c + tail_d) / 2, the mean weight the cutoff discards, in exact
+    # arithmetic
+    r = inp.cfg.r_max
+    n_max = adaptive_n_max(r, inp.cfg.abs_tol)
+    trunc = TruncationConfig(n_max)
+    defect = trace_preservation_defect(KrausSet.build(r, trunc), bell_state(trunc))
+    tail = sum(discarded_weights(r, n_max)) / 2.0
+    return abs(defect - tail), 1e-12, f"n_max={n_max} at r={r:g}"
 
 
 # Report order.  Each check returns (worst, tol) or (worst, tol, detail).
@@ -265,7 +288,6 @@ _CHECKS = {
     "fidelity-monotonic": _fidelity_monotonic,
     "mutual-information-monotonic": _mutual_information_monotonic,
     "subadditivity": _subadditivity,
-    "alice-entropy": _alice_entropy,
     "truncation-tail-bound": _truncation_tail_bound,
     "operator-sum-tail": _operator_sum_tail,
 }

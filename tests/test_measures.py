@@ -1,7 +1,8 @@
 import functools
 import math
 import tracemalloc
-from dataclasses import astuple, replace
+import warnings
+from dataclasses import replace
 
 import mpmath
 import numpy as np
@@ -36,14 +37,15 @@ from unruhsim import (
 from unruhsim import measures
 from unruhsim.measures import (
     _BLOCK_ROWS,
-    _EM_HEAD,
     ADAPTIVE_N_CAP,
+    R_MAX,
     _scaled_e1,
+    _series_entropies,
     _series_tails,
     entropy_from_probabilities,
     wedge_ii_probabilities,
 )
-from unruhsim.rindler import ALICE, WEDGE_I
+from unruhsim.rindler import ALICE, WEDGE_I, discarded_weights, entropy_tail_bound
 from unruhsim.sweep import r_grid
 
 CFG = TruncationConfig(16)
@@ -206,7 +208,8 @@ def test_entropy_exchange_positive_under_acceleration():
 
 
 def test_oracle_entropies_at_the_production_cutoff_in_bounded_memory():
-    # r = 3 takes N = 3134 at the default tolerance.  Stored as entries,
+    # r = 3 takes N = 3134 at the default tolerance of adaptive_n_max, the
+    # oracle's cutoff helper.  Stored as entries,
     # rho_AR and the tripartite state hold O(N) values; a dense rho_AR
     # (6270 x 6270) alone is 300 MiB, and the dense route peaked near 581 MB
     r, cfg = 3.0, TruncationConfig(3134)
@@ -300,10 +303,26 @@ def test_adaptive_truncation_rejects_invalid_r(r):
 # ---------------------------------------------------------------- records
 
 
+def _cutoff_below(r, tail):
+    """A cutoff N whose cut state's entropies are within tail of the untruncated ones."""
+    n = 1
+    while not entropy_tail_bound(r, n) < tail:
+        n += max(1, n // 8)
+    return n
+
+
+def _row_bound(r):
+    """The certified bound of the row at r."""
+    r = np.array([float(r)])
+    return float(_series_entropies(r, np.cosh(r))[1][0])
+
+
 @pytest.mark.parametrize("r", [0.0, 0.5, 1.5, 2.5])
 def test_measure_record_matches_dense_routes(r):
+    # the untruncated row against the oracle cut where its entropies are
+    # within 1e-14 of the untruncated ones
     rec = measure_record(r, 1e-10)
-    eff = TruncationConfig(rec.n_used)
+    eff = TruncationConfig(_cutoff_below(r, 1e-14))
     psi = tripartite_state(r, eff)
     s_a = von_neumann_entropy(psi.reduced_density((ALICE,)), eff)
     s_e = entropy_from_probabilities(wedge_ii_probabilities(psi))
@@ -315,49 +334,74 @@ def test_measure_record_matches_dense_routes(r):
 
 
 def test_measure_record_consistency():
+    # the untruncated state: Alice holds one bit, nothing is discarded, the
+    # state is pure and the sub-additivity margin is the mutual information
     rec = measure_record(1.0, 1e-10)
-    assert abs(rec.fe_closed - rec.fe_kraus) <= max(1e-10, rec.tail)
-    assert rec.s_a == pytest.approx(1.0, abs=1e-10)
-    margin = rec.s_a + rec.s_r - rec.s_ar
-    assert rec.subadd_margin == pytest.approx(margin, abs=1e-14)
-    assert rec.mutual_info == pytest.approx(1.0 + rec.s_r - rec.s_ar, abs=1e-14)
-    assert rec.s_e == rec.s_ar  # purification of the truncated state
-    assert truncation_tail_bound(1.0, rec.n_used) < 1e-10
+    assert abs(rec.fe_closed - rec.fe_kraus) <= 1e-12
+    assert (rec.s_a, rec.tail, rec.n_used) == (1.0, 0.0, 0)
+    assert rec.mutual_info == 1.0 + rec.s_r - rec.s_ar
+    assert rec.subadd_margin == rec.mutual_info
+    assert rec.s_e == rec.s_ar
 
 
-@pytest.mark.parametrize("r", [4.0, 5.0])
-def test_measure_record_refuses_r_past_the_cap(r):
-    # the cutoff would stop at the cap with an unconverged series
-    with pytest.raises(ConfigError, match="cap"):
+@pytest.mark.parametrize("r", [6.5, 10.0])
+def test_measure_record_refuses_r_above_r_max(r):
+    with pytest.raises(ConfigError, match="above R_MAX = 6"):
         measure_record(r, 1e-10)
+    assert measure_record(R_MAX, 1e-10).r == R_MAX
 
 
 @pytest.mark.parametrize("fixed", [1, 8, 256])
 def test_record_tail_is_certified(fixed):
-    # every accepted cutoff bounds the weight the record actually drops,
-    # including below q = 1/2 where the one-particle branch's tail dominates
-    for r in np.linspace(0.0, 3.0, 121)[1:]:
-        rec = measure_record(float(r), 1e-10)
-        bound = truncation_tail_bound(float(r), rec.n_used)
-        assert 0.0 <= rec.tail <= bound < 1e-10
+    # the untruncated row discards nothing; every cutoff the oracle's helper
+    # accepts bounds the weight its cut state drops, including below
+    # q = 1/2 where the one-particle branch's tail dominates
+    for r in np.linspace(0.0, 3.0, 121)[1:].tolist():
+        assert measure_record(r, 1e-10).tail == 0.0
+        n_max = adaptive_n_max(r, 1e-10)
+        bound = truncation_tail_bound(r, n_max)
+        assert 0.0 <= sum(discarded_weights(r, n_max)) / 2.0 <= bound < 1e-10
         # and it is the smallest cutoff that certifies the row
-        assert rec.n_used == 1 or truncation_tail_bound(float(r), rec.n_used - 1) >= 1e-10
-        # so a fixed cutoff certifies the row exactly when it reaches the record's
-        assert (truncation_tail_bound(float(r), fixed) < 1e-10) == (fixed >= rec.n_used)
+        assert n_max == 1 or truncation_tail_bound(r, n_max - 1) >= 1e-10
+        # so a fixed cutoff certifies the row exactly when it reaches it
+        assert (truncation_tail_bound(r, fixed) < 1e-10) == (fixed >= n_max)
+
+
+def test_rows_past_their_tolerance_are_refused():
+    # values do not depend on abs_tol; a row whose certified bound is not
+    # below it is refused, not returned
+    assert _row_bound(1.0) > 1e-14
+    with pytest.raises(ConfigError, match=r"r = 1: the certified error bound .* 1e-14"):
+        measure_records([0.1, 1.0, 2.0], 1e-14)
+    assert measure_records([0.1, 1.0], 1e-13) == measure_records([0.1, 1.0], 1e-3)
+
+
+@pytest.mark.parametrize("r", [0.0, 1e-300, 1e-20, 1e-5])
+def test_rows_at_tiny_r_are_finite_and_match_the_series(r):
+    # r = 0 and the r where cosh r rounds to 1 get their head alone, with
+    # no warning; r = 1e-5 takes a tail whose weight underflows
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rec = measure_record(r, 1e-10)
+    assert all(math.isfinite(value) for value in rec)
+    bound = _row_bound(r)
+    cut = TruncationConfig(_cutoff_below(r, 1e-16))
+    assert abs(rec.s_ar - joint_entropy_series(r, cut)) <= bound
+    assert abs(rec.s_r - rob_entropy_series(r, cut)) <= bound
 
 
 # ---------------------------------------------------------------- block evaluation
 
 
 def assert_bitwise(rec: MeasureRecord, ref: MeasureRecord) -> None:
-    assert astuple(rec) == astuple(ref), (rec, ref)
-    assert [type(v) for v in astuple(rec)] == [type(v) for v in astuple(ref)]
+    assert tuple(rec) == tuple(ref), (rec, ref)
+    assert [type(v) for v in rec] == [type(v) for v in ref]
 
 
-# r = 3.1296 needs 4096 levels at tol 1e-10, 3.1295 needs 4095; the
-# to-the-reach grid spans more than one pass of _BLOCK_ROWS rows.
+# the to-the-reach grid runs to R_MAX and spans more than one pass of
+# _BLOCK_ROWS rows
 GRIDS = {
-    "to-the-reach": SweepConfig(r_max=3.1296, points=300),
+    "to-the-reach": SweepConfig(r_max=R_MAX, points=300),
     "underflow": SweepConfig(r_min=1e-200, r_max=1e-100, points=7),
     "low-r": SweepConfig(r_max=1.0, points=400),
 }
@@ -367,27 +411,24 @@ GRIDS = {
 @pytest.mark.parametrize("grid", sorted(GRIDS))
 def test_sweep_rows_are_bitwise_the_per_row_series(grid, tol):
     # packing rows into blocks never changes a row's bits: every sweep row
-    # is the one-row record, whose cutoff is the row's
+    # is the one-row record, whatever the tolerance
     cfg = replace(GRIDS[grid], abs_tol=tol)
     records = run_sweep(cfg)
     assert [rec.r for rec in records] == r_grid(cfg).tolist()
     for rec in records:
-        assert_bitwise(rec, measure_record(rec.r, tol))
-        # and each one-row series
-        cut = TruncationConfig(rec.n_used)
-        assert joint_entropy_series(rec.r, cut) == rec.s_ar, rec
-        assert rob_entropy_series(rec.r, cut) == rec.s_r, rec
+        assert_bitwise(rec, measure_record(rec.r, 1e-10))
+        assert rec.n_used == 0
     if grid == "to-the-reach":
-        assert records[0].r == 0.0
+        assert (records[0].r, records[-1].r) == (0.0, R_MAX)
         assert len(records) > _BLOCK_ROWS
-        if tol == 1e-10:
-            assert records[-1].n_used == ADAPTIVE_N_CAP
 
 
-# rows of every width side by side: direct sums and Euler-Maclaurin
-# tails, a row whose direct sum fills every slot (0.7895, whose cutoff is
-# _EM_HEAD at tol 1e-10), entries under the probability floor, r = 0
-ANY_ORDER_RS = [3.1295, 0.0, 1e-300, 3.1296, 1e-150, 0.5, 3.0, 1e-120, 0.0, 2.0, 0.7895]
+# rows side by side: r = 0 and the r whose tail underflows or whose cosh
+# rounds to 1 (head alone), entries under the probability floor, and r up
+# to R_MAX
+ANY_ORDER_RS = [
+    3.1295, 0.0, 1e-300, 6.0, 1e-150, 0.5, 3.0, 1e-120, 0.0, 2.0, 0.7895, 1e-20, 1e-5, 4.0
+]
 
 
 @pytest.mark.parametrize("tol", [1e-3, 1e-10])
@@ -401,35 +442,34 @@ def test_records_are_bitwise_the_per_row_series_in_any_order(tol):
 @pytest.mark.parametrize("tol", [1e-3, 1e-10])
 @pytest.mark.parametrize("rows", sorted(GRIDS) + ["any-order"])
 def test_closed_forms_match_the_mode_weights(rows, tol):
-    # s_a and s_ar against the entropies of Alice's reduction and of the
-    # wedge-II marginal, both built from the mode-weight arrays c and d, so
-    # every field describes the state cut at n_used; s_e is s_ar by
-    # purification, the tail is the mean of the discarded weights and the
-    # two information figures are their defining sums, all bit for bit
+    # the untruncated constants: s_a = 1, tail = 0, n_used = 0; s_e is s_ar
+    # by purification, and the two information figures and the fidelity are
+    # their closed forms, bit for bit.  Up to r = 3.2, s_a and s_ar are held
+    # against Alice's reduction and the wedge-II marginal built from the
+    # mode-weight arrays c and d at a cutoff whose entropies are within
+    # 1e-13 of the untruncated ones
     rs = ANY_ORDER_RS if rows == "any-order" else r_grid(GRIDS[rows]).tolist()
     for rec in measure_records(rs, tol):
-        cfg = TruncationConfig(rec.n_used)
-        c, tail_c = vacuum_mode_weights(rec.r, cfg)
-        d, tail_d = one_particle_mode_weights(rec.r, cfg)
+        assert (rec.s_a, rec.tail, rec.n_used) == (1.0, 0.0, 0), rec
+        assert rec.s_e == rec.s_ar, rec
+        assert rec.mutual_info == 1.0 + rec.s_r - rec.s_ar, rec
+        assert rec.subadd_margin == rec.mutual_info, rec
+        assert rec.fe_closed == entanglement_fidelity_closed(rec.r), rec
+        if rec.r > 3.2:
+            continue
+        cfg = TruncationConfig(_cutoff_below(rec.r, 1e-13))
+        c, _ = vacuum_mode_weights(rec.r, cfg)
+        d, _ = one_particle_mode_weights(rec.r, cfg)
         wedge = 0.5 * c * c
         wedge[:-1] += 0.5 * d * d
         s_a = entropy_from_probabilities(np.array([d @ d, c @ c]) / 2.0)
         assert abs(rec.s_a - s_a) <= 1e-12, rec
-        # and bit for bit the one entropy function on the discarded weights
-        alice = np.array([1.0 - tail_d, 1.0 - tail_c]) / 2.0
-        assert rec.s_a == entropy_from_probabilities(alice), rec
         assert abs(rec.s_ar - entropy_from_probabilities(wedge)) <= 1e-12, rec
-        assert rec.s_e == rec.s_ar, rec
-        assert rec.tail == (tail_c + tail_d) / 2.0, rec
-        assert rec.mutual_info == 1.0 + rec.s_r - rec.s_ar, rec
-        assert rec.subadd_margin == rec.s_a + rec.s_r - rec.s_ar, rec
-        assert rec.fe_closed == entanglement_fidelity_closed(rec.r), rec
 
 
 def test_record_memory_is_bounded_by_the_block():
-    # passes of at most _BLOCK_ROWS rows, each of at most _EM_HEAD + 1
-    # direct levels and a fixed number of tail terms, keep the traced peak
-    # far below what the grid's > 10^5 levels would need
+    # passes of at most _BLOCK_ROWS rows, each of _EM_HEAD direct levels and
+    # a fixed number of tail terms, keep the traced peak bounded whatever r
     rs = r_grid(GRIDS["to-the-reach"]).tolist()
     tracemalloc.start()
     try:
@@ -445,25 +485,15 @@ def test_measure_records_of_no_rows():
 
 
 @pytest.mark.parametrize("tol", [1e-3, 1e-10])
-def test_sweep_cutoffs_are_the_scalar_search(tol):
-    # a row's cutoff does not depend on the other rows: the search over the
-    # whole grid gives every row what the search over that row alone gives
-    cfg = SweepConfig(r_max=3.1296, points=600, abs_tol=tol)
-    for rec in run_sweep(cfg):
-        assert rec.n_used == adaptive_n_max(rec.r, tol)
-
-
-@pytest.mark.parametrize("tol", [1e-3, 1e-10])
 @pytest.mark.parametrize(
     "r", [0.0, 1e-300, 1e-150, 0.01, 0.1, 0.5, 1.0, 2.0, 3.0, 3.1296]
 )
 def test_certified_cutoffs_are_one_interval(r, tol):
-    # any bisection needs {N : bound(N) < tol} to be [n_used, cap]
-    [rec] = measure_records([r], tol)
-    certified = [
-        n for n in range(1, ADAPTIVE_N_CAP + 1) if truncation_tail_bound(r, n) < tol
-    ]
-    assert certified == list(range(rec.n_used, ADAPTIVE_N_CAP + 1))
+    # the bisection of adaptive_n_max needs {N : bound(N) < tol} to be
+    # [its cutoff, cap]
+    levels = np.arange(1, ADAPTIVE_N_CAP + 1)
+    certified = levels[truncation_tail_bound(r, levels) < tol].tolist()
+    assert certified == list(range(adaptive_n_max(r, tol), ADAPTIVE_N_CAP + 1))
 
 
 def test_cutoffs_where_array_and_scalar_pow_disagree():
@@ -481,12 +511,27 @@ def test_cutoffs_where_array_and_scalar_pow_disagree():
                 continue
             assert truncation_tail_bound(r, n) == a
             smallest = int(np.argmax(array < a)) + 1
-            assert measure_record(r, a).n_used == smallest
+            assert adaptive_n_max(r, a) == smallest
 
 
 def test_records_refuse_the_first_r_past_the_reach():
-    with pytest.raises(ConfigError, match=r"r = 3\.2 needs a cutoff above"):
-        measure_records([1.0, 3.2, 3.0, 4.0], 1e-10)
+    # every r is checked before any row is evaluated
+    with pytest.raises(ConfigError, match=r"r = 6\.5 is above R_MAX = 6"):
+        measure_records([1.0, 6.5, 3.0, 7.0], 1e-10)
+
+
+def test_entropy_tail_bound_holds_and_is_not_vacuous():
+    # the untruncated rows less the cut-state series at N, against the bound
+    # at N; it is within a factor 1.3 of the true gap
+    for r in (0.3, 1.0, 2.0, 3.0):
+        rec = measure_record(r, 1e-10)
+        for n_max in (5, 20, 100):
+            bound = entropy_tail_bound(r, n_max)
+            if bound < 1e-8:  # below, rounding decides the gap
+                continue
+            cut = TruncationConfig(n_max)
+            gaps = (rec.s_ar - joint_entropy_series(r, cut), rec.s_r - rob_entropy_series(r, cut))
+            assert all(0.0 <= gap <= bound < 1.3 * gap for gap in gaps), (r, n_max, gaps, bound)
 
 
 # ---------------------------------------------------------------- high-precision anchors
@@ -524,19 +569,19 @@ def _mp_series_40(r, n_max):
 
 
 # (2.9397, 2767) and (2.9095, 2599) are default-sweep rows whose float64
-# term-by-term sums missed by 1.6e-13 and 1.3e-13; _EM_HEAD + 1 and + 2 are
-# the first cutoffs with a Euler-Maclaurin tail, (1.26, 85) a row near the
-# largest remainder majorant, and (3.1296, 4096) the reach
+# sums, with q^n from a rounded q = tanh^2 r, missed by 1.6e-13 and
+# 1.3e-13; (1.26, 85) is near the rows' largest remainder majorant, and
+# (3.1296, 4096) the oracle's reach at the default tolerance
 @pytest.mark.parametrize(
     "r, n_max",
     [
         (0.0, 8), (0.1, 6), (0.5, 17), (1.0, 256), (2.0, 500), (3.0, 3134),
         (2.9396984924623113, 2767), (2.909547738693467, 2599),
-        (1.0, _EM_HEAD + 1), (1.0, _EM_HEAD + 2), (1.26, 85), (3.1296, 4096),
+        (1.0, 33), (1.0, 34), (1.26, 85), (3.1296, 4096),
     ],
 )
 def test_series_match_a_40_digit_sum_at_a_fixed_cutoff(r, n_max):
-    # the production evaluator's sums over the same levels, independently
+    # the oracle's direct sums over the same levels, independently
     s_joint, s_rob = _mp_series_40(r, n_max)
     cfg = TruncationConfig(n_max)
     assert abs(joint_entropy_series(r, cfg) - s_joint) <= 1e-13
@@ -551,59 +596,67 @@ def test_scaled_e1_matches_mpmath():
     assert np.max(np.abs(_scaled_e1(ys) / ref - 1.0)) <= 1e-14
 
 
-def _tail_inputs(rs, n_used):
-    """(r, n_used, q, s) of rows, as arrays, for _series_tails."""
+def _tail_inputs(rs):
+    """(r, q, s) of rows, as arrays, for _series_tails."""
     r = np.asarray(rs, dtype=np.float64)
-    return r, np.asarray(n_used), np.tanh(r) ** 2, 1.0 / np.cosh(r) ** 2
+    return r, np.tanh(r) ** 2, 1.0 / np.cosh(r) ** 2
 
 
-# rows up to the reach, at their cutoffs and at shorter ones
-MAJORANT_PAIRS = [
-    (r, n)
-    for r in (0.8, 1.0, 1.26, 1.5, 2.0, 2.5, 3.0, 3.1296)
-    for n in (_EM_HEAD + 3, 200, adaptive_n_max(r, 1e-10))
-]
+# _mp_series(r) at 40 digits for r >= 4, where it sums 10^5 to 10^7
+# levels (minutes at r = 6); below, the tests sum it themselves
+PINNED_REFERENCES = {
+    4.0: ("11.5537931071757029047821898801", "11.5543703359109425594629308575"),
+    5.0: ("14.439432699750800772162378848", "14.439510819172124026021246108"),
+    6.0: ("17.3248565542790550102586113702", "17.3248671265930832936978433351"),
+}
+
+
+@functools.lru_cache
+def _untruncated(r):
+    """Untruncated (S(rho_AR), S(rho_R)) in bits, from 40 digits or more."""
+    if r in PINNED_REFERENCES:
+        return tuple(float(value) for value in PINNED_REFERENCES[r])
+    return _mp_reference(r)[:2]
 
 
 @pytest.mark.parametrize("head, terms", [(32, 1), (32, 2), (16, 2), (16, 3), (8, 3)])
 def test_remainder_majorant_bounds_the_error(monkeypatch, head, terms):
-    # with fewer Bernoulli terms or a shorter head the tails miss by far
-    # more than rounding, and every miss stays within the row's majorant
-    # (plus 1e-14 for rounding); no row is refused here
+    # with fewer Bernoulli terms or a shorter head the untruncated rows miss
+    # by far more than rounding, and every miss stays within the series'
+    # majorant (plus 1e-14 for rounding); no row is refused here
     monkeypatch.setattr(measures, "_EM_HEAD", head)
     monkeypatch.setattr(measures, "_EM_TERMS", terms)
     monkeypatch.setattr(measures, "_EM_BOUND", math.inf)
     tightest = 0.0
-    for r, n in MAJORANT_PAIRS:
-        _, majorants = _series_tails(*_tail_inputs([r], [n]))
-        cfg = TruncationConfig(n)
-        values = (joint_entropy_series(r, cfg), rob_entropy_series(r, cfg))
-        for value, ref, [majorant] in zip(values, _mp_series_40(r, n), majorants):
-            assert abs(value - ref) <= majorant + 1e-14, (r, n, value - ref, majorant)
+    for r in (0.8, 1.0, 1.26, 1.5, 2.0, 2.5, 3.0, 4.0):
+        _, majorants = _series_tails(*_tail_inputs([r]))
+        rows = np.array([r])
+        values, _ = _series_entropies(rows, np.cosh(rows))
+        for [value], ref, [majorant] in zip(values, _untruncated(r), majorants):
+            assert abs(value - ref) <= majorant + 1e-14, (r, value - ref, majorant)
             if majorant > 1e-12:
                 tightest = max(tightest, abs(value - ref) / majorant)
     assert tightest > 1e-3  # and it is not vacuous
 
 
 def test_remainder_majorant_is_below_the_bound_to_the_reach():
-    rs = np.linspace(0.0, 3.1296, 2000)
-    n_used = measures._cutoffs(rs, 1e-10)
-    long = n_used > _EM_HEAD
-    _, majorants = _series_tails(*_tail_inputs(rs[long], n_used[long]))
-    assert long.sum() > 1400
-    assert majorants.max() < measures._EM_BOUND
+    # every row with a tail, up to R_MAX; the largest sits near r = 1.23
+    rs = np.linspace(0.0, R_MAX, 6001)[1:]
+    _, majorants = _series_tails(*_tail_inputs(rs))
+    assert majorants.max() < 3.1e-15 < measures._EM_BOUND
+    assert 1.2 < rs[np.argmax(majorants.max(axis=0))] < 1.26
 
 
 def test_rows_whose_majorant_is_too_large_are_refused(monkeypatch):
     # one Bernoulli term leaves a remainder bound far above _EM_BOUND at
-    # r = 1.26: the row is refused, not returned; a row summed term by term
-    # is unaffected
+    # r = 1.26: the row is refused, not returned; at r = 0.1 the tail
+    # weighs q^32 = 1e-64, and at r = 0 there is no tail
     monkeypatch.setattr(measures, "_EM_TERMS", 1)
     with pytest.raises(ConfigError, match="Euler-Maclaurin remainder bound"):
         measure_records([0.1, 1.26], 1e-10)
-    with pytest.raises(ConfigError, match="Euler-Maclaurin remainder bound"):
-        joint_entropy_series(1.26, TruncationConfig(85))
-    assert measure_records([0.1], 1e-10) == [measure_record(0.1, 1e-10)]
+    records = measure_records([0.0, 0.1], 1e-10)
+    monkeypatch.undo()
+    assert records == measure_records([0.0, 0.1], 1e-10)
 
 
 @functools.lru_cache
@@ -620,23 +673,30 @@ def _mp_reference(r):
         return float(joint), float(rob), float(fidelity)
 
 
-@pytest.mark.parametrize("r", [0.1, 0.5, 1.5, 2.0, 3.0])
+@pytest.mark.parametrize("r", [0.1, 0.5, 1.0, 1.5, 2.0, 3.0, 4.0, 5.0, 6.0])
 def test_record_matches_high_precision_reference(r):
-    s_joint, s_rob, fidelity = _mp_reference(r)
+    # each entropy within the row's certified bound, and the bound within
+    # the default tolerance
+    s_joint, s_rob = _untruncated(r)
+    with mpmath.workdps(30):
+        sech = 1 / mpmath.cosh(mpmath.mpf(r))
+        fidelity = float(sech**2 * (1 + sech) ** 2 / 4)
     rec = measure_record(r, 1e-10)
-    assert abs(rec.s_ar - s_joint) <= 1e-8
-    assert abs(rec.s_e - s_joint) <= 1e-8
-    assert abs(rec.s_r - s_rob) <= 1e-8
+    bound = _row_bound(r)
+    assert bound < 1e-10
+    assert abs(rec.s_ar - s_joint) <= bound
+    assert abs(rec.s_e - s_joint) <= bound
+    assert abs(rec.s_r - s_rob) <= bound
     assert abs(rec.fe_closed - fidelity) <= 1e-12
     assert abs(rec.fe_kraus - fidelity) <= 1e-12
-    assert abs(rec.s_a - 1.0) <= 1e-8  # untruncated, Alice holds one bit
+    assert rec.s_a == 1.0  # untruncated, Alice holds one bit
 
 
 @pytest.mark.parametrize("tol", [1e-3, 1e-6, 1e-10])
 @pytest.mark.parametrize("r", [0.1, 0.5, 1.5, 2.0, 3.0])
 def test_mutual_information_matches_high_precision_reference(r, tol):
-    # s_r and s_ar describe one state, so their truncation errors cancel in
-    # mutual_info = 1 + s_r - s_ar, which lands within tol of the untruncated I
+    # the row does not depend on tol, and mutual_info = 1 + s_r - s_ar lands
+    # within twice the row's bound of the untruncated I
     s_joint, s_rob, _ = _mp_reference(r)
     rec = measure_record(r, tol)
-    assert abs(rec.mutual_info - (1.0 + s_rob - s_joint)) <= tol
+    assert abs(rec.mutual_info - (1.0 + s_rob - s_joint)) <= 2.0 * _row_bound(r) < tol

@@ -1,7 +1,6 @@
 import json
 import math
 import sys
-from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -23,10 +22,11 @@ from unruhsim import (
     to_csv,
     to_json,
 )
-from unruhsim import measures
+from unruhsim import measures, sweep, verify
 from unruhsim.cli import main
+from unruhsim.measures import R_MAX
 from unruhsim.sweep import CSV_COLUMNS, MAX_POINTS, SCHEMA, r_grid, render
-from unruhsim.verify import first_failure
+from unruhsim.verify import _oracle_cutoff, first_failure
 
 SMALL = SweepConfig(r_min=0.0, r_max=1.2, points=9)
 
@@ -129,10 +129,28 @@ def test_sweep_first_row_without_acceleration():
 
 
 def test_default_sweep_tail_is_exact():
-    # the tail is the exact discarded weight, never a negative cancellation
+    # the rows are untruncated: nothing is discarded
     cfg = SweepConfig()
     for rec in run_sweep(cfg):
-        assert 0.0 <= rec.tail <= cfg.abs_tol
+        assert rec.tail == 0.0
+
+
+@pytest.mark.parametrize("tol", [1e-3, 1e-13])
+def test_default_sweep_csv_does_not_depend_on_tol(tol):
+    # --tol is a ceiling on each row's certified bound, not an input
+    reference = to_csv(run_sweep(SweepConfig()))
+    assert to_csv(run_sweep(SweepConfig(abs_tol=tol))) == reference
+
+
+def test_records_are_named_tuples_in_csv_order():
+    # the v1 header is the record's fields, in order
+    rec = run_sweep(SMALL)[3]
+    assert ",".join(MeasureRecord._fields) == (
+        "r,fe_closed,fe_kraus,s_ar,s_r,s_a,s_e,mutual_info,subadd_margin,tail,n_used"
+    )
+    assert rec == tuple(rec)  # and it equals a plain tuple
+    assert list(rec._asdict()) == list(CSV_COLUMNS)
+    assert rec._asdict()["s_ar"] == rec.s_ar == rec[3]
 
 
 def test_csv_schema_and_precision():
@@ -180,6 +198,11 @@ def test_sweep_does_not_touch_dense_routes(monkeypatch):
         "one_particle_mode_weights",
         "sym_eigenvalues",
         "wedge_ii_probabilities",
+        "joint_entropy_series",
+        "rob_entropy_series",
+        "adaptive_n_max",
+        "truncation_tail_bound",
+        "discarded_weights",
     )
     refused = set()
     for name, module in list(sys.modules.items()):
@@ -192,9 +215,9 @@ def test_sweep_does_not_touch_dense_routes(monkeypatch):
     with pytest.raises(AssertionError, match="dense oracle"):
         entropy_exchange(0.5, TruncationConfig(8))
 
-    records = run_sweep(SweepConfig(r_max=3.0, points=5))
+    records = run_sweep(SweepConfig(r_max=R_MAX, points=5))
     assert len(records) == 5
-    assert records[-1].n_used == 3134
+    assert records[-1].n_used == 0
 
 
 def test_sweep_deterministic():
@@ -217,7 +240,7 @@ def test_verify_passes_on_sane_config():
         results = run_verify(cfg)
         assert first_failure(results) is None, first_failure(results)
         names = [res.name for res in results]
-        assert len(names) == 12
+        assert len(names) == 11
         assert "channel-vs-analytic" in names
         assert "truncation-tail-bound" in names
 
@@ -241,61 +264,83 @@ def test_verify_oracle_checks_do_not_depend_on_tol():
     assert all(run == runs[0] for run in runs[1:])
 
 
-def shift_block_field(monkeypatch, field, offset):
-    """Make measures._block_fields add offset(r), an array over r, to one field."""
-    block_fields = measures._block_fields
-    k = [f.name for f in fields(MeasureRecord)].index(field)
+def shift_record_field(monkeypatch, field, offset):
+    """Make the records that sweeps and verify get add offset(r) to one field."""
+    records = measures.measure_records
 
-    def shifted(r, n_used):
-        columns = list(block_fields(r, n_used))
-        columns[k] = columns[k] + offset(r)
-        return tuple(columns)
+    def shifted(rs, abs_tol):
+        return [
+            rec._replace(**{field: getattr(rec, field) + offset(rec.r)})
+            for rec in records(rs, abs_tol)
+        ]
 
-    monkeypatch.setattr(measures, "_block_fields", shifted)
+    for module in (sweep, verify):
+        monkeypatch.setattr(module, "measure_records", shifted)
 
 
 @pytest.mark.parametrize(
     "field, caught_by",
     [
-        ("s_ar", ["entropy-series-vs-spectral", "records-vs-oracle"]),
-        ("s_r", ["entropy-series-vs-spectral", "records-vs-oracle"]),
+        ("s_ar", ["records-vs-oracle"]),
+        ("s_r", ["records-vs-oracle", "subadditivity"]),
         ("s_e", ["records-vs-oracle"]),
-        ("s_a", ["records-vs-oracle", "alice-entropy"]),
+        ("s_a", ["records-vs-oracle"]),
         ("fe_kraus", ["records-vs-oracle"]),
-        ("tail", ["operator-sum-tail"]),
+        ("tail", ["records-vs-oracle"]),
     ],
 )
 def test_verify_catches_a_record_shifted_by_1e_8(monkeypatch, field, caught_by):
-    # a record path that is off by 1e-8 in one field: the dense oracle at the
-    # rows' own cutoffs sees it, and so does the series check at its fixed
-    # cutoff for s_ar and s_r, whose series come from the same series pass;
-    # the grid's one-bit check also holds s_a, and the tail is held against
-    # the operator-sum defect.  Each field is shifted where it is computed:
-    # s_ar and s_r in the series pass, the rest in the record assembly
+    # a record path that is off by 1e-8 in one field: the dense oracle cut
+    # where its entropies are within 1e-12 of the untruncated ones sees it,
+    # and the Araki-Lieb side of subadditivity, tight at r = 0, also holds
+    # s_r.  s_ar and s_r are shifted in the series pass, so mutual_info
+    # follows them, the rest in the records
     if field in ("s_ar", "s_r"):
-        series_entropies = measures._series_entropies
-
-        def shifted(*args):
-            sums = series_entropies(*args)
-            sums[("s_ar", "s_r").index(field)] += 1e-8
-            return sums
-
-        monkeypatch.setattr(measures, "_series_entropies", shifted)
+        shift_series(monkeypatch, field, 1e-8)
     else:
-        shift_block_field(monkeypatch, field, lambda r: 1e-8)
+        shift_record_field(monkeypatch, field, lambda r: 1e-8)
     results = run_verify(SweepConfig())
-    assert len(results) == 12
+    assert len(results) == 11
     assert [res.name for res in results if not res.passed] == caught_by
+
+
+def shift_series(monkeypatch, field, offset):
+    """Make measures._series_entropies add offset to s_ar or s_r of every row."""
+    series_entropies = measures._series_entropies
+
+    def shifted(*args):
+        sums, bound = series_entropies(*args)
+        sums[("s_ar", "s_r").index(field)] += offset
+        return sums, bound
+
+    monkeypatch.setattr(measures, "_series_entropies", shifted)
+
+
+@pytest.mark.parametrize(
+    "field, offset, side",
+    [("s_ar", 3.0, "I >= 0"), ("s_r", 1e-8, "I <= 2 min(S_A, S_R)"),
+     ("s_r", -1e-8, "I <= 2 min(S_A, S_R)")],
+)
+def test_subadditivity_catches_a_fault_on_each_side(monkeypatch, field, offset, side):
+    # s_ar 3 bits too large makes I negative; s_r off by 1e-8 either way
+    # breaks Araki-Lieb at r = 0, where I = 2 = 2 S_R holds with equality
+    [clean] = run_verify(SMALL, names=("subadditivity",))
+    assert clean.passed and clean.worst <= 0.0
+    shift_series(monkeypatch, field, offset)
+    [res] = run_verify(SMALL, names=("subadditivity",))
+    assert not res.passed
+    assert res.detail == f"worst side: {side}"
 
 
 @pytest.mark.parametrize("field", ["s_ar", "s_r", "s_e", "s_a", "fe_kraus"])
 def test_records_vs_oracle_holds_the_row_at_r_max(monkeypatch, field):
-    # only the row at --r-max (N = 3134) is off by 1e-8: the oracle holds it
-    # at its production cutoff, so records-vs-oracle sees it
+    # only the row at --r-max is off by 1e-8: the oracle holds it at a
+    # cutoff whose entropies are within 1e-12 of the untruncated ones, so
+    # records-vs-oracle sees it
     cfg = SweepConfig()
     [clean] = run_verify(cfg, names=("records-vs-oracle",))
-    assert clean.passed and clean.detail.endswith(",3134")
-    shift_block_field(monkeypatch, field, lambda r: 1e-8 * (r == cfg.r_max))
+    assert clean.passed and clean.detail.endswith(f",{_oracle_cutoff(cfg.r_max)}")
+    shift_record_field(monkeypatch, field, lambda r: 1e-8 * (r == cfg.r_max))
     [res] = run_verify(cfg, names=("records-vs-oracle",))
     assert not res.passed
 
@@ -346,20 +391,24 @@ def test_check_result_passes_only_below_tol(worst, passed):
 
 def test_verify_reports_signed_excess_against_positive_tol():
     # every check reports its largest excess over a positive (or zero) tol;
-    # subadditivity's margin appears negated, so a healthy run reads < 0
+    # subadditivity's lower side appears negated, so it reads < 0, and its
+    # Araki-Lieb side reads 0 at r = 0, where it holds with equality
     results = run_verify(SMALL)
     assert all(res.tol >= 0 for res in results)
     [sub] = [res for res in results if res.name == "subadditivity"]
-    margins = [rec.subadd_margin for rec in run_sweep(SMALL)]
-    assert sub.worst == -min(margins) < 0
+    records = run_sweep(SMALL)
+    lower = -min(rec.subadd_margin for rec in records)
+    upper = max(rec.subadd_margin - 2.0 * min(rec.s_a, rec.s_r) for rec in records)
+    assert lower < 0.0 == upper
+    assert sub.worst == max(lower, upper)
     assert sub.tol == SMALL.abs_tol
 
 
 def test_verify_names_follow_the_fixed_order():
-    names = ("truncation-tail-bound", "channel-vs-analytic", "alice-entropy")
+    names = ("truncation-tail-bound", "channel-vs-analytic", "subadditivity")
     results = run_verify(SMALL, names=names)
     assert [res.name for res in results] == [
-        "channel-vs-analytic", "alice-entropy", "truncation-tail-bound"
+        "channel-vs-analytic", "subadditivity", "truncation-tail-bound"
     ]
 
 
@@ -422,11 +471,12 @@ def test_cli_point(capsys):
     assert "effective truncation" in out
 
 
-@pytest.mark.parametrize("r, n_used", [("0.1", 6), ("3", 3134)])
-def test_cli_point_reports_the_certified_cutoff(r, n_used, capsys):
+@pytest.mark.parametrize("r", ["0", "0.1", "3", "6"])
+def test_cli_point_reports_an_untruncated_row(r, capsys):
     assert main(["point", "--r", r]) == 0
     lines = capsys.readouterr().out.splitlines()
-    assert lines[-1].split() == ["effective", "truncation", str(n_used)]
+    assert lines[-2].split() == ["truncation", "tail", "0.0"]
+    assert lines[-1].split() == ["effective", "truncation", "(0:", "untruncated)", "0"]
 
 
 def test_cli_point_rejects_negative(capsys):
@@ -434,23 +484,30 @@ def test_cli_point_rejects_negative(capsys):
 
 
 @pytest.mark.parametrize(
-    "args", [["point", "--r", "4"], ["point", "--r", "5"], ["sweep", "--r-max", "4"]]
+    "args", [["point", "--r", "6.5"], ["point", "--r", "100"], ["sweep", "--r-max", "6.5"]]
 )
 def test_cli_refuses_r_past_the_cap(args, capsys):
+    # the cap on r is R_MAX
     assert main(args) == 2
-    assert "cap" in capsys.readouterr().err
+    assert "above R_MAX = 6" in capsys.readouterr().err
+
+
+def test_cli_sweep_reaches_r_max(capsys):
+    assert main(["sweep", "--r-max", "6", "--points", "50"]) == 0
+    last = capsys.readouterr().out.splitlines()[-1].split(",")
+    assert float(last[0]) == R_MAX
+    assert 1.0 < float(last[CSV_COLUMNS.index("mutual_info")]) < 1.0 + 2e-5
 
 
 def test_cli_sweep_refused_mid_grid_writes_nothing(tmp_path, capsys):
     # the first grid point past the reach is refused before any row is
     # rendered, so --output is never opened
     out = tmp_path / "rows.csv"
-    assert main(["sweep", "--r-max", "3.2", "--output", str(out)]) == 2
+    assert main(["sweep", "--r-max", "6.5", "--output", str(out)]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == (
-        "error: r = 3.13568 needs a cutoff above the adaptive cap n_max = 4096: "
-        "there the tail bound 1.457e-10 is not below abs_tol = 1e-10\n"
+        "error: r = 6.01005 is above R_MAX = 6, the largest r whose rows are certified\n"
     )
     assert not out.exists()
 
@@ -501,7 +558,7 @@ def test_cli_refuses_tol_outside_unit_interval(command, tol, capsys):
 def test_cli_point_takes_only_r_and_tol(capsys):
     assert main(["point", "--r", "1", "--tol", "1e-6"]) == 0
     lines = capsys.readouterr().out.splitlines()
-    assert lines[-1].split() == ["effective", "truncation", "31"]
+    assert lines[0].split() == ["acceleration", "parameter", "1.0"]
     for flag in (["--r-min", "5"], ["--r-max", "2"], ["--points", "1"]):
         with pytest.raises(SystemExit) as exc:
             main(["point", "--r", "1"] + flag)
