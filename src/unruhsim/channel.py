@@ -13,11 +13,11 @@ geometric truncation tail.  Off that subspace the map is *not* trace
 preserving; the deviation has a closed form and is asserted, not hidden.
 
 Construction note: the ladder power in A_n is accumulated as
-Q_n = Q_{n-1} (tanh r * bdag) / sqrt(n), folding the scalar into the
+Q_n = ((tanh r * bdag) / sqrt(n)) Q_{n-1}, folding the scalar into the
 product so no bare factorial ever overflows.  On the one nonzero
-sub-diagonal that is q_n[m] = (tanh r sqrt(m+n)) q_{n-1}[m] / sqrt(n) for
-each column m, in the same order of operations, so the entries match the
-dense product bit for bit.  They are tanh^n r sqrt(C(m+n, n)), beyond
+sub-diagonal that is q_n[m] = ((tanh r sqrt(m+n)) / sqrt(n)) q_{n-1}[m] for
+each column m, with the same factors, so the entries match the dense
+product bit for bit.  They are tanh^n r sqrt(C(m+n, n)), beyond
 float64 for large n and m at once, so the family is generated only on
 the Fock levels an input occupies, never stored.  Weight that the
 truncated bdag pushes past |n_max> is dropped, consistent with the tail
@@ -75,7 +75,7 @@ def kraus_operator(n: int, r: float, cfg: TruncationConfig) -> np.ndarray:
     step = math.tanh(r) * creation_matrix(cfg)
     ladder = np.eye(cfg.dim)
     for k in range(1, n + 1):
-        ladder = step @ ladder / math.sqrt(k)
+        ladder = (step / math.sqrt(k)) @ ladder
     return np.kron(_alice_weight(r), ladder) * (1.0 / math.cosh(r) ** 2)
 
 
@@ -120,31 +120,28 @@ class KrausSet:
         Columns lo..min(hi, n_max), so w = min(hi, n_max) - lo + 1, and
         n = 0..count-1 with count = n_max + 1 - lo.  Column k holds its
         recurrence of the module docstring while m + n <= n_max and 0.0
-        past it.  Each column is run on its own, down n in float64 scalars
-        (which warn on overflow, as array operations do), so its entries
-        are the same in every table that holds it, and the columns m <= 1
-        of the initial subspace stay finite at any cutoff.
+        past it: one running product down n of the factors (tanh r
+        sqrt(m+n)) / sqrt(n), held at 1.0 past the edge so that a column
+        that overflowed inside it never forms inf * 0.  Each column's
+        entries are the same in every table that holds it, and the columns
+        m <= 1 of the initial subspace stay finite at any cutoff.
         """
         n_max = self.cfg.n_max
         count = max(n_max + 1 - lo, 0)
         width = max(min(hi + 1, n_max + 1) - lo, 0)
-        # column lo + k takes step[n - 1 + k] = tanh r sqrt(lo + k + n) at n
-        roots = np.sqrt(np.arange(lo + 1, n_max + 1, dtype=np.float64))
-        step = list(math.tanh(self.r) * roots)
-        norm = list(np.sqrt(np.arange(1, count, dtype=np.float64)))
-        ladders = np.zeros((count, width))
-        for k in range(width):
-            x = 1.0
-            column = [x]
-            for n in range(1, count - k):
-                x = step[n - 1 + k] * x / norm[n - 1]
-                column.append(x)
-            ladders[: count - k, k] = column
+        n = np.arange(1, count)[:, None]
+        m_n = lo + np.arange(width) + n  # m + n, from 1 + lo
+        inside = m_n <= n_max
+        factors = np.ones((count, width))
+        factors[1:] = np.where(inside, math.tanh(self.r) * np.sqrt(m_n) / np.sqrt(n), 1.0)
+        ladders = np.multiply.accumulate(factors, axis=0)
+        ladders[1:] = np.where(inside, ladders[1:], 0.0)
         alice = np.diag(_alice_weight(self.r))[:, None]
         table = alice * ladders[:, None, :] * (1.0 / math.cosh(self.r) ** 2)
         if self.fault is not None and self.fault[0] < count:
             index, offset = self.fault
             t = min(width, count - index)
+            roots = np.sqrt(np.arange(lo + 1, n_max + 1, dtype=np.float64))
             power = np.ones(t)  # <m+index| (bdag)^index |m>, the same product bare
             for n in range(1, index + 1):
                 power = roots[n - 1 : n - 1 + t] * power

@@ -30,6 +30,7 @@ of any size joins its blocks.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from numbers import Integral
 from typing import Iterable
@@ -103,7 +104,7 @@ class FactorLayout:
     @property
     def dim(self) -> int:
         """Total dimension, the product of the factor dimensions."""
-        return int(np.prod(self.dims))
+        return math.prod(self.dims)
 
     def axis(self, label: str) -> int:
         try:

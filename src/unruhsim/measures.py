@@ -42,8 +42,8 @@ from .rindler import (
     WEDGE_II,
     check_r,
     decay_rate,
+    entropy_tail_bound,
     tripartite_state,
-    truncation_tail_bound,
 )
 
 # Largest accepted r.  Rows are anchored to 40-digit sums up to here.
@@ -52,10 +52,10 @@ from .rindler import (
 # 1 + s_r - s_ar.
 R_MAX = 6.0
 
-# Cap on the oracle's cutoff from adaptive_n_max.  At the default abs_tol
-# 1e-10 its reach lies between r = 3.12962 (certified at exactly the cap)
-# and r = 3.12964 (refused).
-ADAPTIVE_N_CAP = 4096
+# Cap on the oracle's cutoff from adaptive_n_max, which bounds the oracle's
+# memory: a state cut there has O(N) entries.  Its reach is r = 5.159 at
+# abs_tol 1e-12 and r = 5.235 at 1e-10.
+ADAPTIVE_N_CAP = 2**18
 
 # Probabilities below this are treated as exact zeros (0 log 0 = 0).
 _PROB_FLOOR = 1e-300
@@ -102,6 +102,15 @@ def check_abs_tol(abs_tol: float) -> None:
         valid = False
     if not valid:
         raise ConfigError(f"abs_tol must be in (0, 1), got {abs_tol}")
+
+
+def _check_row_r(r: float) -> None:
+    """Raise ConfigError unless r is finite, >= 0 and at most R_MAX."""
+    check_r(r)
+    if r > R_MAX:
+        raise ConfigError(
+            f"r = {r:g} is above R_MAX = {R_MAX:g}, the largest r whose rows are certified"
+        )
 
 
 def entropy_from_probabilities(probs: np.ndarray) -> float:
@@ -219,25 +228,30 @@ def entropy_exchange(r: float, cfg: TruncationConfig) -> float:
 
 
 def adaptive_n_max(r: float, abs_tol: float) -> int:
-    """The oracle's certified cutoff for the given r.
+    """The oracle's cutoff for r: an N >= 1 whose cut state's entropies are within abs_tol.
 
-    The smallest N >= 1 with truncation_tail_bound(r, N) < abs_tol, read
-    off the bound at every cutoff up to ADAPTIVE_N_CAP, whose certified
-    cutoffs are the interval [N, ADAPTIVE_N_CAP].  Raises ConfigError for
-    an r that is negative or not finite, for an abs_tol outside (0, 1),
-    and for an r whose bound at the cap is not below abs_tol, rather than
-    returning an uncertified cutoff.
+    Certified by :func:`~unruhsim.rindler.entropy_tail_bound`, which also
+    bounds the weight the cut drops.  The first guess ln(abs_tol) / ln q;
+    while the bound is not below abs_tol, N grows by ln(bound / abs_tol) /
+    beta, the levels over which q^N falls by that factor.  Raises
+    ConfigError for an r that is negative or not finite, for an abs_tol
+    outside (0, 1), for an r above R_MAX, which no row needs, and as
+    soon as N passes ADAPTIVE_N_CAP, rather than returning an uncertified
+    cutoff.
     """
-    check_r(r)
+    _check_row_r(r)
     check_abs_tol(abs_tol)
-    bounds = truncation_tail_bound(r, np.arange(1, ADAPTIVE_N_CAP + 1))
-    if not bounds[-1] < abs_tol:
-        raise ConfigError(
-            f"r = {r:g} needs a cutoff above the adaptive cap n_max = "
-            f"{ADAPTIVE_N_CAP}: there the tail bound {bounds[-1]:.3e} is not below "
-            f"abs_tol = {abs_tol:g}"
-        )
-    return int(np.argmax(bounds < abs_tol)) + 1
+    beta = decay_rate(r)
+    n_max = max(1, math.ceil(math.log(abs_tol) / -beta))
+    while n_max <= ADAPTIVE_N_CAP:
+        bound = entropy_tail_bound(r, n_max)
+        if bound < abs_tol:
+            return n_max
+        n_max += max(1, math.ceil(math.log(bound / abs_tol) / beta))
+    raise ConfigError(
+        f"r = {r:g} needs an oracle cutoff above the cap n_max = {ADAPTIVE_N_CAP} "
+        f"to certify its entropies within abs_tol = {abs_tol:g}"
+    )
 
 
 class MeasureRecord(NamedTuple):
@@ -271,29 +285,27 @@ def measure_records(rs: Iterable[float], abs_tol: float) -> list[MeasureRecord]:
     An r that is negative, not finite or above R_MAX raises ConfigError
     before any row is evaluated.  The rows are evaluated in passes of
     _BLOCK_ROWS (:func:`_block_fields`); the first r in order whose
-    certified bound is not below abs_tol raises ConfigError.  The values
-    do not depend on abs_tol.  The records are built once, from the columns
-    and the untruncated state's constants.
+    certified bound is not below abs_tol raises ConfigError as soon as its
+    pass is evaluated.  The values do not depend on abs_tol.  The records
+    are built once, from the columns and the untruncated state's constants.
     """
     rs = list(rs)
     for r in rs:
-        check_r(r)
-        if r > R_MAX:
-            raise ConfigError(
-                f"r = {r:g} is above R_MAX = {R_MAX:g}, the largest r whose rows are certified"
-            )
+        _check_row_r(r)
     check_abs_tol(abs_tol)
     r = np.array(rs, dtype=np.float64)
-    edges = range(_BLOCK_ROWS, r.size, _BLOCK_ROWS)
-    blocks = [_block_fields(rows) for rows in np.split(r, edges)]
-    *columns, bound = blocks[0] if len(blocks) == 1 else map(np.concatenate, zip(*blocks))
-    refused = np.flatnonzero(~(bound < abs_tol))  # NaN is refused too
-    if refused.size:
-        k = refused[0]
-        raise ConfigError(
-            f"r = {rs[k]:g}: the certified error bound {bound[k]:.3e} of its "
-            f"entropies is not below abs_tol = {abs_tol:g}"
-        )
+    blocks = []  # one pass for no rows too
+    for start in range(0, max(r.size, 1), _BLOCK_ROWS):
+        *fields, bound = _block_fields(r[start : start + _BLOCK_ROWS])
+        refused = np.flatnonzero(~(bound < abs_tol))  # NaN is refused too
+        if refused.size:
+            k = refused[0]
+            raise ConfigError(
+                f"r = {rs[start + k]:g}: the certified error bound {bound[k]:.3e} "
+                f"of its entropies is not below abs_tol = {abs_tol:g}"
+            )
+        blocks.append(fields)
+    columns = blocks[0] if len(blocks) == 1 else map(np.concatenate, zip(*blocks))
     r, fe_closed, fe_kraus, s_ar, s_r, mutual = (column.tolist() for column in columns)
     # s_a = 1, s_e = s_ar, subadd_margin = mutual_info, tail = 0, n_used = 0
     rows = zip(r, fe_closed, fe_kraus, s_ar, s_r, repeat(1.0), s_ar, mutual, mutual,

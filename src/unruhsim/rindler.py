@@ -99,8 +99,7 @@ def truncation_tail_bound(
     majorizes the vacuum branch's tail; tail_d is the exact weight the
     one-particle branch drops because it keeps only n_max levels.  The
     first term wins for q >= 1/2; the second for q < 1/2.  Its factor
-    n_max + 2 is looser than the vacuum tail needs; it stays because it
-    sets the oracle's cutoffs (adaptive_n_max).  Like the weights, a
+    n_max + 2 is looser than the vacuum tail needs.  Like the weights, a
     scalar call is the length-1 case, returned as a float.
     """
     tail_c, tail_d = discarded_weights(r, n_max)
@@ -127,7 +126,8 @@ def entropy_tail_bound(r: float, n_max: int) -> float:
     less the cut state's edge -a_N ln a_N, no larger, as a_N <= lambda_N <
     1/e for N >= 1.  The cut keeps Rob's p_m for m <= N, so S_R - S_R,N is
     the sum over m > N, bounded the same way from p_(N+1).  Returns the
-    larger bound; 0.0 where q^N underflows.
+    larger bound; 0.0 where q^N underflows.  Rob's tail mass, the weight
+    the cut drops, is smaller, as each p_m < 1/e there.
     """
     s = 1.0 / math.cosh(r) ** 2
     q = 1.0 - s

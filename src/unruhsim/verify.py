@@ -6,9 +6,10 @@ form, the cut-state series against eigensolves, the untruncated records
 against eigensolves of states cut where their entropies are certified
 within 1e-12, fidelity against its Kraus trace, the purification
 identity, monotonicity along the grid, both sides of sub-additivity, the
-oracle's truncation-tail budget, and the operator sum at the oracle's
-cutoff for --r-max against the weight it discards.  `fault` corrupts one
-Kraus scalar so the channel-equivalence check's sensitivity can be shown.
+norm deficit of the state cut at the oracle's cutoff for --r-max, and the
+operator sum there against the weight it discards.  Every oracle cutoff
+comes from adaptive_n_max.  `fault` corrupts one Kraus scalar so the
+channel-equivalence check's sensitivity can be shown.
 
 Every check reports `worst`, its largest signed excess, and passes exactly
 when worst < tol: a negative worst is a margin, and NaN never passes.
@@ -45,9 +46,7 @@ from .measures import (
 from .rindler import (
     ALICE,
     WEDGE_I,
-    decay_rate,
     discarded_weights,
-    entropy_tail_bound,
     joint_layout,
     rho_alice_rob,
     tripartite_state,
@@ -69,7 +68,7 @@ _PURITY_RS = (0.5, 1.0)
 _PURITY_N_MAX = 64
 _ENTROPY_CASES = ((1.0, 256), (2.0, 64))  # (r, n_max)
 _RECORD_RS = (0.5, 1.0, 1.5)  # and the row at --r-max
-_ORACLE_TAIL = 1e-12  # records-vs-oracle's entropy_tail_bound, under its 1e-10
+_ORACLE_TAIL = 1e-12  # records-vs-oracle's cutoffs certify this, under its 1e-10
 
 
 @dataclass(frozen=True)
@@ -197,12 +196,12 @@ def _purification_identity(inp: _Inputs):
 def _records_vs_oracle(inp: _Inputs):
     # untruncated rows against the oracle cut where both entropies are
     # within _ORACLE_TAIL of the untruncated ones (its discarded weight and
-    # Alice's deficit from one bit are smaller still).  The oracle's reach
-    # is adaptive_n_max's: an --r-max past it is refused before any state
-    adaptive_n_max(inp.cfg.r_max, inp.cfg.abs_tol)
-    gaps, cutoffs = [], []
-    for rec in measure_records(_RECORD_RS + (inp.cfg.r_max,), inp.cfg.abs_tol):
-        trunc = TruncationConfig(_oracle_cutoff(rec.r))
+    # Alice's deficit from one bit are smaller still).  Every cutoff is
+    # certified before any state is built
+    records = measure_records(_RECORD_RS + (inp.cfg.r_max,), inp.cfg.abs_tol)
+    cutoffs = [adaptive_n_max(rec.r, _ORACLE_TAIL) for rec in records]
+    gaps = []
+    for rec, trunc in zip(records, map(TruncationConfig, cutoffs)):
         rho = rho_alice_rob(rec.r, trunc)
         rho_r = partial_trace(rho, (WEDGE_I,))
         psi = tripartite_state(rec.r, trunc)
@@ -214,22 +213,7 @@ def _records_vs_oracle(inp: _Inputs):
             rec.fe_kraus - entanglement_fidelity_kraus(rec.r, trunc),
             rec.tail - (1.0 - psi.norm_sq),
         ]
-        cutoffs.append(str(trunc.n_max))
-    return float(np.max(np.abs(gaps))), 1e-10, f"oracle n_max={','.join(cutoffs)}"
-
-
-def _oracle_cutoff(r: float) -> int:
-    """A cutoff N >= 1 with entropy_tail_bound(r, N) < _ORACLE_TAIL.
-
-    The first guess ln(_ORACLE_TAIL) / ln q; while the bound is not below
-    _ORACLE_TAIL, N grows by ln(bound / _ORACLE_TAIL) / beta, the levels
-    over which q^N falls by that factor.
-    """
-    beta = decay_rate(r)
-    n_max = max(1, math.ceil(math.log(_ORACLE_TAIL) / -beta))
-    while not (bound := entropy_tail_bound(r, n_max)) < _ORACLE_TAIL:
-        n_max += max(1, math.ceil(math.log(bound / _ORACLE_TAIL) / beta))
-    return n_max
+    return float(np.max(np.abs(gaps))), 1e-10, f"oracle n_max={','.join(map(str, cutoffs))}"
 
 
 def _fidelity_monotonic(inp: _Inputs):
@@ -256,12 +240,13 @@ def _subadditivity(inp: _Inputs):
 
 
 def _truncation_tail_bound(inp: _Inputs):
-    # adaptive_n_max refuses an r it cannot certify; the bound is evaluated
-    # again here as a cross-check of the cutoff it returns
-    r_max = inp.cfg.r_max
-    n_max = adaptive_n_max(r_max, inp.cfg.abs_tol)
-    bound = truncation_tail_bound(r_max, n_max)
-    return bound, inp.cfg.abs_tol, f"n_max={n_max} at r={r_max:g}"
+    # the weight the state cut at the oracle's cutoff for --r-max drops, as
+    # measured: Rob's tail mass, below the cutoff's entropy bound and so
+    # below --tol in exact arithmetic
+    r = inp.cfg.r_max
+    n_max = adaptive_n_max(r, inp.cfg.abs_tol)
+    deficit = 1.0 - tripartite_state(r, TruncationConfig(n_max)).norm_sq
+    return deficit, inp.cfg.abs_tol, f"n_max={n_max} at r={r:g}"
 
 
 def _operator_sum_tail(inp: _Inputs):

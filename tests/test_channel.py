@@ -385,7 +385,7 @@ def test_defect_is_finite_at_the_production_cutoff(n_max):
 
 
 def test_bell_defect_memory_at_the_cap():
-    # nothing is stored: the Bell probe's defect at the 4096-level cap
+    # nothing is stored: the Bell probe's defect at N = 4096
     # generates a (4097, 2, 2) window, where a stored family of
     # sub-diagonals takes 8 (N+1)(N+2) bytes, about 128 MiB
     r, cfg = 3.0, TruncationConfig(4096)

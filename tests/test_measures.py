@@ -208,8 +208,8 @@ def test_entropy_exchange_positive_under_acceleration():
 
 
 def test_oracle_entropies_at_the_production_cutoff_in_bounded_memory():
-    # r = 3 takes N = 3134 at the default tolerance of adaptive_n_max, the
-    # oracle's cutoff helper.  Stored as entries,
+    # r = 3 at N = 3134, past adaptive_n_max's 2989 at the default
+    # tolerance.  Stored as entries,
     # rho_AR and the tripartite state hold O(N) values; a dense rho_AR
     # (6270 x 6270) alone is 300 MiB, and the dense route peaked near 581 MB
     r, cfg = 3.0, TruncationConfig(3134)
@@ -278,20 +278,46 @@ def test_adaptive_truncation_grows_with_acceleration():
 
 
 def test_adaptive_truncation_meets_tail_target():
-    for r in (0.1, 0.5, 1.5, 2.2, 3.0):
+    # the cut state's entropies are certified, and the weight it drops is
+    # below their bound
+    for r in (0.1, 0.5, 1.5, 2.2, 3.0, 4.0, 5.0):
         n = adaptive_n_max(r, 1e-10)
-        assert truncation_tail_bound(r, n) < 1e-10
-        assert truncation_tail_bound(r, n - 1) >= 1e-10
+        bound = entropy_tail_bound(r, n)
+        assert bound < 1e-10
+        assert 0.0 < sum(discarded_weights(r, n)) / 2.0 < bound
 
 
 def test_adaptive_truncation_respects_cap():
     with pytest.raises(ConfigError, match="cap"):
-        adaptive_n_max(4.0, 1e-10)
-    assert adaptive_n_max(3.0, 1e-10) <= ADAPTIVE_N_CAP
-    # the reach at the default tolerance lies between these two r
-    assert adaptive_n_max(3.12962, 1e-10) == ADAPTIVE_N_CAP
-    with pytest.raises(ConfigError, match="cap"):
-        adaptive_n_max(3.12964, 1e-10)
+        adaptive_n_max(5.5, 1e-10)
+    # no row lies past R_MAX, and at r = 400 expm1(2 r) overflows
+    with pytest.raises(ConfigError, match="above R_MAX"):
+        adaptive_n_max(400.0, 0.5)
+    assert adaptive_n_max(5.0, 1e-10) <= ADAPTIVE_N_CAP
+    # the reach lies between these r, at the default tolerance and at the
+    # oracle's 1e-12
+    for tol, below, above in ((1e-10, 5.23467, 5.23468), (1e-12, 5.15902, 5.15903)):
+        assert adaptive_n_max(below, tol) <= ADAPTIVE_N_CAP
+        with pytest.raises(ConfigError, match="cap"):
+            adaptive_n_max(above, tol)
+
+
+@pytest.mark.parametrize(
+    "r, n_max",
+    [(0.5, 22), (1.0, 63), (1.5, 173), (3.0, 3482), (4.0, 25767), (5.0, 190684)],
+)
+def test_adaptive_truncation_keeps_the_oracle_cutoffs(r, n_max):
+    # the cutoffs records-vs-oracle used before adaptive_n_max became its
+    # rule: a first guess ln(tol) / ln q and steps, at the oracle's 1e-12
+    assert adaptive_n_max(r, 1e-12) == n_max
+
+
+@pytest.mark.parametrize("tol", [1e-3, 1e-10, 1e-12])
+def test_adaptive_truncation_certifies_a_grid(tol):
+    for r in [0.0, 1e-300, 1e-150, 1e-20] + np.linspace(0.0, 5.0, 201)[1:].tolist():
+        n = adaptive_n_max(r, tol)
+        assert 1 <= n <= ADAPTIVE_N_CAP
+        assert entropy_tail_bound(r, n) < tol
 
 
 @pytest.mark.parametrize("r", [-1.0, math.inf, math.nan])
@@ -353,18 +379,17 @@ def test_measure_record_refuses_r_above_r_max(r):
 
 @pytest.mark.parametrize("fixed", [1, 8, 256])
 def test_record_tail_is_certified(fixed):
-    # the untruncated row discards nothing; every cutoff the oracle's helper
-    # accepts bounds the weight its cut state drops, including below
+    # the untruncated row discards nothing; the oracle's cutoff bounds the
+    # entropies and the weight its cut state drops, including below
     # q = 1/2 where the one-particle branch's tail dominates
     for r in np.linspace(0.0, 3.0, 121)[1:].tolist():
         assert measure_record(r, 1e-10).tail == 0.0
         n_max = adaptive_n_max(r, 1e-10)
-        bound = truncation_tail_bound(r, n_max)
+        bound = entropy_tail_bound(r, n_max)
         assert 0.0 <= sum(discarded_weights(r, n_max)) / 2.0 <= bound < 1e-10
-        # and it is the smallest cutoff that certifies the row
-        assert n_max == 1 or truncation_tail_bound(r, n_max - 1) >= 1e-10
-        # so a fixed cutoff certifies the row exactly when it reaches it
-        assert (truncation_tail_bound(r, fixed) < 1e-10) == (fixed >= n_max)
+        # a fixed cutoff past it certifies the row too
+        if fixed >= n_max:
+            assert entropy_tail_bound(r, fixed) < 1e-10
 
 
 def test_rows_past_their_tolerance_are_refused():
@@ -374,6 +399,21 @@ def test_rows_past_their_tolerance_are_refused():
     with pytest.raises(ConfigError, match=r"r = 1: the certified error bound .* 1e-14"):
         measure_records([0.1, 1.0, 2.0], 1e-14)
     assert measure_records([0.1, 1.0], 1e-13) == measure_records([0.1, 1.0], 1e-3)
+
+
+def test_records_stop_at_the_first_refused_block(monkeypatch):
+    # a refused row in the first pass stops the grid before the next pass
+    passes = []
+    block_fields = measures._block_fields
+
+    def spy(r):
+        passes.append(r.size)
+        return block_fields(r)
+
+    monkeypatch.setattr(measures, "_block_fields", spy)
+    with pytest.raises(ConfigError, match=r"r = 1: the certified error bound"):
+        measure_records([0.1, 1.0] + [0.5] * (3 * _BLOCK_ROWS), 1e-14)
+    assert passes == [_BLOCK_ROWS]
 
 
 @pytest.mark.parametrize("r", [0.0, 1e-300, 1e-20, 1e-5])
@@ -484,34 +524,34 @@ def test_measure_records_of_no_rows():
     assert measure_records([], 1e-10) == []
 
 
-@pytest.mark.parametrize("tol", [1e-3, 1e-10])
+@pytest.mark.parametrize("tol", [1e-3, 1e-10, 1e-12])
 @pytest.mark.parametrize(
     "r", [0.0, 1e-300, 1e-150, 0.01, 0.1, 0.5, 1.0, 2.0, 3.0, 3.1296]
 )
 def test_certified_cutoffs_are_one_interval(r, tol):
-    # the bisection of adaptive_n_max needs {N : bound(N) < tol} to be
-    # [its cutoff, cap]
-    levels = np.arange(1, ADAPTIVE_N_CAP + 1)
-    certified = levels[truncation_tail_bound(r, levels) < tol].tolist()
-    assert certified == list(range(adaptive_n_max(r, tol), ADAPTIVE_N_CAP + 1))
+    # {N : entropy_tail_bound(r, N) < tol} is [its least element, oo) up to
+    # twice adaptive_n_max's cutoff, which lies in it: every cutoff past
+    # the one returned is certified too
+    n_max = adaptive_n_max(r, tol)
+    levels = range(1, 2 * n_max + 1)
+    certified = [n for n in levels if entropy_tail_bound(r, n) < tol]
+    assert certified == list(range(certified[0], levels[-1] + 1))
+    assert certified[0] <= n_max
 
 
 def test_cutoffs_where_array_and_scalar_pow_disagree():
     # numpy's array pow differs from Python's by an ulp for some (q, N).  The
     # bound is evaluated on arrays only, so at such a pair a scalar call is
-    # still the array's element, and a tol equal to it still gets the
-    # smallest cutoff whose bound is below it
-    ns = np.arange(1, ADAPTIVE_N_CAP + 1)
+    # still the array's element
+    ns = np.arange(1, 1001)
     for r in np.linspace(0.7, 1.2, 51).tolist():
         q = np.tanh(np.array([r])).item() ** 2  # the bound's q, so pow alone differs
         array = truncation_tail_bound(r, ns)
-        for n, a in zip(ns[:1000].tolist(), array.tolist()):
+        for n, a in zip(ns.tolist(), array.tolist()):
             python_pow = max((n + 2) * q ** (n + 1), q**n * ((n + 1) - n * q))
             if a == python_pow or not 1e-300 < a < 1.0:
                 continue
             assert truncation_tail_bound(r, n) == a
-            smallest = int(np.argmax(array < a)) + 1
-            assert adaptive_n_max(r, a) == smallest
 
 
 def test_records_refuse_the_first_r_past_the_reach():
@@ -571,7 +611,7 @@ def _mp_series_40(r, n_max):
 # (2.9397, 2767) and (2.9095, 2599) are default-sweep rows whose float64
 # sums, with q^n from a rounded q = tanh^2 r, missed by 1.6e-13 and
 # 1.3e-13; (1.26, 85) is near the rows' largest remainder majorant, and
-# (3.1296, 4096) the oracle's reach at the default tolerance
+# (3.1296, 4096) was the reach of an earlier 4096-level cutoff search
 @pytest.mark.parametrize(
     "r, n_max",
     [

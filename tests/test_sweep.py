@@ -26,7 +26,7 @@ from unruhsim import measures, sweep, verify
 from unruhsim.cli import main
 from unruhsim.measures import R_MAX
 from unruhsim.sweep import CSV_COLUMNS, MAX_POINTS, SCHEMA, r_grid, render
-from unruhsim.verify import _oracle_cutoff, first_failure
+from unruhsim.verify import first_failure
 
 SMALL = SweepConfig(r_min=0.0, r_max=1.2, points=9)
 
@@ -339,18 +339,48 @@ def test_records_vs_oracle_holds_the_row_at_r_max(monkeypatch, field):
     # records-vs-oracle sees it
     cfg = SweepConfig()
     [clean] = run_verify(cfg, names=("records-vs-oracle",))
-    assert clean.passed and clean.detail.endswith(f",{_oracle_cutoff(cfg.r_max)}")
+    assert clean.passed and clean.detail.endswith(f",{adaptive_n_max(cfg.r_max, 1e-12)}")
     shift_record_field(monkeypatch, field, lambda r: 1e-8 * (r == cfg.r_max))
     [res] = run_verify(cfg, names=("records-vs-oracle",))
     assert not res.passed
 
 
 def test_verify_reports_insufficient_truncation():
-    # no cutoff up to the cap certifies r = 4: the tail-bound check refuses
-    # the configuration instead of silently passing
-    cfg = SweepConfig(r_max=4.0, points=5)
-    with pytest.raises(ConfigError, match="cap"):
-        run_verify(cfg, names=("truncation-tail-bound",))
+    # no cutoff up to the cap certifies r = 5.5: the tail-bound check
+    # refuses the configuration instead of silently passing, and so does
+    # records-vs-oracle, before it builds any state
+    cfg = SweepConfig(r_max=5.5, points=5)
+    for name in ("truncation-tail-bound", "records-vs-oracle", "operator-sum-tail"):
+        with pytest.raises(ConfigError, match="cap"):
+            run_verify(cfg, names=(name,))
+    assert main(["verify", "--r-max", "5.5"]) == 2
+
+
+def test_truncation_tail_bound_catches_a_halved_cutoff(monkeypatch):
+    # the check measures the cut state's norm deficit at adaptive_n_max's
+    # cutoff, so a rule that cuts too early fails it
+    cfg = SweepConfig()
+    [clean] = run_verify(cfg, names=("truncation-tail-bound",))
+    assert clean.passed and 0.0 < clean.worst < cfg.abs_tol
+    assert clean.detail == f"n_max={adaptive_n_max(cfg.r_max, cfg.abs_tol)} at r=3"
+
+    def halved(r, tol):
+        return adaptive_n_max(r, tol) // 2
+
+    monkeypatch.setattr(verify, "adaptive_n_max", halved)
+    [res] = run_verify(cfg, names=("truncation-tail-bound",))
+    assert not res.passed
+
+
+@pytest.mark.parametrize("r_max", [4.0, 5.0])
+def test_verify_passes_past_r_3(r_max):
+    # the oracle's cutoffs reach past r = 5 under the cap, so every check
+    # holds the rows there; 25 767 and 190 684 levels at the 1e-12 oracle tail
+    results = run_verify(SweepConfig(r_max=r_max))
+    assert len(results) == 11
+    assert first_failure(results) is None
+    [oracle] = [res for res in results if res.name == "records-vs-oracle"]
+    assert oracle.detail.endswith(f",{adaptive_n_max(r_max, 1e-12)}")
 
 
 @pytest.mark.parametrize("index", [0, 1, 5, 48])
