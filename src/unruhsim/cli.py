@@ -19,30 +19,35 @@ from .sweep import OUTPUT_FORMATS, SweepConfig, render, run_sweep
 from .verify import first_failure, run_verify
 
 
-def _add_tol_arg(sp: argparse.ArgumentParser) -> None:
-    sp.add_argument(
-        "--tol", type=float, default=1e-10,
-        help="absolute tolerance in (0, 1) (default 1e-10)",
-    )
+_ROW_TOL = "ceiling in (0, 1) on each row's certified error bound; a row not below it exits 2"
+_VERIFY_TOL = (
+    "ceiling in (0, 1) on each row's certified error bound (a row not below it "
+    "exits 2), the entropy bound of the oracle's cutoff at --r-max, and the "
+    "tolerance of the grid checks"
+)
 
 
-def _add_config_args(sp: argparse.ArgumentParser) -> None:
+def _add_tol_arg(sp: argparse.ArgumentParser, bounds: str) -> None:
+    sp.add_argument("--tol", type=float, default=1e-10, help=f"{bounds} (default 1e-10)")
+
+
+def _add_config_args(sp: argparse.ArgumentParser, tol_bounds: str) -> None:
     sp.add_argument("--r-min", type=float, default=0.0, help="grid start (default 0)")
     sp.add_argument("--r-max", type=float, default=3.0, help="grid end (default 3)")
     sp.add_argument("--points", type=int, default=200, help="grid size (default 200)")
-    _add_tol_arg(sp)
+    _add_tol_arg(sp, tol_bounds)
 
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="unruhsim",
-        description="Acceleration-induced decoherence as an operator-sum channel "
-        "on a truncated Fock space.",
+        description="Acceleration-induced decoherence as an operator-sum channel: "
+        "untruncated records, cross-checked against an oracle cut in Fock space.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
     sweep_p = sub.add_parser("sweep", help="emit per-grid-point records")
-    _add_config_args(sweep_p)
+    _add_config_args(sweep_p, _ROW_TOL)
     sweep_p.add_argument(
         "--format", choices=OUTPUT_FORMATS, default="csv", help="output format"
     )
@@ -51,11 +56,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     verify_p = sub.add_parser("verify", help="run the invariant cross-check suite")
-    _add_config_args(verify_p)
+    _add_config_args(verify_p, _VERIFY_TOL)
 
     point_p = sub.add_parser("point", help="evaluate a single acceleration value")
     point_p.add_argument("--r", type=float, required=True, help="acceleration value")
-    _add_tol_arg(point_p)
+    _add_tol_arg(point_p, _ROW_TOL)
 
     return parser
 

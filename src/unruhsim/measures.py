@@ -366,40 +366,55 @@ def _series_tails(
     g / ln 2 up to the row's constant, g = u ln(w u), beta = -ln q,
     I = the integral of e^(-beta (t - x)) g(t) over [x, oo), closed-form
     with one exp(y) E1(y) at y = (beta / s) u >= 1, and B = the Bernoulli
-    terms.  B and the majorant are sums over the basis of
-    :func:`_em_tables` with coefficients polynomial in beta, evaluated by
-    Horner with the rows along the last axis.  Both results are
+    terms.  With rho = s / u, the derivatives of g at K are g^(0) = u ln(w u),
+    g^(1) = s (ln(w u) + 1) - beta u, g^(2) = s (rho - 2 beta) and, from
+    g^(3) = -s rho^2 on, g^(i+1) = -(i - 1) rho g^(i), so g^(i) =
+    -s (i-2)! (-rho)^(i-1) past the second.  Each f^(k) is e^(-beta x)
+    (d/dx - beta)^k g up to the constant, so by Leibniz B is sum_j B_2j /
+    (2j)! sum_i C(2j-1, i) (-beta)^(2j-1-i) g^(i) over j = 1..J.  The
+    majorant is w |B_2J| / (2J)! / ln 2 times sum_i C(2J, i) beta^(2J-i)
+    b_i, where b_i bounds the integral of e^(-beta (t - x)) |g^(i)(t)|
+    over [x, oo): b_0 = -I, b_1 = s (3 - ln w) / beta + u, b_2 = 2 s +
+    s rho / beta and b_i = |g^(i)| / beta past the second.  g^(i), b_i and
+    beta^i, i = 0..2J, are stacked along a leading axis.  Both results are
     [s_ar, s_r] arrays of shape (2, rows); a row whose majorant is not
     below _EM_BOUND raises ConfigError.  Every operation is elementwise or
-    sums along the last axis, so a row's bits do not depend on the rows
-    evaluated with it.
+    runs along the leading axis, entry by entry, so a row's bits do not
+    depend on the rows evaluated with it.
     """
+    order = 2 * _EM_TERMS
     beta = -np.log1p(-s)
     log_w = np.log(0.5 * s) - beta * np.array([[_EM_HEAD], [_EM_HEAD - 1.0]])
     u = np.stack((1.0 + s, q)) + s * _EM_HEAD
-    log_f = log_w + np.log(u)
+    log_wu = log_w + np.log(u)
     y = beta / s * u
-    rest = s / (beta * beta) * ((y + 1.0) * (log_f - 1.0) + _scaled_e1(y))
-    tables = _EM_TABLES[_EM_TERMS]
-    basis = np.empty(u.shape + (tables.shape[2],))
-    basis[..., 0] = u * log_f
-    basis[..., 1] = s * log_f
-    basis[..., 2] = u
-    basis[..., 3] = rest
-    basis[..., 4] = s * log_w
-    basis[..., 5:] = (s / u)[..., None]
-    basis[..., 5] = s
-    np.multiply.accumulate(basis[..., 5:], axis=-1, out=basis[..., 5:])
-    # sum_p tables[p, t, m] beta^(p - 1), as [t, m, row]
-    coefficients = tables[-1] * beta
-    for table in tables[-2:0:-1]:
-        coefficients += table
-        coefficients *= beta
-    coefficients += tables[0]
-    coefficients /= beta
-    bernoulli, bound = (basis * coefficients.transpose(0, 2, 1)[:, None]).sum(axis=-1)
+    rest = s / (beta * beta) * ((y + 1.0) * (log_wu - 1.0) + _scaled_e1(y))
+    rho = s / u
+    g = np.empty((order + 1,) + u.shape)
+    g[0] = u * log_wu
+    g[1] = s * (log_wu + 1.0) - beta * u
+    g[2] = s * rho  # its -2 beta s joins after g^(3) is formed
+    for i in range(2, order):
+        g[i + 1] = -(i - 1) * rho * g[i]
+    g[2] -= 2.0 * beta * s
+    powers = np.empty((order + 1,) + beta.shape)
+    powers[0] = 1.0
+    powers[1:] = beta
+    np.multiply.accumulate(powers, out=powers)
+    bernoulli = np.zeros_like(u)
+    for j, b_2j in enumerate(_BERNOULLI[:_EM_TERMS], start=1):
+        n = 2 * j - 1
+        leibniz = np.array([math.comb(n, i) * (-1.0) ** (n - i) for i in range(n + 1)])
+        derivative = (leibniz[:, None, None] * powers[n::-1, None] * g[: n + 1]).sum(axis=0)
+        bernoulli += b_2j / math.factorial(2 * j) * derivative
+    b = np.abs(g) / beta
+    b[0] = -rest
+    b[1] = s * (3.0 - log_w) / beta + u
+    b[2] = 2.0 * s + s * rho / beta
+    binomial = np.array([math.comb(order, i) for i in range(order + 1)])
+    scale = abs(_BERNOULLI[_EM_TERMS - 1]) / math.factorial(order) / math.log(2.0)
     w = np.exp(log_w)
-    majorants = w * bound
+    majorants = scale * w * (binomial[:, None, None] * powers[::-1, None] * b).sum(axis=0)
     refused = np.argwhere(~(majorants < _EM_BOUND))  # NaN is refused too
     if refused.size:
         k, row = refused[0]
@@ -407,57 +422,7 @@ def _series_tails(
             f"r = {r[row]:g}: the Euler-Maclaurin remainder bound "
             f"{majorants[k, row]:.3e} of {('s_ar', 's_r')[k]} is not below {_EM_BOUND:g}"
         )
-    return w * (rest - bernoulli + 0.5 * basis[..., 0]) / -math.log(2.0), majorants
-
-
-def _em_tables(terms: int) -> np.ndarray:
-    """Coefficient tables of the Bernoulli terms and the majorant, for J = terms.
-
-    At an end, B is sum_m basis_m sum_p [p, 0, m] beta^(p-1) and the
-    majorant is the same sum over [p, 1, m]; the trailing axis of length 1
-    broadcasts against the rows.  With rho = s / u, the basis at an end is
-    (m = 0..4) u ln f, s ln f, u, I and s ln w, then (m = 5 + k) s rho^k
-    for k < 2J.  B is sum_j B_2j /
-    (2j)! (d/dx - beta)^(2j-1) g = sum_i c_i(beta) g^(i) by Leibniz, with
-    g^(0) = u ln f, g' = s (ln f + 1) - beta u, g'' = s (rho - 2 beta)
-    and g^(i) = -s (i-2)! (-rho)^(i-1) for i >= 3.  The majorant is
-    |B_2J| / (2J)! / ln 2 times sum_i C(2J, i) beta^(2J-i) b_i, where b_i
-    bounds the integral of e^(-beta (t - x)) |g^(i)(t)| over [x, oo):
-    b_0 = -I, b_1 = s (3 - ln w) / beta + u, b_2 = 2 s + s rho / beta and
-    b_i = |g^(i)| / beta past the second.
-    """
-    order = 2 * terms
-    table = np.zeros((2, 5 + order, order + 2))
-    bern, bound = table
-    for j, b_2j in enumerate(_BERNOULLI[:terms], start=1):
-        for i in range(2 * j):
-            e = 2 * j - 1 - i  # c_i gets this times beta^e
-            weight = b_2j / math.factorial(2 * j) * math.comb(2 * j - 1, i) * (-1) ** e
-            if i == 0:
-                bern[0, e + 1] += weight
-            elif i == 1:
-                bern[1, e + 1] += weight
-                bern[2, e + 2] -= weight
-                bern[5, e + 1] += weight
-            elif i == 2:
-                bern[6, e + 1] += weight
-                bern[5, e + 2] -= 2.0 * weight
-            else:
-                bern[4 + i, e + 1] += weight * math.factorial(i - 2) * (-1) ** i
-    scale = abs(_BERNOULLI[terms - 1]) / math.factorial(order) / math.log(2.0)
-    binomial = [scale * math.comb(order, i) for i in range(order + 1)]
-    bound[3, order + 1] = -binomial[0]
-    bound[4, order - 1] = -binomial[1]
-    bound[2, order] = binomial[1]
-    bound[5, order - 1] = 3.0 * binomial[1] + 2.0 * binomial[2]
-    bound[6, order - 2] = binomial[2]
-    for i in range(3, order + 1):
-        bound[4 + i, order - i] = binomial[i] * math.factorial(i - 2)
-    return np.moveaxis(table, -1, 0)[..., None].copy()
-
-
-# _em_tables(J) for every J that _BERNOULLI allows.
-_EM_TABLES = {terms: _em_tables(terms) for terms in range(1, len(_BERNOULLI) + 1)}
+    return w * (rest - bernoulli + 0.5 * g[0]) / -math.log(2.0), majorants
 
 
 def _scaled_e1(y):

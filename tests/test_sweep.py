@@ -372,6 +372,30 @@ def test_truncation_tail_bound_catches_a_halved_cutoff(monkeypatch):
     assert not res.passed
 
 
+TIES = SweepConfig(r_max=1e-6, points=1000)
+
+
+def test_fidelity_monotonic_passes_a_grid_of_ties():
+    # F_e rounds to 1.0 below r ~ 1e-8, so neighbouring grid values tie
+    [res] = run_verify(TIES, names=("fidelity-monotonic",))
+    assert res.worst == 0.0
+    assert res.passed
+
+
+def test_fidelity_monotonic_catches_a_one_ulp_increase(monkeypatch):
+    fidelity = verify.entanglement_fidelity_closed
+
+    def bumped(r):
+        fe = fidelity(r)
+        fe[1] = np.nextafter(fe[0], np.inf)
+        return fe
+
+    monkeypatch.setattr(verify, "entanglement_fidelity_closed", bumped)
+    [res] = run_verify(TIES, names=("fidelity-monotonic",))
+    assert res.worst == math.ulp(1.0)
+    assert not res.passed
+
+
 @pytest.mark.parametrize("r_max", [4.0, 5.0])
 def test_verify_passes_past_r_3(r_max):
     # the oracle's cutoffs reach past r = 5 under the cap, so every check
