@@ -430,6 +430,30 @@ def test_rows_at_tiny_r_are_finite_and_match_the_series(r):
     assert abs(rec.s_r - rob_entropy_series(r, cut)) <= bound
 
 
+@pytest.mark.parametrize("r", [5.5, R_MAX])
+def test_rows_past_the_oracle_cap_match_the_cut_sums(monkeypatch, r):
+    # the state oracle stops near r = 5.16, where its cutoff at 1e-12 passes
+    # ADAPTIVE_N_CAP; past it the rows are held against the cut spectra
+    # summed directly, at the cutoff adaptive_n_max finds with the cap
+    # lifted (518 710 and 1 410 998 levels: ~0.1 s and ~60 MB at r = 6).
+    # The cut sums lie below S by at most the tail bound.  Their rounding:
+    # each term carries e^(-beta n), whose relative error is about beta n
+    # eps, and beta n averages 1.6 over the terms' weights; the pairwise sum
+    # adds up to log2(N) eps S, 21 eps S here.  32 eps S covers both
+    with pytest.raises(ConfigError, match="cap"):
+        adaptive_n_max(r, 1e-12)
+    monkeypatch.setattr(measures, "ADAPTIVE_N_CAP", 2**21)
+    cut = TruncationConfig(adaptive_n_max(r, 1e-12))
+    tail = entropy_tail_bound(r, cut.n_max)
+    rec, bound = measure_record(r, 1e-10), _row_bound(r)
+    for value, cut_sum in (
+        (rec.s_ar, joint_entropy_series(r, cut)),
+        (rec.s_r, rob_entropy_series(r, cut)),
+    ):
+        rounding = 32 * np.finfo(float).eps * cut_sum
+        assert -(bound + rounding) <= value - cut_sum <= tail + bound + rounding
+
+
 # ---------------------------------------------------------------- block evaluation
 
 

@@ -1,6 +1,11 @@
+import functools
 import json
 import math
+import os
+import re
+import subprocess
 import sys
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -345,6 +350,88 @@ def test_records_vs_oracle_holds_the_row_at_r_max(monkeypatch, field):
     assert not res.passed
 
 
+def offset_kraus_scalar(module, index, monkeypatch):
+    """Make every KrausSet that module builds have A_index's scalar off by 1e-9."""
+    build = KrausSet.build
+    faulty = SimpleNamespace(
+        build=lambda r, cfg: build(r, cfg).with_scalar_offset(index, 1e-9)
+    )
+    monkeypatch.setattr(module, "KrausSet", faulty)
+
+
+def scale_lambda_0(monkeypatch):
+    """Make measures' cut spectra carry lambda_0 (1 + 1e-9)."""
+    cut_spectra = measures._cut_spectra
+
+    def scaled(r, n_max):
+        lam, p = cut_spectra(r, n_max)
+        lam[0] *= 1.0 + 1e-9
+        return lam, p
+
+    monkeypatch.setattr(measures, "_cut_spectra", scaled)
+
+
+def scale_one_amplitude(monkeypatch):
+    """Make the tripartite state that measures builds carry one amplitude (1 - 1e-6)."""
+    tripartite_state = measures.tripartite_state
+
+    def scaled(r, cfg):
+        psi = tripartite_state(r, cfg)
+        vals = psi.vals.copy()
+        vals[0] *= 1.0 - 1e-6
+        return StateVector.from_entries(psi.layout, psi.index, vals)
+
+    monkeypatch.setattr(measures, "tripartite_state", scaled)
+
+
+def raise_one_mutual_info(monkeypatch):
+    """Make verify's grid carry one row's mutual_info 1e-9 above its neighbour's."""
+    sweep_records = verify.run_sweep
+
+    def raised(cfg):
+        records = sweep_records(cfg)
+        k = len(records) // 2
+        records[k] = records[k]._replace(mutual_info=records[k - 1].mutual_info + 1e-9)
+        return records
+
+    monkeypatch.setattr(verify, "run_sweep", raised)
+
+
+# verify's operator sums, which trace-preservation and operator-sum-tail hold
+VERIFY_KRAUS_FAULT = (
+    functools.partial(offset_kraus_scalar, verify, 1),
+    ["channel-vs-analytic", "trace-preservation", "operator-sum-tail"],
+)
+# check -> (a fault in the route it holds, every check that fault fails)
+ROUTE_FAULTS = {
+    "trace-preservation": VERIFY_KRAUS_FAULT,
+    "operator-sum-tail": VERIFY_KRAUS_FAULT,
+    "fidelity-consistency": (
+        functools.partial(offset_kraus_scalar, measures, 0),
+        ["fidelity-consistency", "records-vs-oracle"],
+    ),
+    "entropy-series-vs-spectral": (scale_lambda_0, ["entropy-series-vs-spectral"]),
+    "purification-identity": (
+        scale_one_amplitude, ["purification-identity", "records-vs-oracle"]
+    ),
+    "mutual-information-monotonic": (
+        raise_one_mutual_info, ["mutual-information-monotonic"]
+    ),
+}
+
+
+@pytest.mark.parametrize("check", list(ROUTE_FAULTS))
+def test_verify_catches_a_fault_in_each_route(monkeypatch, check):
+    # each check passes clean and fails under a small fault in the route it
+    # holds; the fault fails exactly the checks that read that route
+    inject, caught_by = ROUTE_FAULTS[check]
+    [clean] = run_verify(SweepConfig(), names=(check,))
+    assert clean.passed
+    inject(monkeypatch)
+    results = run_verify(SweepConfig())
+    assert [res.name for res in results if not res.passed] == caught_by
+
+
 def test_verify_reports_insufficient_truncation():
     # no cutoff up to the cap certifies r = 5.5: the tail-bound check
     # refuses the configuration instead of silently passing, and so does
@@ -396,15 +483,22 @@ def test_fidelity_monotonic_catches_a_one_ulp_increase(monkeypatch):
     assert not res.passed
 
 
-@pytest.mark.parametrize("r_max", [4.0, 5.0])
-def test_verify_passes_past_r_3(r_max):
+@pytest.mark.parametrize(
+    "cfg",
+    [SweepConfig(r_max=4.0), SweepConfig(r_max=5.0), TIES],
+    ids=["4.0", "5.0", "ties-1e-06"],
+)
+def test_verify_passes_past_r_3(cfg):
     # the oracle's cutoffs reach past r = 5 under the cap, so every check
-    # holds the rows there; 25 767 and 190 684 levels at the 1e-12 oracle tail
-    results = run_verify(SweepConfig(r_max=r_max))
+    # holds the rows there; 25 767 and 190 684 levels at the 1e-12 oracle
+    # tail.  The grid of ties runs every check where F_e rounds to 1.0, the
+    # tails run at beta near 30, where beta^10 is formed, and rows whose s
+    # rounds to 1 get their head alone
+    results = run_verify(cfg)
     assert len(results) == 11
     assert first_failure(results) is None
     [oracle] = [res for res in results if res.name == "records-vs-oracle"]
-    assert oracle.detail.endswith(f",{adaptive_n_max(r_max, 1e-12)}")
+    assert oracle.detail.endswith(f",{adaptive_n_max(cfg.r_max, 1e-12)}")
 
 
 @pytest.mark.parametrize("index", [0, 1, 5, 48])
@@ -632,3 +726,35 @@ def test_cli_verify_exit_codes(capsys, monkeypatch):
     assert bad == 1
     out = capsys.readouterr().out
     assert "FAILED (first failing check: truncation-tail-bound)" in out
+
+
+# `python -m unruhsim.cli verify`, which writes its own peak RSS to stderr
+# as it exits
+VERIFY_REPORTING_PEAK = """\
+import atexit, runpy, sys
+atexit.register(lambda: sys.stderr.write(open("/proc/self/status").read()))
+runpy.run_module("unruhsim.cli", run_name="__main__")
+"""
+
+
+def test_cli_verify_in_a_fresh_interpreter():
+    # the default verify as a command, with a RuntimeWarning (an overflow or
+    # invalid value in any check) or a DeprecationWarning (such as float()
+    # of an array with ndim > 0) an error.  Its peak RSS is the child's own
+    # VmHWM: its rusage would count this process's peak too, as Linux
+    # carries the peak across exec.  About 34 MB with the entry-list
+    # oracle, where a dense fallback at the r = 3 row, N = 3482, needs
+    # 580 MB or more
+    env = dict(
+        os.environ,
+        PYTHONPATH=os.path.dirname(os.path.dirname(measures.__file__)),
+        PYTHONWARNINGS="error::RuntimeWarning,error::DeprecationWarning",
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", VERIFY_REPORTING_PEAK, "verify"],
+        env=env, capture_output=True, text=True,
+    )
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert proc.stdout.splitlines()[-1] == "verify: all 11 checks passed"
+    [peak_kb] = re.findall(r"^VmHWM:\s+(\d+) kB$", proc.stderr, re.MULTILINE)
+    assert int(peak_kb) / 1024 < 120, f"verify peaked at {int(peak_kb) / 1024:.1f} MB"
