@@ -48,7 +48,6 @@ from .rindler import (
     one_particle_mode_weights,
     rho_alice_rob,
     tripartite_state,
-    truncation_tail_bound,
     vacuum_mode_weights,
 )
 from .sweep import SweepConfig, run_sweep, to_csv, to_json
@@ -93,7 +92,6 @@ __all__ = [
     "to_json",
     "trace_preservation_defect",
     "tripartite_state",
-    "truncation_tail_bound",
     "vacuum_mode_weights",
     "von_neumann_entropy",
 ]

@@ -220,11 +220,13 @@ def apply_channel(rho: DensityMatrix, ks: KrausSet) -> DensityMatrix:
 def trace_preservation_defect(ks: KrausSet, probe: StateVector) -> float:
     """| sum_n <probe| A_n^T A_n |probe> - 1 |.
 
-    For normalized probes inside span{|0,1>, |1,0>} this is bounded, up to
-    rounding, by `truncation_tail_bound(r, n_max)`.  Probes outside that
-    subspace are allowed and expose that the map is trace preserving only
-    on the initial subspace: |1,1> for instance yields sum = cosh^2 r, i.e.
-    a defect of sinh^2 r (up to tail).
+    In exact arithmetic it is the weight the cutoff discards, with tail_c
+    and tail_d of :func:`~unruhsim.rindler.discarded_weights`: tail_d for
+    |0,1>, tail_c for |1,0> and (tail_c + tail_d)/2 for the Bell state,
+    whose two images lie in different Alice blocks.  Probes outside
+    span{|0,1>, |1,0>} are allowed and expose that the map is trace
+    preserving only on that subspace: |1,1> sums to cosh^2 r (1 - tail_d),
+    a defect of sinh^2 r - cosh^2 r tail_d.
 
     A_n maps distinct basis states to distinct ones, so each amplitude
     psi at (a, m) adds (d_n[a, m] psi)^2 for every n with m + n <= n_max,

@@ -40,34 +40,26 @@ def check_r(r: float) -> None:
         raise ConfigError(f"r must be finite and >= 0, got {r}")
 
 
-def vacuum_mode_weights(
-    r: float, cfg: TruncationConfig
-) -> tuple[np.ndarray, float]:
-    """Weights c_n = tanh^n r / cosh r of the vacuum over |n>_I |n>_II.
+def vacuum_mode_weights(r: float, cfg: TruncationConfig) -> np.ndarray:
+    """Weights c_n = tanh^n r / cosh r of the vacuum over |n>_I |n>_II, n = 0..n_max.
 
-    Returns (weights for n = 0..n_max, tail) where tail = (tanh^2 r)^(n_max+1)
-    is exactly the squared weight dropped by the truncation.
+    The squared weight past n_max is tail_c of :func:`discarded_weights`.
     """
     check_r(r)
     n = np.arange(cfg.n_max + 1)
-    weights = math.tanh(r) ** n / math.cosh(r)
-    return weights, discarded_weights(r, cfg.n_max)[0]
+    return math.tanh(r) ** n / math.cosh(r)
 
 
-def one_particle_mode_weights(
-    r: float, cfg: TruncationConfig
-) -> tuple[np.ndarray, float]:
+def one_particle_mode_weights(r: float, cfg: TruncationConfig) -> np.ndarray:
     """Weights d_n = sqrt(n+1) tanh^n r / cosh^2 r over |n+1>_I |n>_II.
 
     Only n = 0..n_max-1 fit (occupation n+1 must stay in range), so the
-    returned array has length n_max.  The exact discarded weight, tail_d of
-    :func:`discarded_weights`, joins the reported tail rather than being
-    silently renormalized away.
+    array has length n_max.  The squared weight dropped, tail_d of
+    :func:`discarded_weights`, is not renormalized away.
     """
     check_r(r)
     n = np.arange(cfg.n_max)
-    weights = np.sqrt(n + 1.0) * math.tanh(r) ** n / math.cosh(r) ** 2
-    return weights, discarded_weights(r, cfg.n_max)[1]
+    return np.sqrt(n + 1.0) * math.tanh(r) ** n / math.cosh(r) ** 2
 
 
 def discarded_weights(
@@ -88,23 +80,6 @@ def discarded_weights(
     if np.ndim(r) == 0 and np.ndim(n_max) == 0:
         return float(tails[0][0]), float(tails[1][0])
     return tails
-
-
-def truncation_tail_bound(
-    r: float | np.ndarray, n_max: int | np.ndarray
-) -> float | np.ndarray:
-    """Bound max((n_max + 2) tail_c, tail_d) on the weight a cutoff at n_max drops.
-
-    tail_c and tail_d are :func:`discarded_weights`.  (n_max + 2) tail_c
-    majorizes the vacuum branch's tail; tail_d is the exact weight the
-    one-particle branch drops because it keeps only n_max levels.  The
-    first term wins for q >= 1/2; the second for q < 1/2.  Its factor
-    n_max + 2 is looser than the vacuum tail needs.  Like the weights, a
-    scalar call is the length-1 case, returned as a float.
-    """
-    tail_c, tail_d = discarded_weights(r, n_max)
-    bound = np.maximum((np.asarray(n_max) + 2) * tail_c, tail_d)
-    return float(bound) if np.ndim(bound) == 0 else bound
 
 
 def decay_rate(r: float) -> float:
@@ -156,11 +131,12 @@ def tripartite_state(r: float, cfg: TruncationConfig) -> StateVector:
 
     (1/sqrt 2)(|0_A>|one-particle> + |1_A>|vacuum>) with both mode states
     expanded in Rindler occupations: amplitude d_n/sqrt2 at (0, n+1, n) and
-    c_n/sqrt2 at (1, n, n).  Its squared norm is 1 minus the reported tails.
+    c_n/sqrt2 at (1, n, n).  Its squared norm is 1 - (tail_c + tail_d)/2 of
+    :func:`discarded_weights`.
     """
     layout = tripartite_layout(cfg)
-    c, _ = vacuum_mode_weights(r, cfg)
-    d, _ = one_particle_mode_weights(r, cfg)
+    c = vacuum_mode_weights(r, cfg)
+    d = one_particle_mode_weights(r, cfg)
     inv_sqrt2 = 1.0 / math.sqrt(2.0)
     dim = cfg.dim
     n_one = np.arange(cfg.n_max)  # (0, n+1, n)

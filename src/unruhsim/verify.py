@@ -5,11 +5,12 @@ other at a pinned tolerance: the operator-sum channel against the closed
 form, the cut-state series against eigensolves, the untruncated records
 against eigensolves of states cut where their entropies are certified
 within 1e-12, fidelity against its Kraus trace, the purification
-identity, monotonicity along the grid, both sides of sub-additivity, the
-norm deficit of the state cut at the oracle's cutoff for --r-max, and the
-operator sum there against the weight it discards.  Every oracle cutoff
-comes from adaptive_n_max.  `fault` corrupts one Kraus scalar so the
-channel-equivalence check's sensitivity can be shown.
+identity, monotonicity along the grid, both sides of sub-additivity, and
+the norm deficit of the state cut at the oracle's cutoff for --r-max.  The
+operator sum's trace defect is held to the exact weight each cutoff
+discards (discarded_weights), at fixed spots and at --r-max.  Every oracle
+cutoff comes from adaptive_n_max.  `fault` corrupts one Kraus scalar so
+the channel-equivalence check's sensitivity can be shown.
 
 Every check reports `worst`, its largest signed excess, and passes exactly
 when worst < tol: a negative worst is a margin, and NaN never passes.
@@ -28,7 +29,6 @@ from .channel import (
     KrausSet,
     apply_channel,
     bell_input_density,
-    bell_state,
     trace_preservation_defect,
 )
 from .errors import ConfigError, NotSymmetricError
@@ -50,18 +50,12 @@ from .rindler import (
     joint_layout,
     rho_alice_rob,
     tripartite_state,
-    truncation_tail_bound,
 )
 from .sweep import SweepConfig, r_grid, run_sweep
 
-# Spot-check constants.  The trace-preservation probes sit in [1.05, 1.5]:
-# below r ~ 1 the geometric bound (n_max+2)(tanh^2 r)^(n_max+1) at n_max = 64
-# falls under float64 rounding noise and the comparison stops meaning anything.
+# Spot-check constants.
 _CHANNEL_RS = (0.3, 0.8, 1.5)
 _CHANNEL_N_MAX = 48
-_TP_RS = (1.05, 1.2, 1.35, 1.5)
-_TP_N_MAX = 64
-_TP_SPOT_TOL = 1e-9
 _FIDELITY_RS = (0.0, 0.5, 1.0, 2.0)
 _FIDELITY_N_MAX = 64
 _PURITY_RS = (0.5, 1.0)
@@ -129,34 +123,32 @@ def _channel_vs_analytic(inp: _Inputs):
 
 
 def _trace_preservation(inp: _Inputs):
-    trunc = TruncationConfig(_TP_N_MAX)
-    layout = joint_layout(trunc)
-    dim = trunc.dim
-    probes = []
-    for flat in (0 * dim + 1, 1 * dim + 0):
-        v = np.zeros(layout.dim)
-        v[flat] = 1.0
-        probes.append(StateVector(layout, v))
-    probes.append(bell_state(trunc))
-
-    ratios = []
-    for r in _TP_RS:
+    # sum_n <p| A_n^T A_n |p> against the weight each cutoff discards, in
+    # exact arithmetic: the defect is tail_d at |0,1>, tail_c at |1,0> and
+    # their mean at the Bell state, whose images lie in different Alice
+    # blocks; off the initial subspace |1,1> sums to cosh^2 r (1 - tail_d).
+    # The spot at --r-max runs at the oracle's cutoff with the Bell probe
+    # alone: the |1,1> sum's rounding grows like sinh^2 r
+    r_max = inp.cfg.r_max
+    n_max = adaptive_n_max(r_max, _ORACLE_TAIL)
+    spots = [(r, _CHANNEL_N_MAX, 4) for r in _CHANNEL_RS] + [(r_max, n_max, 1)]
+    amp = 1.0 / math.sqrt(2.0)
+    gaps = []
+    for r, cutoff, count in spots:
+        trunc = TruncationConfig(cutoff)
         ks = KrausSet.build(r, trunc)
-        bound = truncation_tail_bound(r, trunc.n_max)
-        for probe in probes:
-            ratios.append(trace_preservation_defect(ks, probe) / bound)
-
-    # off the initial subspace the defect is sinh^2 r, not ~0
-    out_probe = np.zeros(layout.dim)
-    out_probe[1 * dim + 1] = 1.0
-    ks1 = KrausSet.build(1.0, trunc)
-    off_defect = trace_preservation_defect(ks1, StateVector(layout, out_probe))
-    ratios.append(abs(off_defect - math.sinh(1.0) ** 2) / _TP_SPOT_TOL)
-    return (
-        float(np.max(ratios)),
-        1.0,
-        f"in-subspace defect/bound, |1,1> gap vs sinh^2(1) / {_TP_SPOT_TOL:.0e}",
-    )
+        tail_c, tail_d = discarded_weights(r, cutoff)
+        dim = trunc.dim
+        probes = (  # (flat indices, amplitudes, exact defect)
+            ((1, dim), (amp, amp), (tail_c + tail_d) / 2.0),
+            ((1,), (1.0,), tail_d),
+            ((dim,), (1.0,), tail_c),
+            ((dim + 1,), (1.0,), math.sinh(r) ** 2 - math.cosh(r) ** 2 * tail_d),
+        )
+        for index, vals, exact in probes[:count]:
+            probe = StateVector.from_entries(joint_layout(trunc), index, vals)
+            gaps.append(trace_preservation_defect(ks, probe) - exact)
+    return float(np.max(np.abs(gaps))), 1e-12, f"n_max={n_max} at r={r_max:g}"
 
 
 def _entropy_series_vs_spectral(inp: _Inputs):
@@ -251,19 +243,6 @@ def _truncation_tail_bound(inp: _Inputs):
     return deficit, inp.cfg.abs_tol, f"n_max={n_max} at r={r:g}"
 
 
-def _operator_sum_tail(inp: _Inputs):
-    # the operator sum at the oracle's cutoff for --r-max: A_n|0,1> and
-    # A_n|1,0> lie in different Alice blocks, so the Bell probe's defect is
-    # (tail_c + tail_d) / 2, the mean weight the cutoff discards, in exact
-    # arithmetic
-    r = inp.cfg.r_max
-    n_max = adaptive_n_max(r, inp.cfg.abs_tol)
-    trunc = TruncationConfig(n_max)
-    defect = trace_preservation_defect(KrausSet.build(r, trunc), bell_state(trunc))
-    tail = sum(discarded_weights(r, n_max)) / 2.0
-    return abs(defect - tail), 1e-12, f"n_max={n_max} at r={r:g}"
-
-
 # Report order.  Each check returns (worst, tol) or (worst, tol, detail).
 _CHECKS = {
     "channel-vs-analytic": _channel_vs_analytic,
@@ -276,7 +255,6 @@ _CHECKS = {
     "mutual-information-monotonic": _mutual_information_monotonic,
     "subadditivity": _subadditivity,
     "truncation-tail-bound": _truncation_tail_bound,
-    "operator-sum-tail": _operator_sum_tail,
 }
 
 

@@ -29,11 +29,10 @@ from unruhsim import (
     run_sweep,
     run_verify,
     trace_preservation_defect,
-    truncation_tail_bound,
     von_neumann_entropy,
 )
 from unruhsim.measures import input_overlap_traces
-from unruhsim.rindler import WEDGE_I, joint_layout
+from unruhsim.rindler import WEDGE_I, discarded_weights, joint_layout
 from unruhsim.sweep import render
 from unruhsim.verify import first_failure
 
@@ -96,14 +95,13 @@ def test_criterion_05_trace_preservation():
         for alice, m, amp in amps:
             v[alice * dim + m] = amp
         probes.append(StateVector(layout, v))
-    # probe accelerations sit in [1.05, 1.5]: below r ~ 1 the geometric bound
-    # at this truncation drops under float64 rounding noise
+    # the defect is the weight the cutoff discards: tail_d, tail_c and their mean
     for r in (1.05, 1.2, 1.35, 1.5):
         ks = KrausSet.build(r, cfg)
-        bound = truncation_tail_bound(r, cfg.n_max)
-        for vec in probes:
+        tail_c, tail_d = discarded_weights(r, cfg.n_max)
+        for vec, tail in zip(probes, (tail_d, tail_c, (tail_c + tail_d) / 2.0)):
             defect = trace_preservation_defect(ks, vec)
-            assert defect <= bound, f"defect {defect:.2e} > bound {bound:.2e} at r={r}"
+            assert abs(defect - tail) <= 1e-14, f"defect {defect:.2e} vs {tail:.2e} at r={r}"
     out_probe = np.zeros(layout.dim)
     out_probe[1 * dim + 1] = 1.0
     off = trace_preservation_defect(KrausSet.build(1.0, cfg), StateVector(layout, out_probe))

@@ -15,13 +15,12 @@ from unruhsim import (
     kraus_operator,
     rho_alice_rob,
     trace_preservation_defect,
-    truncation_tail_bound,
 )
 from unruhsim import channel
 from unruhsim.channel import _alice_weight
 from unruhsim.fock import SYMMETRY_TOL, creation_matrix
 from unruhsim.measures import input_overlap_traces
-from unruhsim.rindler import joint_layout
+from unruhsim.rindler import discarded_weights, joint_layout
 
 
 def probe(cfg, *flat_amplitudes):
@@ -353,18 +352,23 @@ def test_channel_layout_mismatch_rejected():
 # ---------------------------------------------------------------- trace preservation
 
 
+def initial_subspace_probes(cfg, r):
+    """|0,1>, |1,0> and the Bell state, each with the weight the cutoff discards."""
+    tail_c, tail_d = discarded_weights(r, cfg.n_max)
+    inv_sqrt2 = 1.0 / math.sqrt(2.0)
+    return (
+        (probe(cfg, ((0, 1), 1.0)), tail_d),
+        (probe(cfg, ((1, 0), 1.0)), tail_c),
+        (probe(cfg, ((0, 1), inv_sqrt2), ((1, 0), inv_sqrt2)), (tail_c + tail_d) / 2.0),
+    )
+
+
 def test_defect_bounded_on_initial_subspace():
     cfg = TruncationConfig(64)
-    inv_sqrt2 = 1.0 / math.sqrt(2.0)
     for r in (1.05, 1.2, 1.35, 1.5):
         ks = KrausSet.build(r, cfg)
-        bound = truncation_tail_bound(r, cfg.n_max)
-        for vec in (
-            probe(cfg, ((0, 1), 1.0)),
-            probe(cfg, ((1, 0), 1.0)),
-            probe(cfg, ((0, 1), inv_sqrt2), ((1, 0), inv_sqrt2)),
-        ):
-            assert trace_preservation_defect(ks, vec) <= bound
+        for vec, tail in initial_subspace_probes(cfg, r):
+            assert trace_preservation_defect(ks, vec) == pytest.approx(tail, abs=1e-14)
 
 
 @pytest.mark.parametrize("n_max", [3134, 4096])
@@ -372,16 +376,11 @@ def test_defect_is_finite_at_the_production_cutoff(n_max):
     # at r = 3 the Kraus entries far from the initial subspace exceed
     # float64; the defect generates only the probe's window, so nothing
     # overflows (pytest turns the RuntimeWarning into an error) and the
-    # defect stays a number under the tail bound
+    # defect stays the discarded weight up to the sum's rounding
     r, cfg = 3.0, TruncationConfig(n_max)
     ks = KrausSet.build(r, cfg)
-    inv_sqrt2 = 1.0 / math.sqrt(2.0)
-    for vec in (
-        probe(cfg, ((0, 1), 1.0)),
-        probe(cfg, ((1, 0), 1.0)),
-        probe(cfg, ((0, 1), inv_sqrt2), ((1, 0), inv_sqrt2)),
-    ):
-        assert trace_preservation_defect(ks, vec) <= truncation_tail_bound(r, n_max)
+    for vec, tail in initial_subspace_probes(cfg, r):
+        assert trace_preservation_defect(ks, vec) == pytest.approx(tail, abs=1e-13)
 
 
 def test_bell_defect_memory_at_the_cap():
@@ -421,6 +420,14 @@ def test_defect_off_subspace_is_macroscopic():
     vacuum = trace_preservation_defect(ks, probe(cfg, ((0, 0), 1.0)))
     assert vacuum == pytest.approx(math.tanh(1.0) ** 2, abs=1e-9)
     assert vacuum == pytest.approx(0.5800, abs=1e-4)
+    # with the cutoff's discarded weight, |1,1> sums to cosh^2 r (1 - tail_d)
+    # exactly, also where that weight is macroscopic (tail_d up to 0.66)
+    for r, n_max in ((1.5, 8), (1.0, 4), (2.0, 16)):
+        cfg = TruncationConfig(n_max)
+        _, tail_d = discarded_weights(r, n_max)
+        defect = trace_preservation_defect(KrausSet.build(r, cfg), probe(cfg, ((1, 1), 1.0)))
+        exact = math.sinh(r) ** 2 - math.cosh(r) ** 2 * tail_d
+        assert defect == pytest.approx(exact, abs=1e-14), (r, n_max)
 
 
 def test_defect_requires_normalized_probe():

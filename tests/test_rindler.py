@@ -19,7 +19,6 @@ from unruhsim import (
     rob_entropy_series,
     sym_eigenvalues,
     tripartite_state,
-    truncation_tail_bound,
     vacuum_mode_weights,
 )
 from unruhsim.fock import creation_matrix
@@ -54,15 +53,16 @@ def test_every_r_entry_point_rejects_invalid_r(r):
 
 def test_vacuum_weights_no_squeezing():
     cfg = TruncationConfig(6)
-    c, tail = vacuum_mode_weights(0.0, cfg)
+    c = vacuum_mode_weights(0.0, cfg)
     assert c[0] == 1.0
     assert np.all(c[1:] == 0.0)
-    assert tail == 0.0
+    assert discarded_weights(0.0, cfg.n_max)[0] == 0.0
 
 
 def test_vacuum_weights_values():
     cfg = TruncationConfig(32)
-    c, tail = vacuum_mode_weights(1.0, cfg)
+    c = vacuum_mode_weights(1.0, cfg)
+    tail, _ = discarded_weights(1.0, cfg.n_max)
     assert c[0] == pytest.approx(1.0 / math.cosh(1.0), rel=1e-14)
     assert c[1] == pytest.approx(math.tanh(1.0) / math.cosh(1.0), rel=1e-14)
     assert c[0] == pytest.approx(0.648054, abs=1e-6)
@@ -71,7 +71,8 @@ def test_vacuum_weights_values():
 
 def test_vacuum_norm_deficit_is_geometric_tail():
     cfg = TruncationConfig(32)
-    c, tail = vacuum_mode_weights(1.0, cfg)
+    c = vacuum_mode_weights(1.0, cfg)
+    tail, _ = discarded_weights(1.0, cfg.n_max)
     assert tail == pytest.approx(math.tanh(1.0) ** 66, rel=1e-12)
     # oracle: sum the dropped weights directly far past the cutoff
     n = np.arange(33, 400)
@@ -82,26 +83,27 @@ def test_vacuum_norm_deficit_is_geometric_tail():
 @pytest.mark.parametrize("r, n_max", [(0.3, 8), (1.0, 32)])
 def test_one_particle_norm_deficit_is_exact_tail(r, n_max):
     cfg = TruncationConfig(n_max)
-    d, tail = one_particle_mode_weights(r, cfg)
+    d = one_particle_mode_weights(r, cfg)
+    _, tail = discarded_weights(r, n_max)
     # oracle: sum the dropped weights d_n^2, n >= n_max, directly
     n = np.arange(n_max, 400)
     direct = float(((n + 1) * math.tanh(r) ** (2 * n)).sum()) / math.cosh(r) ** 4
     assert tail == pytest.approx(direct, rel=1e-9)
     assert float(d @ d) + direct == pytest.approx(1.0, abs=1e-14)
-    assert truncation_tail_bound(r, n_max) >= tail
 
 
 def test_one_particle_weights_no_squeezing():
     cfg = TruncationConfig(6)
-    d, tail = one_particle_mode_weights(0.0, cfg)
+    d = one_particle_mode_weights(0.0, cfg)
     assert d[0] == 1.0
     assert np.all(d[1:] == 0.0)
-    assert tail == 0.0
+    assert discarded_weights(0.0, cfg.n_max)[1] == 0.0
 
 
 def test_one_particle_weights_normalize():
     cfg = TruncationConfig(64)
-    d, tail = one_particle_mode_weights(1.0, cfg)
+    d = one_particle_mode_weights(1.0, cfg)
+    _, tail = discarded_weights(1.0, cfg.n_max)
     assert float(d @ d) == pytest.approx(1.0, abs=1e-10)
     assert float(d @ d) + tail == pytest.approx(1.0, abs=1e-13)
 
@@ -110,14 +112,14 @@ def test_one_particle_weights_matrix_apply_oracle():
     # apply the transformed creation operator, cosh(r) bdag_I - sinh(r) b_II,
     # to the expanded vacuum and read the |n+1>_I |n>_II coefficients
     r, cfg = 0.7, TruncationConfig(16)
-    c, _ = vacuum_mode_weights(r, cfg)
+    c = vacuum_mode_weights(r, cfg)
     vac = np.zeros((cfg.dim, cfg.dim))
     np.fill_diagonal(vac, c)
     bdag = creation_matrix(cfg)
     eye = np.eye(cfg.dim)
     op = math.cosh(r) * np.kron(bdag, eye) - math.sinh(r) * np.kron(eye, bdag.T)
     excited = (op @ vac.reshape(-1)).reshape(cfg.dim, cfg.dim)
-    d, _ = one_particle_mode_weights(r, cfg)
+    d = one_particle_mode_weights(r, cfg)
     for n in range(cfg.n_max):
         assert excited[n + 1, n] == pytest.approx(d[n], abs=1e-12)
 
@@ -125,37 +127,21 @@ def test_one_particle_weights_matrix_apply_oracle():
 # ---------------------------------------------------------------- discarded weights
 
 
-def test_truncation_tail_bound_formula():
-    assert truncation_tail_bound(0.0, 16) == 0.0
-    q = math.tanh(1.2) ** 2
-    assert truncation_tail_bound(1.2, 16) == pytest.approx(18 * q**17, rel=1e-14)
-    # below q = 1/2 the n_max-level one-particle branch's exact tail is larger
-    q = math.tanh(0.3) ** 2
-    assert truncation_tail_bound(0.3, 8) == pytest.approx(
-        q**8 * (9 - 8 * q), rel=1e-14
-    )
-
-
 def test_discarded_weights_are_one_definition():
-    # the weights and the bound are written once, on arrays: on the grid
-    # where numpy's array pow and Python's disagree by an ulp, every element
-    # of an array call is its scalar call, bit for bit, and the bound is
-    # max((N + 2) tail_c, tail_d) of those very weights
+    # the weights are written once, on arrays: on the grid where numpy's
+    # array pow and Python's disagree by an ulp, every element of an array
+    # call is its scalar call, bit for bit
     rs = np.linspace(0.7, 1.2, 51)
     ns = np.arange(1, 1001)
     tail_c, tail_d = discarded_weights(rs[:, None], ns)
-    bound = truncation_tail_bound(rs[:, None], ns)
     python_pow = 0
-    for r, row_c, row_d, row_bound in zip(rs.tolist(), tail_c, tail_d, bound):
+    for r, row_c, row_d in zip(rs.tolist(), tail_c, tail_d):
         q = np.tanh(np.array([r])).item() ** 2
-        rows = zip(ns.tolist(), row_c.tolist(), row_d.tolist(), row_bound.tolist())
-        for n, c, d, b in rows:
+        for n, c, d in zip(ns.tolist(), row_c.tolist(), row_d.tolist()):
             assert discarded_weights(r, n) == (c, d), (r, n)
-            assert truncation_tail_bound(r, n) == b == max((n + 2) * c, d), (r, n)
             python_pow += c != q ** (n + 1)
     assert python_pow > 0  # the grid does hold such pairs
     assert [type(v) for v in discarded_weights(1.0, 3)] == [float, float]
-    assert type(truncation_tail_bound(1.0, 3)) is float
 
 
 # ---------------------------------------------------------------- tripartite state
@@ -182,8 +168,7 @@ def test_tripartite_norm_deficit_is_mean_of_tails():
     # the average of the vacuum and one-particle tails
     r, cfg = 1.2, TruncationConfig(24)
     psi = tripartite_state(r, cfg)
-    _, tail_vac = vacuum_mode_weights(r, cfg)
-    _, tail_one = one_particle_mode_weights(r, cfg)
+    tail_vac, tail_one = discarded_weights(r, cfg.n_max)
     assert 1 - psi.norm_sq == pytest.approx(0.5 * (tail_vac + tail_one), abs=1e-12)
 
 
@@ -283,9 +268,11 @@ def test_rho_alice_rob_trace_accounts_for_tail():
 
 def test_rho_alice_rob_traces_down_to_mixed_qubit():
     r, cfg = 0.9, TruncationConfig(48)
+    # Alice keeps the weight of each branch: diag(1 - tail_d, 1 - tail_c) / 2
     rho_a = partial_trace(rho_alice_rob(r, cfg), (ALICE,))
-    tail = truncation_tail_bound(r, cfg.n_max)
-    assert np.abs(rho_a.mat - 0.5 * np.eye(2)).max() <= tail + 1e-12
+    tail_c, tail_d = discarded_weights(r, cfg.n_max)
+    expected = np.diag([1.0 - tail_d, 1.0 - tail_c]) / 2.0
+    assert np.abs(rho_a.mat - expected).max() <= 1e-15
 
 
 def test_environment_spectrum_matches_joint_spectrum():

@@ -206,7 +206,6 @@ def test_sweep_does_not_touch_dense_routes(monkeypatch):
         "joint_entropy_series",
         "rob_entropy_series",
         "adaptive_n_max",
-        "truncation_tail_bound",
         "discarded_weights",
     )
     refused = set()
@@ -245,7 +244,7 @@ def test_verify_passes_on_sane_config():
         results = run_verify(cfg)
         assert first_failure(results) is None, first_failure(results)
         names = [res.name for res in results]
-        assert len(names) == 11
+        assert len(names) == 10
         assert "channel-vs-analytic" in names
         assert "truncation-tail-bound" in names
 
@@ -305,7 +304,7 @@ def test_verify_catches_a_record_shifted_by_1e_8(monkeypatch, field, caught_by):
     else:
         shift_record_field(monkeypatch, field, lambda r: 1e-8)
     results = run_verify(SweepConfig())
-    assert len(results) == 11
+    assert len(results) == 10
     assert [res.name for res in results if not res.passed] == caught_by
 
 
@@ -351,12 +350,14 @@ def test_records_vs_oracle_holds_the_row_at_r_max(monkeypatch, field):
 
 
 def offset_kraus_scalar(module, index, monkeypatch):
-    """Make every KrausSet that module builds have A_index's scalar off by 1e-9."""
+    """Make every KrausSet that module builds with an A_index have its scalar off by 1e-9."""
     build = KrausSet.build
-    faulty = SimpleNamespace(
-        build=lambda r, cfg: build(r, cfg).with_scalar_offset(index, 1e-9)
-    )
-    monkeypatch.setattr(module, "KrausSet", faulty)
+
+    def faulty(r, cfg):
+        ks = build(r, cfg)
+        return ks if cfg.n_max < index else ks.with_scalar_offset(index, 1e-9)
+
+    monkeypatch.setattr(module, "KrausSet", SimpleNamespace(build=faulty))
 
 
 def scale_lambda_0(monkeypatch):
@@ -397,15 +398,17 @@ def raise_one_mutual_info(monkeypatch):
     monkeypatch.setattr(verify, "run_sweep", raised)
 
 
-# verify's operator sums, which trace-preservation and operator-sum-tail hold
-VERIFY_KRAUS_FAULT = (
-    functools.partial(offset_kraus_scalar, verify, 1),
-    ["channel-vs-analytic", "trace-preservation", "operator-sum-tail"],
-)
-# check -> (a fault in the route it holds, every check that fault fails)
+# case -> (a fault in the route a check holds, every check that fault fails).
+# verify's operator sums run at N = 48 and, in trace-preservation, at the
+# oracle's cutoff for --r-max, so A_63 exists in the last alone
 ROUTE_FAULTS = {
-    "trace-preservation": VERIFY_KRAUS_FAULT,
-    "operator-sum-tail": VERIFY_KRAUS_FAULT,
+    "trace-preservation": (
+        functools.partial(offset_kraus_scalar, verify, 1),
+        ["channel-vs-analytic", "trace-preservation"],
+    ),
+    "trace-preservation-at-r-max": (
+        functools.partial(offset_kraus_scalar, verify, 63), ["trace-preservation"]
+    ),
     "fidelity-consistency": (
         functools.partial(offset_kraus_scalar, measures, 0),
         ["fidelity-consistency", "records-vs-oracle"],
@@ -420,13 +423,12 @@ ROUTE_FAULTS = {
 }
 
 
-@pytest.mark.parametrize("check", list(ROUTE_FAULTS))
-def test_verify_catches_a_fault_in_each_route(monkeypatch, check):
-    # each check passes clean and fails under a small fault in the route it
-    # holds; the fault fails exactly the checks that read that route
-    inject, caught_by = ROUTE_FAULTS[check]
-    [clean] = run_verify(SweepConfig(), names=(check,))
-    assert clean.passed
+@pytest.mark.parametrize("case", list(ROUTE_FAULTS))
+def test_verify_catches_a_fault_in_each_route(monkeypatch, case):
+    # the checks pass clean and fail under a small fault in the route they
+    # hold; the fault fails exactly the checks that read that route
+    inject, caught_by = ROUTE_FAULTS[case]
+    assert first_failure(run_verify(SweepConfig(), names=tuple(caught_by))) is None
     inject(monkeypatch)
     results = run_verify(SweepConfig())
     assert [res.name for res in results if not res.passed] == caught_by
@@ -437,7 +439,7 @@ def test_verify_reports_insufficient_truncation():
     # refuses the configuration instead of silently passing, and so does
     # records-vs-oracle, before it builds any state
     cfg = SweepConfig(r_max=5.5, points=5)
-    for name in ("truncation-tail-bound", "records-vs-oracle", "operator-sum-tail"):
+    for name in ("truncation-tail-bound", "records-vs-oracle", "trace-preservation"):
         with pytest.raises(ConfigError, match="cap"):
             run_verify(cfg, names=(name,))
     assert main(["verify", "--r-max", "5.5"]) == 2
@@ -495,7 +497,7 @@ def test_verify_passes_past_r_3(cfg):
     # tails run at beta near 30, where beta^10 is formed, and rows whose s
     # rounds to 1 get their head alone
     results = run_verify(cfg)
-    assert len(results) == 11
+    assert len(results) == 10
     assert first_failure(results) is None
     [oracle] = [res for res in results if res.name == "records-vs-oracle"]
     assert oracle.detail.endswith(f",{adaptive_n_max(cfg.r_max, 1e-12)}")
@@ -755,6 +757,6 @@ def test_cli_verify_in_a_fresh_interpreter():
         env=env, capture_output=True, text=True,
     )
     assert proc.returncode == 0, proc.stdout + proc.stderr
-    assert proc.stdout.splitlines()[-1] == "verify: all 11 checks passed"
+    assert proc.stdout.splitlines()[-1] == "verify: all 10 checks passed"
     [peak_kb] = re.findall(r"^VmHWM:\s+(\d+) kB$", proc.stderr, re.MULTILINE)
     assert int(peak_kb) / 1024 < 120, f"verify peaked at {int(peak_kb) / 1024:.1f} MB"
