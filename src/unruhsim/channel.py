@@ -105,10 +105,10 @@ class KrausSet:
         return cls(r=r, cfg=cfg)
 
     def with_scalar_offset(self, index: int, offset: float) -> "KrausSet":
-        """Copy with the scalar prefactor of A_index shifted by `offset`.
+        """Copy with the scalar prefactor of A_index scaled by 1 + `offset`.
 
         Used for fault-injection smoke tests: the shifted operator is
-        (scalar_n + offset) * (cosh r)^{N_A} (x) (bdag)^n.
+        (1 + offset) A_index, finite at any index.
         """
         if not 0 <= index <= self.cfg.n_max:
             raise ConfigError(f"Kraus index {index} outside 0..{self.cfg.n_max}")
@@ -139,13 +139,7 @@ class KrausSet:
         alice = np.diag(_alice_weight(self.r))[:, None]
         table = alice * ladders[:, None, :] * (1.0 / math.cosh(self.r) ** 2)
         if self.fault is not None and self.fault[0] < count:
-            index, offset = self.fault
-            t = min(width, count - index)
-            roots = np.sqrt(np.arange(lo + 1, n_max + 1, dtype=np.float64))
-            power = np.ones(t)  # <m+index| (bdag)^index |m>, the same product bare
-            for n in range(1, index + 1):
-                power = roots[n - 1 : n - 1 + t] * power
-            table[index, :, :t] += offset * (alice * power)
+            table[self.fault[0]] *= 1.0 + self.fault[1]
         return table
 
 

@@ -43,6 +43,7 @@ from .rindler import (
     check_r,
     decay_rate,
     entropy_tail_bound,
+    level_weights,
     tripartite_state,
 )
 
@@ -183,17 +184,15 @@ def rob_entropy_series(r: float, cfg: TruncationConfig) -> float:
 def _cut_spectra(r: float, n_max: int) -> tuple[np.ndarray, np.ndarray]:
     """(lambda_n, p_n), n = 0..N: the spectra of the state cut at N = n_max and of Rob's part.
 
-    a_n = (s/2) e^(-beta n) with s = sech^2 r and beta
-    :func:`~unruhsim.rindler.decay_rate` (only a_0 is nonzero where beta
-    is infinite).  The cut keeps blocks 0..N-1 whole and only |1, N> of
-    block N, so lambda_n = a_n (1 + (n+1) s) for n < N and lambda_N = a_N,
-    and it keeps Rob's p_n = a_n + n s a_(n-1) whole.  O(N).
+    a_n = (s/2) tanh^(2n) r, s = sech^2 r, from :func:`~unruhsim.rindler.level_weights`.
+    The cut keeps blocks 0..N-1 whole and only |1, N> of block N, so
+    lambda_n = a_n (1 + (n+1) s) for n < N and lambda_N = a_N, and it
+    keeps Rob's p_n = a_n + n s a_(n-1) whole.  O(N).
     """
-    check_r(r)
+    weights = level_weights(r, n_max)[0]
     s = 1.0 / math.cosh(r) ** 2
     n = np.arange(n_max + 1.0)
-    beta = decay_rate(r)
-    a = 0.5 * s * (np.exp(-beta * n) if beta < math.inf else n == 0)
+    a = 0.5 * s * weights
     lam = a * (1.0 + (n + 1.0) * s)
     lam[-1] = a[-1]
     p = a.copy()

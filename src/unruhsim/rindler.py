@@ -14,7 +14,8 @@ transform of the inertial creation operator, carries weights
 From these the module builds the shared Alice/Rob state: the tripartite
 pure vector on Alice (qubit) x wedge I x wedge II, and its reduction over
 wedge II, which is block structured: for each n a rank-1 block of weight
-a_n = (tanh^2 r)^n / (2 cosh^2 r) on the pair {|1,n>, |0,n+1>}.
+a_n = (tanh^2 r)^n / (2 cosh^2 r) on the pair {|1,n>, |0,n+1>}.  Every
+power of tanh r in these states is read from :func:`level_weights`.
 """
 
 from __future__ import annotations
@@ -45,9 +46,7 @@ def vacuum_mode_weights(r: float, cfg: TruncationConfig) -> np.ndarray:
 
     The squared weight past n_max is tail_c of :func:`discarded_weights`.
     """
-    check_r(r)
-    n = np.arange(cfg.n_max + 1)
-    return math.tanh(r) ** n / math.cosh(r)
+    return level_weights(r, cfg.n_max)[1] / math.cosh(r)
 
 
 def one_particle_mode_weights(r: float, cfg: TruncationConfig) -> np.ndarray:
@@ -57,9 +56,8 @@ def one_particle_mode_weights(r: float, cfg: TruncationConfig) -> np.ndarray:
     array has length n_max.  The squared weight dropped, tail_d of
     :func:`discarded_weights`, is not renormalized away.
     """
-    check_r(r)
-    n = np.arange(cfg.n_max)
-    return np.sqrt(n + 1.0) * math.tanh(r) ** n / math.cosh(r) ** 2
+    half = level_weights(r, cfg.n_max - 1)[1]
+    return np.sqrt(np.arange(1.0, cfg.n_max + 1)) * half / math.cosh(r) ** 2
 
 
 def discarded_weights(
@@ -83,12 +81,25 @@ def discarded_weights(
 
 
 def decay_rate(r: float) -> float:
-    """beta = -ln tanh^2 r = 2 log1p(2 / expm1(2 r)): a_n = (s/2) e^(-beta n).
+    """beta = -ln tanh^2 r = 2 log1p(2 / expm1(2 r)), the decay of :func:`level_weights`.
 
-    No rounding of tanh^2 r enters, which q^n would amplify n times.  inf
-    at r = 0 and where 2 / expm1(2 r) overflows (r below about 1e-308).
+    inf at r = 0 and where 2 / expm1(2 r) overflows (r below about 1e-308).
     """
     return 2.0 * math.log1p(2.0 / math.expm1(2.0 * r)) if r > 0 else math.inf
+
+
+def level_weights(r: float, n_max: int) -> tuple[np.ndarray, np.ndarray]:
+    """(tanh^(2n) r, tanh^n r), n = 0..n_max, as e^(-beta n) and e^(-beta n / 2); checks r.
+
+    No rounding of tanh r is raised to the n, which would cost n ulp: each
+    weight is within a few ulp plus beta n times the rounding of beta.
+    Where beta is infinite (r = 0) both are 1 at n = 0 and 0 past it.
+    """
+    check_r(r)
+    beta, n = decay_rate(r), np.arange(n_max + 1.0)
+    if beta == math.inf:
+        return (n == 0) * 1.0, (n == 0) * 1.0
+    return np.exp(-beta * n), np.exp(-0.5 * beta * n)
 
 
 def entropy_tail_bound(r: float, n_max: int) -> float:
@@ -160,13 +171,9 @@ def rho_alice_rob(r: float, cfg: TruncationConfig) -> DensityMatrix:
     At the truncation edge only the |1,n_max> diagonal survives, matching
     the partial trace of the truncated tripartite state entrywise.
     """
-    check_r(r)
-    dim = cfg.dim
-    q = math.tanh(r) ** 2
-    ch = math.cosh(r)
-    # scalar pow per level: numpy's array power can differ by an ulp, and
-    # the block-by-block assembly in the tests is matched bit for bit
-    a = np.fromiter((q**n for n in range(dim)), np.float64, dim) / (2.0 * ch**2)
+    weights = level_weights(r, cfg.n_max)[0]
+    dim, ch = cfg.dim, math.cosh(r)
+    a = weights / (2.0 * ch**2)
     one = dim + np.arange(dim)  # flat index of |1,n>, n = 0..n_max
     n = np.arange(cfg.n_max)  # blocks whose |0,n+1> fits
     zero = n + 1  # flat index of |0,n+1>

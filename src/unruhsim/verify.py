@@ -8,9 +8,9 @@ within 1e-12, fidelity against its Kraus trace, the purification
 identity, monotonicity along the grid, both sides of sub-additivity, and
 the norm deficit of the state cut at the oracle's cutoff for --r-max.  The
 operator sum's trace defect is held to the exact weight each cutoff
-discards (discarded_weights), at fixed spots and at --r-max.  Every oracle
-cutoff comes from adaptive_n_max.  `fault` corrupts one Kraus scalar so
-the channel-equivalence check's sensitivity can be shown.
+discards (discarded_weights), at fixed spots and at --r-max.  The records'
+oracle and the --r-max spots are cut at adaptive_n_max, the other spots at
+the fixed cutoffs 48, 64 and 256.  `fault` scales one Kraus operator.
 
 Every check reports `worst`, its largest signed excess, and passes exactly
 when worst < tol: a negative worst is a margin, and NaN never passes.
@@ -67,7 +67,7 @@ _ORACLE_TAIL = 1e-12  # records-vs-oracle's cutoffs certify this, under its 1e-1
 
 @dataclass(frozen=True)
 class KrausScalarFault:
-    """Absolute offset applied to the scalar prefactor of one Kraus operator."""
+    """Relative offset of one Kraus operator: A_index becomes (1 + offset) A_index."""
 
     index: int
     offset: float

@@ -17,7 +17,7 @@ from unruhsim import (
     trace_preservation_defect,
 )
 from unruhsim import channel
-from unruhsim.channel import _alice_weight
+from unruhsim.channel import _alice_weight, bell_state
 from unruhsim.fock import SYMMETRY_TOL, creation_matrix
 from unruhsim.measures import input_overlap_traces
 from unruhsim.rindler import discarded_weights, joint_layout
@@ -162,13 +162,26 @@ def test_kraus_scalar_offset_fault_helper():
         ks.with_scalar_offset(cfg.n_max + 1, 1e-3)
     clean = dict(window(ks, 0, cfg.n_max))
     shifted = dict(window(faulted, 0, cfg.n_max))
-    bump = 1e-3 * np.kron(
-        _alice_weight(r), np.linalg.matrix_power(creation_matrix(cfg), 2)
-    )
-    expected = clean[2] + sub_diagonals(bump, 2, cfg.dim)
-    assert np.allclose(shifted[2], expected, atol=1e-15)
+    assert np.array_equal(shifted[2], clean[2] * (1.0 + 1e-3))
     for n in (0, 1, 3, 4, 5, 6):
         assert np.array_equal(shifted[n], clean[n])
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("index", [178, 300, 1000])
+def test_kraus_fault_at_a_high_index_stays_finite(index):
+    # the fault scales A_index, so the Bell sum gains 2e-9 (plus 1e-18) of
+    # A_index's own term at any index, with no overflow on the way; the
+    # clean defect, of either sign before its abs, is the slack
+    r, cfg = 3.0, TruncationConfig(3482)
+    ks = KrausSet.build(r, cfg)
+    bell = bell_state(cfg)
+    d = ks.sub_diagonals(0, 1)[index]  # <0,1+n|A_n|0,1> and <1,n|A_n|1,0>
+    term = 0.5 * (d[0, 1] ** 2 + d[1, 0] ** 2)
+    clean = trace_preservation_defect(ks, bell)
+    faulted = trace_preservation_defect(ks.with_scalar_offset(index, 1e-9), bell)
+    assert math.isfinite(faulted)
+    assert faulted == pytest.approx((2e-9 + 1e-18) * term, abs=clean + 1e-15)
 
 
 # ---------------------------------------------------------------- channel map

@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -22,7 +23,14 @@ from unruhsim import (
     vacuum_mode_weights,
 )
 from unruhsim.fock import creation_matrix
-from unruhsim.rindler import ALICE, WEDGE_I, WEDGE_II, check_r, discarded_weights
+from unruhsim.rindler import (
+    ALICE,
+    WEDGE_I,
+    WEDGE_II,
+    check_r,
+    discarded_weights,
+    level_weights,
+)
 
 
 # ---------------------------------------------------------------- parameterization
@@ -122,6 +130,31 @@ def test_one_particle_weights_matrix_apply_oracle():
     d = one_particle_mode_weights(r, cfg)
     for n in range(cfg.n_max):
         assert excited[n + 1, n] == pytest.approx(d[n], abs=1e-12)
+
+
+@pytest.mark.parametrize("r", [3.0, 5.0])
+def test_level_weights_match_mpmath_far_out(r):
+    # c_n, d_n and a_n at the oracle's cutoff for r = 5 against 40-digit
+    # values: each carries a few ulp plus beta n times the rounding of
+    # beta, where a rounded tanh r raised to the n would carry about n ulp
+    # (1e-11 relative at n = 190 000).  At r = 3 the far levels underflow
+    # to exact zeros, as their 40-digit values round to 0.0 too
+    cfg = TruncationConfig(190_000)
+    c = vacuum_mode_weights(r, cfg)
+    d = one_particle_mode_weights(r, cfg)
+    rho = rho_alice_rob(r, cfg)
+    edge = (rho.rows == rho.cols) & (rho.rows >= cfg.dim)  # |1,n><1,n| = a_n
+    a = np.zeros(cfg.dim)
+    a[rho.rows[edge] - cfg.dim] = rho.vals[edge]
+    eps = np.finfo(np.float64).eps
+    with mpmath.workdps(40):
+        th, ch = mpmath.tanh(r), mpmath.cosh(r)
+        beta = float(-2 * mpmath.log(th))
+        for n in (0, 1, 10, 1000, 50_000, 100_000, 189_999):
+            t = th**n
+            exact = (t / ch, mpmath.sqrt(n + 1) * t / ch**2, t * t / (2 * ch**2))
+            for got, ref in zip((c[n], d[n], a[n]), map(float, exact)):
+                assert abs(got - ref) <= 4 * eps * (1.0 + beta * n) * ref, (n, got, ref)
 
 
 # ---------------------------------------------------------------- discarded weights
@@ -226,10 +259,10 @@ def _rho_alice_rob_loop(r, cfg):
     """The block-by-block assembly, one 2x2 block per Python iteration."""
     dim = cfg.dim
     mat = np.zeros((2 * dim, 2 * dim))
-    q = math.tanh(r) ** 2
+    weights = level_weights(r, cfg.n_max)[0]
     ch = math.cosh(r)
     for n in range(cfg.n_max + 1):
-        a_n = q**n / (2.0 * ch**2)
+        a_n = weights[n] / (2.0 * ch**2)
         mat[dim + n, dim + n] += a_n
         if n + 1 <= cfg.n_max:
             cross = a_n * math.sqrt(n + 1.0) / ch

@@ -501,6 +501,12 @@ def test_verify_passes_past_r_3(cfg):
     assert first_failure(results) is None
     [oracle] = [res for res in results if res.name == "records-vs-oracle"]
     assert oracle.detail.endswith(f",{adaptive_n_max(cfg.r_max, 1e-12)}")
+    # each gap is within the oracle's certified tail, the row's certified
+    # bound and the eigensolves' rounding, 32 eps S: level weights that
+    # carry n ulp (1e-11 at n = 190 684) would not be
+    *fields, bound = measures._block_fields(np.array(verify._RECORD_RS + (cfg.r_max,)))
+    rounding = 32 * np.finfo(np.float64).eps * np.maximum(fields[3], fields[4])
+    assert oracle.worst <= verify._ORACLE_TAIL + np.max(bound + rounding)
 
 
 @pytest.mark.parametrize("index", [0, 1, 5, 48])
