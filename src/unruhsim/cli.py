@@ -15,7 +15,7 @@ import sys
 
 from .errors import ConfigError
 from .measures import measure_record
-from .sweep import OUTPUT_FORMATS, SweepConfig, render, run_sweep
+from .sweep import CSV_COLUMNS, OUTPUT_FORMATS, SweepConfig, render, run_sweep, v1_row
 from .verify import first_failure, run_verify
 
 
@@ -116,7 +116,7 @@ def _cmd_point(r: float, abs_tol: float) -> int:
         "tail": "truncation tail",
         "n_used": "effective truncation (0: untruncated)",
     }
-    for key, value in rec._asdict().items():
+    for key, value in zip(CSV_COLUMNS, v1_row(rec)):
         print(f"{labels[key]:38s} {value}")
     return 0
 

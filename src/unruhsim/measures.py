@@ -13,9 +13,7 @@ certified bound is the remainder's closed-form majorant plus a stated
 rounding term; a row whose majorant is not below _EM_BOUND, whose bound
 is not below abs_tol, or whose r is above R_MAX is refused with
 ConfigError, so abs_tol is a ceiling on the error, not an input to the
-values.  Untruncated, Alice holds one bit (s_a = 1), nothing is discarded
-(tail = 0), the state is pure (s_e = s_ar) and the sub-additivity margin
-is the mutual information.
+values.  The state is pure, so the entropy exchange is s_e = s_ar.
 
 The oracle is the states cut at a Fock cutoff N (:func:`adaptive_n_max`
 certifies one) and their blockwise eigensolves (see :mod:`unruhsim.fock`):
@@ -30,7 +28,6 @@ mode occupation.
 from __future__ import annotations
 
 import math
-from itertools import repeat
 from typing import Iterable, NamedTuple
 
 import numpy as np
@@ -254,23 +251,15 @@ def adaptive_n_max(r: float, abs_tol: float) -> int:
 
 
 class MeasureRecord(NamedTuple):
-    """Everything measured at one acceleration grid point, untruncated.
-
-    s_a = 1.0, tail = 0.0, subadd_margin = mutual_info and n_used = 0
-    (untruncated) are constants of the untruncated state.
-    """
+    """What the series pass computes at one acceleration grid point, untruncated."""
 
     r: float
     fe_closed: float
     fe_kraus: float
     s_ar: float
     s_r: float
-    s_a: float
     s_e: float
     mutual_info: float
-    subadd_margin: float
-    tail: float
-    n_used: int
 
 
 def measure_record(r: float, abs_tol: float) -> MeasureRecord:
@@ -286,7 +275,7 @@ def measure_records(rs: Iterable[float], abs_tol: float) -> list[MeasureRecord]:
     _BLOCK_ROWS (:func:`_block_fields`); the first r in order whose
     certified bound is not below abs_tol raises ConfigError as soon as its
     pass is evaluated.  The values do not depend on abs_tol.  The records
-    are built once, from the columns and the untruncated state's constants.
+    are built once, from the columns.
     """
     rs = list(rs)
     for r in rs:
@@ -306,9 +295,7 @@ def measure_records(rs: Iterable[float], abs_tol: float) -> list[MeasureRecord]:
         blocks.append(fields)
     columns = blocks[0] if len(blocks) == 1 else map(np.concatenate, zip(*blocks))
     r, fe_closed, fe_kraus, s_ar, s_r, mutual = (column.tolist() for column in columns)
-    # s_a = 1, s_e = s_ar, subadd_margin = mutual_info, tail = 0, n_used = 0
-    rows = zip(r, fe_closed, fe_kraus, s_ar, s_r, repeat(1.0), s_ar, mutual, mutual,
-               repeat(0.0), repeat(0))
+    rows = zip(r, fe_closed, fe_kraus, s_ar, s_r, s_ar, mutual)  # s_e = s_ar
     return list(map(MeasureRecord._make, rows))
 
 

@@ -4,7 +4,7 @@ A sweep evaluates one :class:`~unruhsim.measures.MeasureRecord` per grid
 point, left to right.  Everything is deterministic: there is no randomness
 anywhere in the pipeline, so identical configurations produce byte-identical
 output.  The CSV column order and the JSON field names are fixed and carry a
-schema version.
+schema version; :func:`v1_row` maps a record to its row for every writer.
 """
 
 from __future__ import annotations
@@ -26,16 +26,12 @@ SCHEMA = "unruh-sweep/1"
 # so the cap bounds only the output a sweep buffers.
 MAX_POINTS = 100_000
 
-# The record's fields, in its order.  Until schema unruh-sweep/2, s_a,
-# tail, subadd_margin and n_used print the untruncated state's constants:
-# 1, 0, mutual_info and 0 (meaning untruncated).
-CSV_COLUMNS = MeasureRecord._fields
+# Schema v1's columns: the record's fields and, until schema unruh-sweep/2,
+# four constants of the untruncated state (see v1_row).
+CSV_COLUMNS = ("r", "fe_closed", "fe_kraus", "s_ar", "s_r", "s_a", "s_e",
+               "mutual_info", "subadd_margin", "tail", "n_used")
 
 OUTPUT_FORMATS = ("csv", "json")
-
-# One CSV row: floats in fixed 12-significant-digit scientific format, the
-# integer cutoff as is.
-_CSV_ROW = ",".join("{}" if col == "n_used" else "{:.11e}" for col in CSV_COLUMNS)
 
 
 @dataclass(frozen=True)
@@ -92,6 +88,23 @@ def run_sweep(cfg: SweepConfig) -> list[MeasureRecord]:
     return measure_records(r_grid(cfg).tolist(), cfg.abs_tol)
 
 
+def v1_row(rec: MeasureRecord) -> tuple:
+    """The record in CSV_COLUMNS order, with the untruncated state's constants:
+    Alice holds one bit (s_a = 1), subadd_margin is mutual_info, nothing is
+    discarded (tail = 0) and n_used = 0 means untruncated.
+    """
+    r, fe_closed, fe_kraus, s_ar, s_r, s_e, mutual = rec
+    return r, fe_closed, fe_kraus, s_ar, s_r, 1.0, s_e, mutual, mutual, 0.0, 0
+
+
+# One CSV row: floats at 12 significant digits, n_used as is.  The template
+# is v1_row of the placeholders {i:.11e}, so its constants are text in it.
+_CSV_ROW = ",".join(
+    f"{cell:.11e}" if isinstance(cell, float) else str(cell)
+    for cell in v1_row(MeasureRecord._make(map("{{{}:.11e}}".format, range(7))))
+)
+
+
 def to_csv(records: list[MeasureRecord]) -> str:
     lines = [f"# schema: {SCHEMA}", ",".join(CSV_COLUMNS)]
     lines += starmap(_CSV_ROW.format, records)
@@ -102,7 +115,7 @@ def to_json(cfg: SweepConfig, records: list[MeasureRecord]) -> str:
     doc = {
         "schema": SCHEMA,
         "config": asdict(cfg),
-        "rows": [rec._asdict() for rec in records],
+        "rows": [dict(zip(CSV_COLUMNS, v1_row(rec))) for rec in records],
     }
     return json.dumps(doc, indent=2) + "\n"
 

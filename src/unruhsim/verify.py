@@ -29,6 +29,7 @@ from .channel import (
     KrausSet,
     apply_channel,
     bell_input_density,
+    bell_state,
     trace_preservation_defect,
 )
 from .errors import ConfigError, NotSymmetricError
@@ -132,21 +133,20 @@ def _trace_preservation(inp: _Inputs):
     r_max = inp.cfg.r_max
     n_max = adaptive_n_max(r_max, _ORACLE_TAIL)
     spots = [(r, _CHANNEL_N_MAX, 4) for r in _CHANNEL_RS] + [(r_max, n_max, 1)]
-    amp = 1.0 / math.sqrt(2.0)
     gaps = []
     for r, cutoff, count in spots:
         trunc = TruncationConfig(cutoff)
         ks = KrausSet.build(r, trunc)
         tail_c, tail_d = discarded_weights(r, cutoff)
-        dim = trunc.dim
-        probes = (  # (flat indices, amplitudes, exact defect)
-            ((1, dim), (amp, amp), (tail_c + tail_d) / 2.0),
-            ((1,), (1.0,), tail_d),
-            ((dim,), (1.0,), tail_c),
-            ((dim + 1,), (1.0,), math.sinh(r) ** 2 - math.cosh(r) ** 2 * tail_d),
+        layout, dim = joint_layout(trunc), trunc.dim
+        probes = (  # (probe, exact defect); |a,m> is flat index a * dim + m
+            (bell_state(trunc), (tail_c + tail_d) / 2.0),
+            (StateVector.from_entries(layout, (1,), (1.0,)), tail_d),
+            (StateVector.from_entries(layout, (dim,), (1.0,)), tail_c),
+            (StateVector.from_entries(layout, (dim + 1,), (1.0,)),
+             math.sinh(r) ** 2 - math.cosh(r) ** 2 * tail_d),
         )
-        for index, vals, exact in probes[:count]:
-            probe = StateVector.from_entries(joint_layout(trunc), index, vals)
+        for probe, exact in probes[:count]:
             gaps.append(trace_preservation_defect(ks, probe) - exact)
     return float(np.max(np.abs(gaps))), 1e-12, f"n_max={n_max} at r={r_max:g}"
 
@@ -187,9 +187,10 @@ def _purification_identity(inp: _Inputs):
 
 def _records_vs_oracle(inp: _Inputs):
     # untruncated rows against the oracle cut where both entropies are
-    # within _ORACLE_TAIL of the untruncated ones (its discarded weight and
-    # Alice's deficit from one bit are smaller still).  Every cutoff is
-    # certified before any state is built
+    # within _ORACLE_TAIL of the untruncated ones; the untruncated state
+    # holds one bit for Alice and discards nothing, so the oracle's deficit
+    # from one bit and its discarded weight are held too (both are smaller
+    # still).  Every cutoff is certified before any state is built
     records = measure_records(_RECORD_RS + (inp.cfg.r_max,), inp.cfg.abs_tol)
     cutoffs = [adaptive_n_max(rec.r, _ORACLE_TAIL) for rec in records]
     gaps = []
@@ -201,9 +202,9 @@ def _records_vs_oracle(inp: _Inputs):
             rec.s_ar - von_neumann_entropy(rho, trunc),
             rec.s_r - von_neumann_entropy(rho_r, trunc),
             rec.s_e - entropy_exchange(rec.r, trunc),
-            rec.s_a - von_neumann_entropy(psi.reduced_density((ALICE,)), trunc),
+            1.0 - von_neumann_entropy(psi.reduced_density((ALICE,)), trunc),
             rec.fe_kraus - entanglement_fidelity_kraus(rec.r, trunc),
-            rec.tail - (1.0 - psi.norm_sq),
+            psi.norm_sq - 1.0,
         ]
     return float(np.max(np.abs(gaps))), 1e-10, f"oracle n_max={','.join(map(str, cutoffs))}"
 
@@ -221,14 +222,13 @@ def _mutual_information_monotonic(inp: _Inputs):
 
 
 def _subadditivity(inp: _Inputs):
-    # both sides of 0 <= I <= 2 min(S_A, S_R), I the sub-additivity margin;
-    # the upper one is Araki-Lieb's S_AR >= |S_A - S_R|, tight at r = 0,
-    # where a wrong s_r breaks it
-    margin, s_a, s_r = np.array(
-        [(rec.subadd_margin, rec.s_a, rec.s_r) for rec in inp.records]
-    ).T
-    lower = np.max(-margin)
-    upper = np.max(margin - 2.0 * np.minimum(s_a, s_r))
+    # both sides of 0 <= I <= 2 min(S_A, S_R), I the sub-additivity margin,
+    # which is the mutual information, and S_A = 1: untruncated, Alice holds
+    # one bit.  The upper side is Araki-Lieb's S_AR >= |S_A - S_R|, tight at
+    # r = 0, where a wrong s_r breaks it
+    mutual, s_r = np.array([(rec.mutual_info, rec.s_r) for rec in inp.records]).T
+    lower = np.max(-mutual)
+    upper = np.max(mutual - 2.0 * np.minimum(1.0, s_r))
     side = "I >= 0" if lower >= upper else "I <= 2 min(S_A, S_R)"
     return float(np.max([lower, upper])), inp.cfg.abs_tol, f"worst side: {side}"
 

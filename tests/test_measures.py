@@ -352,20 +352,17 @@ def test_measure_record_matches_dense_routes(r):
     s_a = von_neumann_entropy(psi.reduced_density((ALICE,)), eff)
     s_e = entropy_from_probabilities(wedge_ii_probabilities(psi))
     fe_kraus = entanglement_fidelity_kraus(r, TruncationConfig(64))
-    assert abs(rec.s_a - s_a) <= 1e-10
+    assert abs(1.0 - s_a) <= 1e-10  # untruncated, Alice holds one bit
     assert abs(rec.s_e - s_e) <= 1e-12
-    assert abs(rec.tail - (1 - psi.norm_sq)) <= 1e-12
+    assert abs(1 - psi.norm_sq) <= 1e-12  # and nothing is discarded
     assert abs(rec.fe_kraus - fe_kraus) <= 1e-12
 
 
 def test_measure_record_consistency():
-    # the untruncated state: Alice holds one bit, nothing is discarded, the
-    # state is pure and the sub-additivity margin is the mutual information
+    # the untruncated state is pure and Alice holds one bit of it
     rec = measure_record(1.0, 1e-10)
     assert abs(rec.fe_closed - rec.fe_kraus) <= 1e-12
-    assert (rec.s_a, rec.tail, rec.n_used) == (1.0, 0.0, 0)
     assert rec.mutual_info == 1.0 + rec.s_r - rec.s_ar
-    assert rec.subadd_margin == rec.mutual_info
     assert rec.s_e == rec.s_ar
 
 
@@ -378,11 +375,10 @@ def test_measure_record_refuses_r_above_r_max(r):
 
 @pytest.mark.parametrize("fixed", [1, 8, 256])
 def test_record_tail_is_certified(fixed):
-    # the untruncated row discards nothing; the oracle's cutoff bounds the
-    # entropies and the weight its cut state drops, including below
-    # q = 1/2 where the one-particle branch's tail dominates
+    # the oracle's cutoff bounds the entropies and the weight its cut state
+    # drops, including below q = 1/2 where the one-particle branch's tail
+    # dominates
     for r in np.linspace(0.0, 3.0, 121)[1:].tolist():
-        assert measure_record(r, 1e-10).tail == 0.0
         n_max = adaptive_n_max(r, 1e-10)
         bound = entropy_tail_bound(r, n_max)
         assert 0.0 <= sum(discarded_weights(r, n_max)) / 2.0 <= bound < 1e-10
@@ -480,7 +476,6 @@ def test_sweep_rows_are_bitwise_the_per_row_series(grid, tol):
     assert [rec.r for rec in records] == r_grid(cfg).tolist()
     for rec in records:
         assert_bitwise(rec, measure_record(rec.r, 1e-10))
-        assert rec.n_used == 0
     if grid == "to-the-reach":
         assert (records[0].r, records[-1].r) == (0.0, R_MAX)
         assert len(records) > _BLOCK_ROWS
@@ -505,18 +500,15 @@ def test_records_are_bitwise_the_per_row_series_in_any_order(tol):
 @pytest.mark.parametrize("tol", [1e-3, 1e-10])
 @pytest.mark.parametrize("rows", sorted(GRIDS) + ["any-order"])
 def test_closed_forms_match_the_mode_weights(rows, tol):
-    # the untruncated constants: s_a = 1, tail = 0, n_used = 0; s_e is s_ar
-    # by purification, and the two information figures and the fidelity are
-    # their closed forms, bit for bit.  Up to r = 3.2, s_a and s_ar are held
-    # against Alice's reduction and the wedge-II marginal built from the
-    # mode-weight arrays c and d at a cutoff whose entropies are within
-    # 1e-13 of the untruncated ones
+    # s_e is s_ar by purification, and the two information figures and the
+    # fidelity are their closed forms, bit for bit.  Up to r = 3.2, Alice's
+    # one bit and s_ar are held against Alice's reduction and the wedge-II
+    # marginal built from the mode-weight arrays c and d at a cutoff whose
+    # entropies are within 1e-13 of the untruncated ones
     rs = ANY_ORDER_RS if rows == "any-order" else r_grid(GRIDS[rows]).tolist()
     for rec in measure_records(rs, tol):
-        assert (rec.s_a, rec.tail, rec.n_used) == (1.0, 0.0, 0), rec
         assert rec.s_e == rec.s_ar, rec
         assert rec.mutual_info == 1.0 + rec.s_r - rec.s_ar, rec
-        assert rec.subadd_margin == rec.mutual_info, rec
         assert rec.fe_closed == entanglement_fidelity_closed(rec.r), rec
         if rec.r > 3.2:
             continue
@@ -526,7 +518,7 @@ def test_closed_forms_match_the_mode_weights(rows, tol):
         wedge = 0.5 * c * c
         wedge[:-1] += 0.5 * d * d
         s_a = entropy_from_probabilities(np.array([d @ d, c @ c]) / 2.0)
-        assert abs(rec.s_a - s_a) <= 1e-12, rec
+        assert abs(1.0 - s_a) <= 1e-12, rec
         assert abs(rec.s_ar - entropy_from_probabilities(wedge)) <= 1e-12, rec
 
 
@@ -780,7 +772,6 @@ def test_record_matches_high_precision_reference(r):
     assert abs(rec.s_r - s_rob) <= bound
     assert abs(rec.fe_closed - fidelity) <= 1e-12
     assert abs(rec.fe_kraus - fidelity) <= 1e-12
-    assert rec.s_a == 1.0  # untruncated, Alice holds one bit
 
 
 @pytest.mark.parametrize("tol", [1e-3, 1e-6, 1e-10])

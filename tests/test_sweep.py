@@ -130,14 +130,6 @@ def test_sweep_first_row_without_acceleration():
     assert first.fe_closed == 1.0
     assert first.s_ar == 0.0
     assert first.mutual_info == pytest.approx(2.0, abs=1e-10)
-    assert first.subadd_margin == pytest.approx(2.0, abs=1e-10)
-
-
-def test_default_sweep_tail_is_exact():
-    # the rows are untruncated: nothing is discarded
-    cfg = SweepConfig()
-    for rec in run_sweep(cfg):
-        assert rec.tail == 0.0
 
 
 @pytest.mark.parametrize("tol", [1e-3, 1e-13])
@@ -148,13 +140,17 @@ def test_default_sweep_csv_does_not_depend_on_tol(tol):
 
 
 def test_records_are_named_tuples_in_csv_order():
-    # the v1 header is the record's fields, in order
+    # the record holds what the series pass computes; the v1 header adds
+    # four constants between its fields, which keep their order
     rec = run_sweep(SMALL)[3]
-    assert ",".join(MeasureRecord._fields) == (
+    assert MeasureRecord._fields == (
+        "r", "fe_closed", "fe_kraus", "s_ar", "s_r", "s_e", "mutual_info"
+    )
+    assert ",".join(CSV_COLUMNS) == (
         "r,fe_closed,fe_kraus,s_ar,s_r,s_a,s_e,mutual_info,subadd_margin,tail,n_used"
     )
+    assert [col for col in CSV_COLUMNS if col in rec._fields] == list(rec._fields)
     assert rec == tuple(rec)  # and it equals a plain tuple
-    assert list(rec._asdict()) == list(CSV_COLUMNS)
     assert rec._asdict()["s_ar"] == rec.s_ar == rec[3]
 
 
@@ -170,7 +166,7 @@ def test_csv_schema_and_precision():
     # 12 significant digits in scientific notation, integer truncation column
     assert cells[0] == "0.00000000000e+00"
     assert cells[1] == "1.00000000000e+00"
-    assert cells[-1] == str(records[0].n_used)
+    assert cells[-1] == "0"
     assert float(cells[7]) == pytest.approx(records[0].mutual_info, rel=1e-11)
 
 
@@ -182,6 +178,28 @@ def test_json_schema_fields():
     assert tuple(doc["config"]) == ("r_min", "r_max", "points", "abs_tol", "output_format")
     assert len(doc["rows"]) == len(records)
     assert tuple(doc["rows"][0].keys()) == CSV_COLUMNS
+
+
+@pytest.mark.parametrize("k", [0, 1, 3, 6])
+def test_v1_writers_agree(k, capsys):
+    # the CSV cells, the JSON row and the point lines print one v1 row: the
+    # record's values and four constants of the untruncated state
+    cfg = SweepConfig(r_max=R_MAX, points=7)  # r = 0, 1, ..., 6
+    records = run_sweep(cfg)
+    rec = records[k]
+    cells = to_csv(records).splitlines()[2 + k].split(",")
+    row = json.loads(to_json(cfg, records))["rows"][k]
+    assert main(["point", "--r", repr(rec.r)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert tuple(row) == CSV_COLUMNS
+    for col, cell, line in zip(CSV_COLUMNS, cells, lines, strict=True):
+        value = row[col]
+        assert line.rsplit(" ", 1)[1] == str(value), col
+        assert cell == (str(value) if col == "n_used" else f"{value:.11e}"), col
+    assert {col: row[col] for col in rec._fields} == rec._asdict()
+    constants = {"s_a": 1.0, "subadd_margin": rec.mutual_info, "tail": 0.0, "n_used": 0}
+    assert {col: row[col] for col in constants} == constants
+    assert type(row["n_used"]) is int
 
 
 def test_sweep_does_not_touch_dense_routes(monkeypatch):
@@ -221,7 +239,7 @@ def test_sweep_does_not_touch_dense_routes(monkeypatch):
 
     records = run_sweep(SweepConfig(r_max=R_MAX, points=5))
     assert len(records) == 5
-    assert records[-1].n_used == 0
+    assert records[-1].r == R_MAX
 
 
 def test_sweep_deterministic():
@@ -288,17 +306,16 @@ def shift_record_field(monkeypatch, field, offset):
         ("s_ar", ["records-vs-oracle"]),
         ("s_r", ["records-vs-oracle", "subadditivity"]),
         ("s_e", ["records-vs-oracle"]),
-        ("s_a", ["records-vs-oracle"]),
+        ("mutual_info", ["subadditivity"]),
         ("fe_kraus", ["records-vs-oracle"]),
-        ("tail", ["records-vs-oracle"]),
     ],
 )
 def test_verify_catches_a_record_shifted_by_1e_8(monkeypatch, field, caught_by):
     # a record path that is off by 1e-8 in one field: the dense oracle cut
     # where its entropies are within 1e-12 of the untruncated ones sees it,
-    # and the Araki-Lieb side of subadditivity, tight at r = 0, also holds
-    # s_r.  s_ar and s_r are shifted in the series pass, so mutual_info
-    # follows them, the rest in the records
+    # and the Araki-Lieb side of subadditivity, tight at r = 0, holds s_r
+    # and mutual_info.  s_ar and s_r are shifted in the series pass, so
+    # mutual_info follows them, the rest in the records
     if field in ("s_ar", "s_r"):
         shift_series(monkeypatch, field, 1e-8)
     else:
@@ -336,7 +353,7 @@ def test_subadditivity_catches_a_fault_on_each_side(monkeypatch, field, offset, 
     assert res.detail == f"worst side: {side}"
 
 
-@pytest.mark.parametrize("field", ["s_ar", "s_r", "s_e", "s_a", "fe_kraus"])
+@pytest.mark.parametrize("field", ["s_ar", "s_r", "s_e", "fe_kraus"])
 def test_records_vs_oracle_holds_the_row_at_r_max(monkeypatch, field):
     # only the row at --r-max is off by 1e-8: the oracle holds it at a
     # cutoff whose entropies are within 1e-12 of the untruncated ones, so
@@ -553,8 +570,8 @@ def test_verify_reports_signed_excess_against_positive_tol():
     assert all(res.tol >= 0 for res in results)
     [sub] = [res for res in results if res.name == "subadditivity"]
     records = run_sweep(SMALL)
-    lower = -min(rec.subadd_margin for rec in records)
-    upper = max(rec.subadd_margin - 2.0 * min(rec.s_a, rec.s_r) for rec in records)
+    lower = -min(rec.mutual_info for rec in records)
+    upper = max(rec.mutual_info - 2.0 * min(1.0, rec.s_r) for rec in records)
     assert lower < 0.0 == upper
     assert sub.worst == max(lower, upper)
     assert sub.tol == SMALL.abs_tol
@@ -747,16 +764,16 @@ runpy.run_module("unruhsim.cli", run_name="__main__")
 
 def test_cli_verify_in_a_fresh_interpreter():
     # the default verify as a command, with a RuntimeWarning (an overflow or
-    # invalid value in any check) or a DeprecationWarning (such as float()
-    # of an array with ndim > 0) an error.  Its peak RSS is the child's own
-    # VmHWM: its rusage would count this process's peak too, as Linux
-    # carries the peak across exec.  About 34 MB with the entry-list
-    # oracle, where a dense fallback at the r = 3 row, N = 3482, needs
-    # 580 MB or more
+    # invalid value in any check), a DeprecationWarning (such as float() of
+    # an array with ndim > 0) or a FutureWarning an error.  Its peak RSS is
+    # the child's own VmHWM: its rusage would count this process's peak too,
+    # as Linux carries the peak across exec.  About 34 MB with the
+    # entry-list oracle, where a dense fallback at the r = 3 row, N = 3482,
+    # needs 580 MB or more
     env = dict(
         os.environ,
         PYTHONPATH=os.path.dirname(os.path.dirname(measures.__file__)),
-        PYTHONWARNINGS="error::RuntimeWarning,error::DeprecationWarning",
+        PYTHONWARNINGS="error::RuntimeWarning,error::DeprecationWarning,error::FutureWarning",
     )
     proc = subprocess.run(
         [sys.executable, "-c", VERIFY_REPORTING_PEAK, "verify"],
