@@ -24,8 +24,9 @@ truncated bdag pushes past |n_max> is dropped, consistent with the tail
 accounting.
 
 The operator sum runs on the input's nonzero entries (see
-:mod:`unruhsim.fock`), with no loop over Kraus levels: each entry adds
-its terms for every n in one array expression, so applying the channel
+:mod:`unruhsim.fock`), with no loop over Kraus levels: each entry lists
+its terms for every n in one array expression and
+:meth:`DensityMatrix.from_entries` adds them up, so applying the channel
 costs O(nnz N) time and memory, O(N) for the Bell input, and no dense
 matrix is formed unless a caller asks for ``.mat``.
 """
@@ -48,8 +49,9 @@ from .fock import (
 from .rindler import check_r, joint_layout
 
 # Most operator-sum terms apply_channel and trace_preservation_defect form
-# in one pass, about 2 MB per array: the Bell input's 4 (N + 1) terms take
-# one pass at any cutoff up to N = 65535, and a full-width input at N = 256
+# in one pass, about 2 MB per array (apply_channel hands each pass's terms
+# to DensityMatrix.from_entries): the Bell input's 4 (N + 1) terms take one
+# pass at any cutoff up to N = 65535, and a full-width input at N = 256
 # takes one pass per level.
 _TERMS_PER_PASS = 2**18
 
@@ -165,19 +167,19 @@ def bell_input_density(cfg: TruncationConfig) -> DensityMatrix:
 def apply_channel(rho: DensityMatrix, ks: KrausSet) -> DensityMatrix:
     """Operator-sum application sum_n A_n rho A_n^T, ascending n.
 
-    A_n moves the (a, m; b, k) entry of rho along its diagonal
-    (a, b, m - k) to (a, m+n; b, k+n) and scales it by its sub-diagonal,
-    so each input entry adds (d_n[a, m] rho) d_n[b, k] for every n with
-    both levels within the cutoff, in one array expression per pass.
-    Terms that land on one output entry come from one diagonal and are
-    added in ascending n, as the dense sum adds them, so the result is bit
-    for bit the full-width dense sum: every product that sum adds besides
-    these is an exact 0.0 (for finite entries).  The sub-diagonals are
-    generated only on the Fock levels lo..hi of rho's entries.  The cost
-    is O(nnz N) time, O(N) for the Bell input, in passes of at most
-    _TERMS_PER_PASS terms, so memory stays O(nnz + output).  For inputs
-    supported on span{|0,1>, |1,0>} the output trace equals the input
-    trace minus the geometric truncation tail.
+    A_n moves the (a, m; b, k) entry of rho to (a, m+n; b, k+n) and
+    scales it by its sub-diagonal: each input entry lists the term
+    (d_n[a, m] rho) d_n[b, k] there for every n with both levels within
+    the cutoff, in one array expression per pass.  The terms go n-major,
+    after the sums of the passes before, to DensityMatrix.from_entries,
+    which adds those that land on one entry in ascending n, as the dense
+    sum adds them; every other product of that sum is an exact 0.0 (for
+    finite entries), so the result is bit for bit the full-width dense
+    sum.  The sub-diagonals are generated only on the Fock levels lo..hi
+    of rho's entries.  The cost is O(nnz N) time, O(N) for the Bell input,
+    in passes of at most _TERMS_PER_PASS terms, so memory stays O(nnz +
+    output).  For inputs supported on span{|0,1>, |1,0>} the output trace
+    equals the input trace minus the geometric truncation tail.
     """
     if rho.layout != ks.layout:
         raise LayoutMismatchError(
@@ -191,24 +193,21 @@ def apply_channel(rho: DensityMatrix, ks: KrausSet) -> DensityMatrix:
     b, k = np.divmod(rho.cols, dim)
     lo = int(min(m.min(), k.min()))
     table = ks.sub_diagonals(lo, int(max(m.max(), k.max())))
-    # one accumulator slot per (diagonal, output row level)
-    diagonals, diagonal = np.unique(
-        (2 * a + b) * (2 * dim) + (m - k + n_max), return_inverse=True
-    )
-    acc = np.zeros(diagonals.size * dim)
+    rows, cols, vals = rho.rows[:0], rho.cols[:0], rho.vals[:0]  # the sums so far
     step = max(1, _TERMS_PER_PASS // rho.vals.size)
     for start in range(0, table.shape[0], step):
         n = np.arange(start, min(start + step, table.shape[0]))[:, None]
         live = (m + n <= n_max) & (k + n <= n_max)
         terms = table[n, a, m - lo] * rho.vals * table[n, b, k - lo]
-        # n-major and unbuffered: each slot adds its terms in ascending n
-        np.add.at(acc, (diagonal * dim + m + n)[live], terms[live])
-    slot = np.flatnonzero(acc)
-    level = slot % dim
-    ab, shift = np.divmod(diagonals[slot // dim], 2 * dim)
-    rows = ab // 2 * dim + level
-    cols = ab % 2 * dim + level - (shift - n_max)
-    return DensityMatrix.from_entries(rho.layout, rows, cols, acc[slot])
+        # n-major after the earlier passes' sums: each entry adds in ascending n
+        out = DensityMatrix.from_entries(
+            rho.layout,
+            np.concatenate((rows, (rho.rows + n)[live])),
+            np.concatenate((cols, (rho.cols + n)[live])),
+            np.concatenate((vals, terms[live])),
+        )
+        rows, cols, vals = out.rows, out.cols, out.vals
+    return out
 
 
 def trace_preservation_defect(ks: KrausSet, probe: StateVector) -> float:

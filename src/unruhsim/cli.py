@@ -106,7 +106,7 @@ def _cmd_point(r: float, abs_tol: float) -> int:
     labels = {
         "r": "acceleration parameter",
         "fe_closed": "entanglement fidelity (closed form)",
-        "fe_kraus": "entanglement fidelity (operator sum)",
+        "fe_kraus": "entanglement fidelity (A_0 term, closed form)",
         "s_ar": "joint entropy S(rho_AR) [bits]",
         "s_r": "Rob entropy S(rho_R) [bits]",
         "s_a": "Alice entropy S(rho_A) [bits]",

@@ -315,14 +315,20 @@ def test_channel_collisions_are_bitwise_full_width(n_max, lo, hi, r):
     assert np.array_equal(apply_channel(rho, ks).mat, full_width_operator_sum(rho, ks))
 
 
-@pytest.mark.parametrize("per_pass", [1, 150, 1000])
-def test_channel_passes_are_bitwise_one_pass(monkeypatch, per_pass):
-    # the terms are formed in passes of at most _TERMS_PER_PASS (one level
-    # per pass here for 1, a few levels for 150 and 1000 with this input's
-    # 100 entries); the passes run in ascending n, so the bits are the
-    # full-width dense sum's however the levels are split
-    cfg = TruncationConfig(12)
-    rho = windowed_input(cfg, 2, 7)
+@pytest.mark.parametrize(
+    "n_max, bell, per_pass",
+    [(12, False, 1), (12, False, 150), (12, False, 1000), (256, True, 64), (256, True, 1024)],
+    ids=["1", "150", "1000", "bell-64", "bell-1024"],
+)
+def test_channel_passes_are_bitwise_one_pass(monkeypatch, n_max, bell, per_pass):
+    # the terms are formed in passes of at most _TERMS_PER_PASS: one level
+    # per pass for 1, a few levels for 150 and 1000 with the windowed
+    # input's 100 entries, 17 and 2 passes for the Bell input's 4 entries
+    # over 257 levels.  Each pass lists its terms in ascending n after the
+    # earlier passes' sums, so the bits are the full-width dense sum's
+    # however the levels are split
+    cfg = TruncationConfig(n_max)
+    rho = bell_input_density(cfg) if bell else windowed_input(cfg, 2, 7)
     ks = KrausSet.build(0.8, cfg)
     monkeypatch.setattr(channel, "_TERMS_PER_PASS", per_pass)
     assert np.array_equal(apply_channel(rho, ks).mat, full_width_operator_sum(rho, ks))
@@ -410,6 +416,21 @@ def test_bell_defect_memory_at_the_cap():
     finally:
         tracemalloc.stop()
     assert peak < 2**20
+
+
+def test_bell_channel_memory_at_the_cap():
+    # the Bell input's output at N = 4096 is its 4 N + 1 entries, formed
+    # in one pass of 4 (N + 1) terms; a dense output takes
+    # 8 (2 (N + 1))^2 bytes, about 537 MB
+    r, cfg = 3.0, TruncationConfig(4096)
+    rho, ks = bell_input_density(cfg), KrausSet.build(r, cfg)
+    tracemalloc.start()
+    try:
+        apply_channel(rho, ks)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20
 
 
 def test_defect_closed_form_for_vacuum_branch():

@@ -639,9 +639,11 @@ def test_cli_sweep_deterministic_files(tmp_path):
 def test_cli_point(capsys):
     code = main(["point", "--r", "0.5"])
     assert code == 0
-    out = capsys.readouterr().out
-    assert "entanglement fidelity (closed form)" in out
-    assert "effective truncation" in out
+    lines = capsys.readouterr().out.splitlines()
+    # fe_kraus is Tr(rho A_0)^2 in closed form, not the operator sum
+    assert lines[1].startswith("entanglement fidelity (closed form)  ")
+    assert lines[2].startswith("entanglement fidelity (A_0 term, closed form)")
+    assert "effective truncation" in lines[-1]
 
 
 @pytest.mark.parametrize("r", ["0", "0.1", "3", "6"])
