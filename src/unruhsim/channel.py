@@ -13,15 +13,15 @@ geometric truncation tail.  Off that subspace the map is *not* trace
 preserving; the deviation has a closed form and is asserted, not hidden.
 
 Construction note: the ladder power in A_n is accumulated as
-Q_n = ((tanh r * bdag) / sqrt(n)) Q_{n-1}, folding the scalar into the
-product so no bare factorial ever overflows.  On the one nonzero
-sub-diagonal that is q_n[m] = ((tanh r sqrt(m+n)) / sqrt(n)) q_{n-1}[m] for
-each column m, with the same factors, so the entries match the dense
-product bit for bit.  They are tanh^n r sqrt(C(m+n, n)), beyond
-float64 for large n and m at once, so the family is generated only on
-the Fock levels an input occupies, never stored.  Weight that the
-truncated bdag pushes past |n_max> is dropped, consistent with the tail
-accounting.
+Q_n = (bdag / sqrt(n)) Q_{n-1}, so no bare factorial ever overflows, and
+then scaled by tanh^n r = exp(n ln tanh r), rounded once rather than
+multiplied in n times.  On the one nonzero sub-diagonal that is
+q_n[m] = (sqrt(m+n) / sqrt(n)) q_{n-1}[m] for each column m, with the same
+factors and the same scale, so the entries match the dense product bit
+for bit.  They are tanh^n r sqrt(C(m+n, n)), beyond float64 for large n
+and m at once, so the family is generated only on the Fock levels an
+input occupies, never stored.  Weight that the truncated bdag pushes past
+|n_max> is dropped, consistent with the tail accounting.
 
 The operator sum runs on the input's nonzero entries (see
 :mod:`unruhsim.fock`), with no loop over Kraus levels: each entry lists
@@ -61,6 +61,21 @@ def _alice_weight(r: float) -> np.ndarray:
     return np.diag([1.0, math.cosh(r)])
 
 
+def _tanh_powers(r: float, count: int) -> np.ndarray:
+    """tanh^n r, n = 0..count-1, as exp(n l) with l = ln tanh r; 1, 0, 0, ... at r = 0.
+
+    l = ln(1 - x) - log1p(x) with x = e^(-2r), and ln(1 - x) from expm1
+    where x >= 1/2; its own formula, so the Kraus family stays apart from
+    rindler.level_weights.
+    """
+    n = np.arange(count, dtype=np.float64)
+    if r == 0.0:
+        return (n == 0) * 1.0
+    x = math.exp(-2.0 * r)
+    ell = (math.log(-math.expm1(-2.0 * r)) if x >= 0.5 else math.log1p(-x)) - math.log1p(x)
+    return np.exp(n * ell)
+
+
 def kraus_operator(n: int, r: float, cfg: TruncationConfig) -> np.ndarray:
     """The n-th Kraus operator as a dense matrix on Alice x wedge I.
 
@@ -74,10 +89,11 @@ def kraus_operator(n: int, r: float, cfg: TruncationConfig) -> np.ndarray:
     if not 0 <= n <= cfg.n_max:
         raise ConfigError(f"Kraus index {n} outside 0..{cfg.n_max}")
     check_r(r)
-    step = math.tanh(r) * creation_matrix(cfg)
+    step = creation_matrix(cfg)
     ladder = np.eye(cfg.dim)
     for k in range(1, n + 1):
         ladder = (step / math.sqrt(k)) @ ladder
+    ladder = ladder * _tanh_powers(r, n + 1)[n]
     return np.kron(_alice_weight(r), ladder) * (1.0 / math.cosh(r) ** 2)
 
 
@@ -122,11 +138,14 @@ class KrausSet:
         Columns lo..min(hi, n_max), so w = min(hi, n_max) - lo + 1, and
         n = 0..count-1 with count = n_max + 1 - lo.  Column k holds its
         recurrence of the module docstring while m + n <= n_max and 0.0
-        past it: one running product down n of the factors (tanh r
-        sqrt(m+n)) / sqrt(n), held at 1.0 past the edge so that a column
-        that overflowed inside it never forms inf * 0.  Each column's
-        entries are the same in every table that holds it, and the columns
-        m <= 1 of the initial subspace stay finite at any cutoff.
+        past it: one running product down n of the factors
+        sqrt(m+n) / sqrt(n), held at 1.0 past the edge so that a column
+        that overflowed inside it never forms inf * 0, then row n scaled by
+        tanh^n r.  Each column's entries are the same in every table that
+        holds it.  The product is sqrt(C(m+n, n)): finite in the columns
+        m <= 1 of the initial subspace at any cutoff, and everywhere up to
+        n_max = 2053; past it a column overflows once C(m+n, n) > 2^2048
+        (from m = 171 on at n_max = 2^18).
         """
         n_max = self.cfg.n_max
         count = max(n_max + 1 - lo, 0)
@@ -135,8 +154,8 @@ class KrausSet:
         m_n = lo + np.arange(width) + n  # m + n, from 1 + lo
         inside = m_n <= n_max
         factors = np.ones((count, width))
-        factors[1:] = np.where(inside, math.tanh(self.r) * np.sqrt(m_n) / np.sqrt(n), 1.0)
-        ladders = np.multiply.accumulate(factors, axis=0)
+        factors[1:] = np.where(inside, np.sqrt(m_n) / np.sqrt(n), 1.0)
+        ladders = np.multiply.accumulate(factors, axis=0) * _tanh_powers(self.r, count)[:, None]
         ladders[1:] = np.where(inside, ladders[1:], 0.0)
         alice = np.diag(_alice_weight(self.r))[:, None]
         table = alice * ladders[:, None, :] * (1.0 / math.cosh(self.r) ** 2)

@@ -16,9 +16,9 @@ A state or density matrix is stored as its nonzero entries only: flat
 indices over the layout, ascending, and their values.  Every state of this
 problem has O(N) of them, so storage is O(nnz), a partial trace or a
 reduction pairs the entries that share a traced index, and the symmetry
-check looks up each entry's mirror in O(nnz log nnz).  Dense input is
-converted to entries once, and a dense array (``.mat``, ``.amps``,
-``reshaped()``) is formed only when a caller asks for one.
+check looks up each entry's mirror in O(nnz log nnz).  Every state is
+built from its entries (``from_entries``), and a dense array (``.mat``,
+``.amps``, ``reshaped()``) is formed only when a caller asks for one.
 
 The spectra here are the oracle's.  :func:`sym_eigenvalues` splits a matrix
 into the connected blocks of its exact nonzero pattern and eigensolves each
@@ -44,8 +44,8 @@ from .errors import (
     PositivityError,
 )
 
-# The one rounding slack of the symmetric checks: symmetry in DensityMatrix
-# and sym_eigenvalues, the [-SYMMETRY_TOL, 0) clamp, and assert_psd's
+# The one rounding slack of the symmetric checks: symmetry in DensityMatrix,
+# the [-SYMMETRY_TOL, 0) clamp of sym_eigenvalues, and assert_psd's
 # positivity.
 SYMMETRY_TOL = 1e-10
 
@@ -155,26 +155,15 @@ class StateVector:
     """Real amplitudes over a labeled tensor-product basis.
 
     Stored as entries: `index` holds the flat basis indices of the nonzero
-    amplitudes, ascending, and `vals` the amplitudes.  The constructor
-    takes a dense amplitude vector and keeps its nonzeros;
-    :meth:`from_entries` takes the entries.  The squared norm may fall below
-    1 by the truncation tail; the deficit is ``1 - norm_sq``, never repaired
-    by renormalization.
+    amplitudes, ascending, and `vals` the amplitudes.  It is built by
+    :meth:`from_entries` only.  The squared norm may fall below 1 by the
+    truncation tail; the deficit is ``1 - norm_sq``, never repaired by
+    renormalization.
     """
 
     layout: FactorLayout
     index: np.ndarray
     vals: np.ndarray
-
-    def __init__(self, layout: FactorLayout, amps) -> None:
-        amps = np.asarray(amps, dtype=np.float64)
-        if amps.ndim != 1 or amps.size != layout.dim:
-            raise LayoutMismatchError(
-                f"amplitude vector of size {amps.size} does not fit layout "
-                f"dimension {layout.dim}"
-            )
-        index = np.flatnonzero(amps)
-        self._set(layout, index, amps[index])
 
     @classmethod
     def from_entries(cls, layout: FactorLayout, index, vals) -> "StateVector":
@@ -244,10 +233,9 @@ class DensityMatrix:
     """Real symmetric PSD matrix with factor metadata for partial tracing.
 
     Stored as entries: (`rows[k]`, `cols[k]`) is the flat position of the
-    nonzero value `vals[k]`, in ascending row-major order.  The constructor
-    takes a dense matrix and keeps its nonzeros; :meth:`from_entries` takes
-    the entries.  Symmetry is enforced at construction (within
-    :data:`SYMMETRY_TOL`); positivity is checked on demand by
+    nonzero value `vals[k]`, in ascending row-major order.  It is built by
+    :meth:`from_entries` only.  Symmetry is enforced at construction
+    (within :data:`SYMMETRY_TOL`); positivity is checked on demand by
     :meth:`assert_psd` because it costs an eigensolve.  The trace may fall
     short of 1 by the truncation tail.
     """
@@ -256,14 +244,6 @@ class DensityMatrix:
     rows: np.ndarray
     cols: np.ndarray
     vals: np.ndarray
-
-    def __init__(self, layout: FactorLayout, mat) -> None:
-        d = layout.dim
-        mat = np.asarray(mat, dtype=np.float64)
-        if mat.shape != (d, d):
-            raise LayoutMismatchError(f"array shape {mat.shape} != layout shape {(d, d)}")
-        rows, cols = np.nonzero(mat)
-        self._set(layout, rows * d + cols, mat[rows, cols])
 
     @classmethod
     def from_entries(cls, layout: FactorLayout, rows, cols, vals) -> "DensityMatrix":
@@ -414,35 +394,23 @@ def _flatten(label: np.ndarray) -> np.ndarray:
         label = up
 
 
-def sym_eigenvalues(mat) -> np.ndarray:
-    """Eigenvalues of a real symmetric matrix, sorted descending.
+def sym_eigenvalues(rho: DensityMatrix) -> np.ndarray:
+    """Eigenvalues of a :class:`DensityMatrix`, sorted descending.
 
-    `mat` is a :class:`DensityMatrix`, whose symmetry was checked when it
-    was built, or a dense square array, converted to entries once and
-    checked here.  The matrix is split into the connected components of
-    its nonzero pattern (see :func:`_components`); each component's block,
-    with its indices in ascending order, is filled from its entries,
-    symmetrized and solved by LAPACK (``np.linalg.eigvalsh``), batched over
-    the blocks of one size.  A matrix with one component is one block, the
-    input itself, so its spectrum is bit for bit
-    ``eigvalsh(0.5 * (a + a.T))``.  Input that is not finite, or asymmetric
-    beyond :data:`SYMMETRY_TOL`, is rejected.  Eigenvalues inside the
-    rounding window [-SYMMETRY_TOL, 0) are clamped to 0; genuinely negative
-    eigenvalues pass through untouched, so positivity enforcement stays
-    with the callers that require it.
+    Its symmetry (finite entries, skew within :data:`SYMMETRY_TOL`) was
+    checked when it was built.  The matrix is split into the connected
+    components of its nonzero pattern (see :func:`_components`); each
+    component's block, with its indices in ascending order, is filled from
+    its entries, symmetrized and solved by LAPACK
+    (``np.linalg.eigvalsh``), batched over the blocks of one size.  A
+    matrix with one component is one block, the whole matrix, so its
+    spectrum is bit for bit ``eigvalsh(0.5 * (a + a.T))`` of ``a =
+    rho.mat``.  Eigenvalues inside the rounding window [-SYMMETRY_TOL, 0)
+    are clamped to 0; genuinely negative eigenvalues pass through
+    untouched, so positivity enforcement stays with the callers that
+    require it.
     """
-    if isinstance(mat, DensityMatrix):
-        d, rows, cols, vals = mat.shape[0], mat.rows, mat.cols, mat.vals
-    else:
-        a = np.asarray(mat, dtype=np.float64)
-        if a.ndim != 2 or a.shape[0] != a.shape[1]:
-            raise NotSymmetricError(f"expected a square matrix, got shape {a.shape}")
-        d = a.shape[0]
-        rows, cols = np.nonzero(a)
-        vals = a[rows, cols]
-        _check_symmetric(d, rows, cols, vals)
-    if not d:
-        return np.empty(0)
+    d, rows, cols, vals = rho.shape[0], rho.rows, rho.cols, rho.vals
     label = _components(d, rows, cols)
     order = np.argsort(label, kind="stable")
     _, start, size = np.unique(label[order], return_index=True, return_counts=True)

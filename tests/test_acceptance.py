@@ -10,10 +10,10 @@ import math
 import numpy as np
 import pytest
 
+from dense import from_dense
 from unruhsim import (
     KrausScalarFault,
     KrausSet,
-    StateVector,
     SweepConfig,
     TruncationConfig,
     adaptive_n_max,
@@ -96,7 +96,7 @@ def test_criterion_05_trace_preservation():
         v = np.zeros(layout.dim)
         for alice, m, amp in amps:
             v[alice * dim + m] = amp
-        probes.append(StateVector(layout, v))
+        probes.append(from_dense(layout, v))
     # the defect is the weight the cutoff discards: tail_d, tail_c and their mean
     for r in (1.05, 1.2, 1.35, 1.5):
         ks = KrausSet.build(r, cfg)
@@ -106,7 +106,7 @@ def test_criterion_05_trace_preservation():
             assert abs(defect - tail) <= 1e-14, f"defect {defect:.2e} vs {tail:.2e} at r={r}"
     out_probe = np.zeros(layout.dim)
     out_probe[1 * dim + 1] = 1.0
-    off = trace_preservation_defect(KrausSet.build(1.0, cfg), StateVector(layout, out_probe))
+    off = trace_preservation_defect(KrausSet.build(1.0, cfg), from_dense(layout, out_probe))
     assert abs(off - (math.cosh(1.0) ** 2 - 1.0)) <= 1e-9
     _passed(5, "trace preserved on the initial subspace, cosh^2 - 1 defect off it")
 

@@ -4,9 +4,9 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from dense import from_dense
 from unruhsim import (
     ConfigError,
-    DensityMatrix,
     KrausSet,
     LayoutMismatchError,
     TruncationConfig,
@@ -16,7 +16,7 @@ from unruhsim import (
     rho_alice_rob,
     trace_preservation_defect,
 )
-from unruhsim import channel
+from unruhsim import channel, measures
 from unruhsim.channel import _alice_weight, bell_state
 from unruhsim.fock import SYMMETRY_TOL, creation_matrix
 from unruhsim.measures import input_overlap_traces
@@ -28,9 +28,7 @@ def probe(cfg, *flat_amplitudes):
     v = np.zeros(layout.dim)
     for (alice, m), amp in flat_amplitudes:
         v[alice * cfg.dim + m] = amp
-    from unruhsim import StateVector
-
-    return StateVector(layout, v)
+    return from_dense(layout, v)
 
 
 # ---------------------------------------------------------------- single operators
@@ -193,7 +191,7 @@ def test_channel_is_identity_without_acceleration():
     m = rng.standard_normal((2 * cfg.dim, 2 * cfg.dim))
     rho_mat = m @ m.T
     rho_mat /= np.trace(rho_mat)
-    rho = DensityMatrix(joint_layout(cfg), rho_mat)
+    rho = from_dense(joint_layout(cfg), rho_mat)
     out = apply_channel(rho, KrausSet.build(0.0, cfg))
     assert np.allclose(out.mat, rho.mat, atol=1e-14)
 
@@ -213,7 +211,7 @@ def test_channel_matches_dense_operator_sum(r):
     m = rng.standard_normal((2 * cfg.dim, 2 * cfg.dim))
     rho_mat = m @ m.T
     rho_mat /= np.trace(rho_mat)
-    rho = DensityMatrix(joint_layout(cfg), rho_mat)
+    rho = from_dense(joint_layout(cfg), rho_mat)
     expected = dense_operator_sum(rho_mat, r, cfg)
     out = apply_channel(rho, KrausSet.build(r, cfg))
     assert np.abs(out.mat - expected).max() <= 1e-14 * np.abs(expected).max()
@@ -227,7 +225,7 @@ def windowed_input(cfg, lo, hi, alice=(0, 1), seed=11):
     block = m @ m.T
     rho_mat = np.zeros((2 * cfg.dim, 2 * cfg.dim))
     rho_mat[np.ix_(idx, idx)] = block / np.trace(block)
-    return DensityMatrix(joint_layout(cfg), rho_mat)
+    return from_dense(joint_layout(cfg), rho_mat)
 
 
 @pytest.mark.parametrize(
@@ -261,7 +259,7 @@ def test_channel_on_windowed_input(lo, hi, alice, r):
 
 def test_channel_maps_zero_to_zero():
     cfg = TruncationConfig(12)
-    zero = DensityMatrix(joint_layout(cfg), np.zeros((2 * cfg.dim, 2 * cfg.dim)))
+    zero = from_dense(joint_layout(cfg), np.zeros((2 * cfg.dim, 2 * cfg.dim)))
     out = apply_channel(zero, KrausSet.build(0.8, cfg))
     assert np.all(out.mat == 0.0)
 
@@ -272,7 +270,7 @@ def test_channel_window_spans_rows_and_columns():
     cfg = TruncationConfig(12)
     rho_mat = np.zeros((2 * cfg.dim, 2 * cfg.dim))
     rho_mat[2, 7] = 1e-11
-    rho = DensityMatrix(joint_layout(cfg), rho_mat)
+    rho = from_dense(joint_layout(cfg), rho_mat)
     r = 0.8
     expected = dense_operator_sum(rho_mat, r, cfg)
     out = apply_channel(rho, KrausSet.build(r, cfg))
@@ -400,6 +398,19 @@ def test_defect_is_finite_at_the_production_cutoff(n_max):
     ks = KrausSet.build(r, cfg)
     for vec, tail in initial_subspace_probes(cfg, r):
         assert trace_preservation_defect(ks, vec) == pytest.approx(tail, abs=1e-13)
+
+
+@pytest.mark.parametrize("r, n_max", [(5.0, 190_684), (5.5, 518_710)])
+def test_bell_defect_is_the_discarded_weight_at_the_oracle_cutoff(monkeypatch, r, n_max):
+    # at the oracle's cutoff for 1e-12 (past the cap at r = 5.5) the Bell
+    # defect is the exact discarded weight to 4.2e-15 and 8.1e-15; a rounded
+    # tanh r multiplied in n times missed by 3.7e-13 and 2.2e-12
+    monkeypatch.setattr(measures, "ADAPTIVE_N_CAP", 2**22)
+    cfg = TruncationConfig(measures.adaptive_n_max(r, 1e-12))
+    assert cfg.n_max == n_max
+    tail_c, tail_d = discarded_weights(r, cfg.n_max)
+    defect = trace_preservation_defect(KrausSet.build(r, cfg), bell_state(cfg))
+    assert abs(defect - (tail_c + tail_d) / 2.0) <= 5e-14
 
 
 def test_bell_defect_memory_at_the_cap():

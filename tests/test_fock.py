@@ -5,6 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from dense import from_dense
 from unruhsim import (
     ConfigError,
     DensityMatrix,
@@ -29,6 +30,11 @@ def random_psd(rng, dim):
     m = rng.standard_normal((dim, dim))
     m = m @ m.T
     return m / np.trace(m)
+
+
+def spectrum(a):
+    """sym_eigenvalues of a square array, as a matrix on one factor."""
+    return sym_eigenvalues(from_dense(FactorLayout((len(a),), ("x",)), a))
 
 
 # ---------------------------------------------------------------- config
@@ -104,20 +110,20 @@ def test_number_operator_identity():
 
 
 def test_partial_trace_keep_all_is_identity():
-    rho = DensityMatrix(FactorLayout((2, 2), ("a", "b")), np.eye(4) / 4)
+    rho = from_dense(FactorLayout((2, 2), ("a", "b")), np.eye(4) / 4)
     assert partial_trace(rho, ("a", "b")) is rho
 
 
 def test_partial_trace_bell_reduction():
     amps = np.zeros(4)
     amps[1] = amps[2] = 1 / math.sqrt(2)
-    rho = DensityMatrix(FactorLayout((2, 2), ("a", "b")), np.outer(amps, amps))
+    rho = from_dense(FactorLayout((2, 2), ("a", "b")), np.outer(amps, amps))
     reduced = partial_trace(rho, ("a",))
     assert np.allclose(reduced.mat, 0.5 * np.eye(2), atol=1e-15)
 
 
 def test_partial_trace_unknown_label():
-    rho = DensityMatrix(FactorLayout((2, 2), ("a", "b")), np.eye(4) / 4)
+    rho = from_dense(FactorLayout((2, 2), ("a", "b")), np.eye(4) / 4)
     with pytest.raises(LayoutMismatchError):
         partial_trace(rho, ("a", "zz"))
 
@@ -127,7 +133,7 @@ def test_partial_trace_unknown_label():
 def test_partial_trace_preserves_trace(seed):
     rng = np.random.default_rng(seed)
     lay = FactorLayout((2, 3, 2), ("a", "b", "c"))
-    rho = DensityMatrix(lay, random_psd(rng, lay.dim))
+    rho = from_dense(lay, random_psd(rng, lay.dim))
     for keep in (("a",), ("b",), ("a", "c"), ("b", "c")):
         reduced = partial_trace(rho, keep)
         assert reduced.trace == pytest.approx(rho.trace, abs=1e-10)
@@ -139,8 +145,8 @@ def test_reduced_density_matches_partial_trace():
     lay = FactorLayout((2, 3, 4), ("a", "b", "c"))
     amps = rng.standard_normal(lay.dim)
     amps /= np.linalg.norm(amps)
-    psi = StateVector(lay, amps)
-    rho = DensityMatrix(lay, np.outer(psi.amps, psi.amps))
+    psi = from_dense(lay, amps)
+    rho = from_dense(lay, np.outer(psi.amps, psi.amps))
     for keep in (("a",), ("c",), ("a", "b"), ("b", "c")):
         direct = psi.reduced_density(keep)
         traced = partial_trace(rho, keep)
@@ -151,10 +157,22 @@ def test_reduced_density_matches_partial_trace():
 # ---------------------------------------------------------------- state / density types
 
 
+def test_states_are_built_from_entries_only():
+    # no dense constructor and no dense spectrum: an array becomes a state
+    # through from_entries over its nonzeros (tests/dense.py)
+    lay = FactorLayout((2,), ("x",))
+    with pytest.raises(TypeError):
+        StateVector(lay, np.array([1.0, 0.0]))
+    with pytest.raises(TypeError):
+        DensityMatrix(lay, np.eye(2) / 2)
+    with pytest.raises(AttributeError):
+        sym_eigenvalues(np.eye(2) / 2)
+
+
 def test_state_vector_rejects_overnormalized():
     lay = FactorLayout((2,), ("x",))
     with pytest.raises(ConfigError):
-        StateVector(lay, np.array([1.0, 1.0]))
+        from_dense(lay, np.array([1.0, 1.0]))
 
 
 @pytest.mark.parametrize("amps", [[math.nan, 0.0], [math.nan, math.nan], [math.inf, 0.0]])
@@ -163,13 +181,13 @@ def test_state_vector_rejects_nan_and_inf(amps):
     # to fail it
     lay = FactorLayout((2,), ("x",))
     with pytest.raises(ConfigError, match="norm"):
-        StateVector(lay, np.array(amps))
+        from_dense(lay, np.array(amps))
 
 
 def test_density_matrix_rejects_asymmetric():
     lay = FactorLayout((2,), ("x",))
     with pytest.raises(NotSymmetricError):
-        DensityMatrix(lay, np.array([[1.0, 0.5], [0.0, 1.0]]))
+        from_dense(lay, np.array([[1.0, 0.5], [0.0, 1.0]]))
 
 
 @pytest.mark.parametrize(
@@ -185,19 +203,15 @@ def test_density_matrix_rejects_asymmetric():
 def test_non_finite_entries_are_refused(entries):
     # the skew of a NaN or inf entry is NaN (inf - inf), which must not pass
     # as symmetric
-    mat = np.array(entries)
     with np.errstate(invalid="ignore"):
         with pytest.raises(NotSymmetricError, match="nan"):
-            DensityMatrix(FactorLayout((2,), ("a",)), mat)
-        with pytest.raises(NotSymmetricError, match="nan"):
-            sym_eigenvalues(mat)
+            from_dense(FactorLayout((2,), ("a",)), np.array(entries))
 
 
 def test_symmetry_tolerance_is_inclusive():
     # a skew of exactly the tolerance is still accepted
-    mat = np.array([[1.0, 1e-10], [0.0, 1.0]])
-    DensityMatrix(FactorLayout((2,), ("a",)), mat)
-    assert sym_eigenvalues(mat).shape == (2,)
+    rho = from_dense(FactorLayout((2,), ("a",)), np.array([[1.0, 1e-10], [0.0, 1.0]]))
+    assert sym_eigenvalues(rho).shape == (2,)
 
 
 def test_entry_form_is_the_dense_form():
@@ -211,7 +225,7 @@ def test_entry_form_is_the_dense_form():
     mat[0, 0], mat[3, 3], mat[1, 2], mat[2, 1] = 0.5, 0.25, 0.25, 0.25
     assert np.array_equal(rho.mat, mat)
     assert rho.rows.tolist() == [0, 1, 2, 3] and rho.cols.tolist() == [0, 2, 1, 3]
-    dense = DensityMatrix(lay, mat)
+    dense = from_dense(lay, mat)
     assert np.array_equal(dense.rows, rho.rows) and np.array_equal(dense.vals, rho.vals)
     assert rho.shape == (4, 4) and rho.trace == 0.75
     psi = StateVector.from_entries(lay, [2, 1], [0.6, 0.8])
@@ -251,14 +265,14 @@ def test_entry_form_refuses_non_finite_entries(rows, cols, vals):
 
 def test_density_matrix_assert_psd():
     lay = FactorLayout((2,), ("x",))
-    good = DensityMatrix(lay, np.diag([1.0, -5e-11]))
+    good = from_dense(lay, np.diag([1.0, -5e-11]))
     ev = good.assert_psd()
     assert ev[1] == 0.0  # clamped float-noise window
-    bad = DensityMatrix(lay, np.diag([1.0, -1e-6]))
+    bad = from_dense(lay, np.diag([1.0, -1e-6]))
     with pytest.raises(PositivityError):
         bad.assert_psd()
     # the clamp applies at every size, 1 x 1 included
-    one = DensityMatrix(FactorLayout((1,), ("x",)), [[-SYMMETRY_TOL / 2]])
+    one = from_dense(FactorLayout((1,), ("x",)), [[-SYMMETRY_TOL / 2]])
     assert one.assert_psd().tolist() == [0.0]
 
 
@@ -266,12 +280,12 @@ def test_density_matrix_assert_psd():
 
 
 def test_sym_eigenvalues_diagonal_case():
-    ev = sym_eigenvalues(np.diag([3.0, 1.0, 2.0]))
+    ev = spectrum(np.diag([3.0, 1.0, 2.0]))
     assert np.array_equal(ev, [3.0, 2.0, 1.0])
 
 
 def test_sym_eigenvalues_two_by_two():
-    ev = sym_eigenvalues(np.array([[0.0, 1.0], [1.0, 0.0]]))
+    ev = spectrum(np.array([[0.0, 1.0], [1.0, 0.0]]))
     assert np.allclose(ev, [1.0, -1.0], atol=1e-14)
 
 
@@ -283,19 +297,17 @@ def test_sym_eigenvalues_rank_one_squeezing_block():
     a_n = math.tanh(r) ** (2 * n) / (2 * ch**2)
     x = math.sqrt(n + 1) / ch
     block = a_n * np.array([[1.0, x], [x, x * x]])
-    ev = sym_eigenvalues(block)
+    ev = spectrum(block)
     assert ev[0] == pytest.approx(a_n * (1 + (n + 1) / ch**2), rel=1e-13)
     assert abs(ev[1]) <= 1e-15
 
 
 def test_sym_eigenvalues_rejects_asymmetric():
     with pytest.raises(NotSymmetricError):
-        sym_eigenvalues(np.array([[0.0, 1.0], [0.0, 0.0]]))
+        spectrum(np.array([[0.0, 1.0], [0.0, 0.0]]))
     # a skew of 0.4 is no rounding, whatever tolerance a caller works at
     with pytest.raises(NotSymmetricError):
-        sym_eigenvalues(np.array([[1.0, 0.4], [0.0, 1.0]]))
-    with pytest.raises(NotSymmetricError):
-        sym_eigenvalues(np.zeros((2, 3)))
+        spectrum(np.array([[1.0, 0.4], [0.0, 1.0]]))
 
 
 @settings(max_examples=40, deadline=None)
@@ -305,7 +317,7 @@ def test_sym_eigenvalues_matches_lapack(dim, seed):
     rng = np.random.default_rng(seed)
     m = rng.standard_normal((dim, dim))
     m = 0.5 * (m + m.T)
-    ours = sym_eigenvalues(m)
+    ours = spectrum(m)
     ref = np.sort(np.linalg.eigvalsh(m))[::-1]
     assert np.allclose(ours, ref, atol=1e-9)
 
@@ -314,7 +326,7 @@ def test_sym_eigenvalues_matches_lapack_medium():
     rng = np.random.default_rng(42)
     m = rng.standard_normal((40, 40))
     m = 0.5 * (m + m.T)
-    ours = sym_eigenvalues(m)
+    ours = spectrum(m)
     ref = np.sort(np.linalg.eigvalsh(m))[::-1]
     assert np.allclose(ours, ref, atol=1e-9)
 
@@ -324,7 +336,7 @@ def test_sym_eigenvalues_matches_lapack_medium():
 def test_sym_eigenvalue_sum_equals_trace(dim, seed):
     rng = np.random.default_rng(seed)
     m = random_psd(rng, dim)
-    ev = sym_eigenvalues(m)
+    ev = spectrum(m)
     assert float(ev.sum()) == pytest.approx(float(np.trace(m)), abs=SYMMETRY_TOL)
     assert ev[-1] >= -SYMMETRY_TOL
 
@@ -366,7 +378,7 @@ def test_sym_eigenvalues_planted_blocks(solved_blocks):
     a = a[np.ix_(perm, perm)]
     ref = np.sort(np.linalg.eigvalsh(a))[::-1]
     solved_blocks.clear()
-    ev = sym_eigenvalues(a)
+    ev = spectrum(a)
     assert sorted(solved_blocks) == [1, 1, 1, 1, 2, 3, 5]
     assert np.abs(ev - clamped(ref)).max() <= 1e-13 * np.linalg.norm(a, 2)
 
@@ -384,7 +396,7 @@ def test_sym_eigenvalues_one_component_is_the_dense_solve():
     chain += chain.T + np.diag(rng.standard_normal(dim))
     for a in (dense, chain):
         ref = clamped(np.sort(np.linalg.eigvalsh(0.5 * (a + a.T)))[::-1])
-        assert sym_eigenvalues(a).tobytes() == ref.tobytes()
+        assert spectrum(a).tobytes() == ref.tobytes()
 
 
 def test_sym_eigenvalues_tiny_one_sided_entry_joins_blocks(solved_blocks):
@@ -393,7 +405,7 @@ def test_sym_eigenvalues_tiny_one_sided_entry_joins_blocks(solved_blocks):
     # their degenerate pair into 1 +- 5e-13
     a = np.diag([1.0, 2.0, 1.0])
     a[0, 2] = 1e-12
-    ev = sym_eigenvalues(a)
+    ev = spectrum(a)
     assert sorted(solved_blocks) == [1, 2]
     assert np.allclose(ev, [2.0, 1.0 + 5e-13, 1.0 - 5e-13], rtol=0.0, atol=1e-15)
 
@@ -409,7 +421,7 @@ def test_entry_form_one_sided_entry_joins_blocks(solved_blocks):
     assert sorted(solved_blocks) == [1, 2]
     a = np.diag([1.0, 2.0, 1.0])
     a[0, 2] = 1e-12
-    assert ev.tobytes() == sym_eigenvalues(a).tobytes()
+    assert ev.tobytes() == spectrum(a).tobytes()
 
 
 def test_oracle_spectra_are_solved_block_by_block(solved_blocks):

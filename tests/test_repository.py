@@ -3,6 +3,7 @@
 No build artifacts, correct benchmark records, and every name the benchmark calls.
 """
 
+import contextlib
 import importlib.util
 import json
 import shutil
@@ -44,14 +45,20 @@ def test_recorded_benchmark_runs_are_correct():
     assert bad == []
 
 
+def _load_benchmark(monkeypatch):
+    """perfbench/run.py as a module, with perfbench/ on the path for spans and gate."""
+    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+    spec = importlib.util.spec_from_file_location("perfbench_run", ROOT / "perfbench" / "run.py")
+    run = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(run)
+    return run
+
+
 def test_benchmark_finds_what_it_calls(monkeypatch):
     # perfbench/run.py runs verify checks by name and wraps unruhsim's
     # functions by attribute; a deletion or rename of either breaks the
     # benchmark, so it is held here and not only in a benchmark run
-    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))  # run.py imports spans
-    spec = importlib.util.spec_from_file_location("perfbench_run", ROOT / "perfbench" / "run.py")
-    run = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(run)
+    run = _load_benchmark(monkeypatch)
     assert {*run.VERIFY_CHECKS, "channel-vs-analytic"} - set(verify._CHECKS) == set()
     missing = [
         target.name
@@ -59,3 +66,22 @@ def test_benchmark_finds_what_it_calls(monkeypatch):
         if target.attr not in vars(target.owner)
     ]
     assert missing == []
+
+
+def test_benchmark_pass_is_correct(monkeypatch, tmp_path):
+    # one pass of each workload BENCHMARK.json declares through the benchmark's own
+    # correctness gate, then its gate self-test: an API change that breaks
+    # a call the benchmark makes fails here.  Seed 1, since the gate
+    # refuses correct rows at r_min = 1.79e-5 (seed 906)
+    run = _load_benchmark(monkeypatch)
+    monkeypatch.setattr(run, "OUT", tmp_path)
+    import gate
+
+    declared = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))["workloads"]
+    for name in [w["name"] for w in declared]:  # scan-paper and oracle-n256
+        workload = run.WORKLOADS[name](unruhsim, gate, 1)
+        workload.run(lambda _name: contextlib.nullcontext())
+        attempted, failures = workload.check()
+        assert attempted > 0 and failures == [], (name, failures[:5])
+    caught = run.gate_self_test(unruhsim, gate)
+    assert caught and all(caught.values()), caught

@@ -4,9 +4,9 @@ import mpmath
 import numpy as np
 import pytest
 
+from dense import from_dense
 from unruhsim import (
     ConfigError,
-    DensityMatrix,
     KrausSet,
     TruncationConfig,
     adaptive_n_max,
@@ -208,7 +208,7 @@ def test_tripartite_norm_deficit_is_mean_of_tails():
 def test_tripartite_reductions_to_alice():
     cfg = TruncationConfig(16)
     psi = tripartite_state(0.5, cfg)
-    rho = DensityMatrix(psi.layout, np.outer(psi.amps, psi.amps))
+    rho = from_dense(psi.layout, np.outer(psi.amps, psi.amps))
     rho_ai = partial_trace(rho, (ALICE, WEDGE_I))
     rho_a = partial_trace(rho_ai, (ALICE,))
     assert np.allclose(rho_a.mat, 0.5 * np.eye(2), atol=1e-10)
@@ -241,7 +241,7 @@ def test_rho_alice_rob_matches_partial_trace_oracle():
     # versus tracing the explicit tripartite projector
     r, cfg = 0.8, TruncationConfig(48)
     psi = tripartite_state(r, cfg)
-    rho_full = DensityMatrix(psi.layout, np.outer(psi.amps, psi.amps))
+    rho_full = from_dense(psi.layout, np.outer(psi.amps, psi.amps))
     traced = partial_trace(rho_full, (ALICE, WEDGE_I))
     analytic = rho_alice_rob(r, cfg)
     assert np.abs(traced.mat - analytic.mat).max() <= 1e-10
@@ -250,7 +250,7 @@ def test_rho_alice_rob_matches_partial_trace_oracle():
 def test_rho_alice_rob_small_case_oracle():
     r, cfg = 0.5, TruncationConfig(16)
     psi = tripartite_state(r, cfg)
-    rho_full = DensityMatrix(psi.layout, np.outer(psi.amps, psi.amps))
+    rho_full = from_dense(psi.layout, np.outer(psi.amps, psi.amps))
     traced = partial_trace(rho_full, (ALICE, WEDGE_I))
     assert np.abs(traced.mat - rho_alice_rob(r, cfg).mat).max() <= 1e-10
 
@@ -283,7 +283,7 @@ def test_rho_alice_rob_matches_block_loop(n_max, r):
 def test_rho_alice_rob_spectrum_is_block_traces():
     r, cfg = 0.9, TruncationConfig(32)
     rho = rho_alice_rob(r, cfg)
-    ev = sym_eigenvalues(rho.mat)
+    ev = sym_eigenvalues(rho)
     a = math.tanh(r) ** (2 * np.arange(cfg.dim)) / (2.0 * math.cosh(r) ** 2)
     expected = a[:-1] * (1.0 + (np.arange(cfg.n_max) + 1.0) / math.cosh(r) ** 2)
     expected = np.sort(np.concatenate([expected, [a[-1]]]))[::-1]
@@ -313,7 +313,7 @@ def test_environment_spectrum_matches_joint_spectrum():
     # Alice+Rob reduction share their nonzero spectrum
     r, cfg = 0.7, TruncationConfig(16)
     psi = tripartite_state(r, cfg)
-    ev_env = sym_eigenvalues(psi.reduced_density((WEDGE_II,)).mat)
-    ev_joint = sym_eigenvalues(psi.reduced_density((ALICE, WEDGE_I)).mat)
+    ev_env = sym_eigenvalues(psi.reduced_density((WEDGE_II,)))
+    ev_joint = sym_eigenvalues(psi.reduced_density((ALICE, WEDGE_I)))
     k = min(ev_env.size, ev_joint.size)
     assert np.allclose(ev_env[:k], ev_joint[:k], atol=1e-12)
