@@ -13,7 +13,6 @@ from .channel import (
     KrausSet,
     apply_channel,
     bell_input_density,
-    kraus_operator,
     trace_preservation_defect,
 )
 from .errors import (
@@ -28,7 +27,6 @@ from .fock import (
     FactorLayout,
     StateVector,
     TruncationConfig,
-    creation_matrix,
     partial_trace,
     sym_eigenvalues,
 )
@@ -73,12 +71,10 @@ __all__ = [
     "adaptive_n_max",
     "apply_channel",
     "bell_input_density",
-    "creation_matrix",
     "entanglement_fidelity_closed",
     "entanglement_fidelity_kraus",
     "entropy_exchange",
     "joint_entropy_series",
-    "kraus_operator",
     "measure_record",
     "measure_records",
     "one_particle_mode_weights",

@@ -12,16 +12,17 @@ to the initial-state subspace span{|0,1>, |1,0>} is the identity up to the
 geometric truncation tail.  Off that subspace the map is *not* trace
 preserving; the deviation has a closed form and is asserted, not hidden.
 
-Construction note: the ladder power in A_n is accumulated as
-Q_n = (bdag / sqrt(n)) Q_{n-1}, so no bare factorial ever overflows, and
-then scaled by tanh^n r = exp(n ln tanh r), rounded once rather than
-multiplied in n times.  On the one nonzero sub-diagonal that is
-q_n[m] = (sqrt(m+n) / sqrt(n)) q_{n-1}[m] for each column m, with the same
-factors and the same scale, so the entries match the dense product bit
-for bit.  They are tanh^n r sqrt(C(m+n, n)), beyond float64 for large n
-and m at once, so the family is generated only on the Fock levels an
-input occupies, never stored.  Weight that the truncated bdag pushes past
-|n_max> is dropped, consistent with the tail accounting.
+Construction note: A_n is nonzero on one sub-diagonal of each Alice block.
+Its ladder power Q_n = (bdag / sqrt(n)) Q_{n-1} is accumulated there as
+q_n[m] = (sqrt(m+n) / sqrt(n)) q_{n-1}[m] for each column m, so no bare
+factorial ever overflows, and then scaled by tanh^n r = exp(n ln tanh r),
+rounded once rather than multiplied in n times.  The tests' dense
+reference (``tests/dense.py``) forms the matrix product with the same
+factors and the same scale, and the entries match it bit for bit.  They
+are tanh^n r sqrt(C(m+n, n)), beyond float64 for large n and m at once,
+so the family is generated only on the Fock levels an input occupies,
+never stored.  Weight that the truncated bdag pushes past |n_max> is
+dropped, consistent with the tail accounting.
 
 The operator sum runs on the input's nonzero entries (see
 :mod:`unruhsim.fock`), with no loop over Kraus levels: each entry lists
@@ -39,13 +40,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import ConfigError, LayoutMismatchError
-from .fock import (
-    DensityMatrix,
-    FactorLayout,
-    StateVector,
-    TruncationConfig,
-    creation_matrix,
-)
+from .fock import DensityMatrix, FactorLayout, StateVector, TruncationConfig
 from .rindler import check_r, joint_layout
 
 # Most operator-sum terms apply_channel and trace_preservation_defect form
@@ -54,11 +49,6 @@ from .rindler import check_r, joint_layout
 # pass at any cutoff up to N = 65535, and a full-width input at N = 256
 # takes one pass per level.
 _TERMS_PER_PASS = 2**18
-
-
-def _alice_weight(r: float) -> np.ndarray:
-    """(cosh r)^{N_A} on the qubit factor: diag(1, cosh r)."""
-    return np.diag([1.0, math.cosh(r)])
 
 
 def _tanh_powers(r: float, count: int) -> np.ndarray:
@@ -76,27 +66,6 @@ def _tanh_powers(r: float, count: int) -> np.ndarray:
     return np.exp(n * ell)
 
 
-def kraus_operator(n: int, r: float, cfg: TruncationConfig) -> np.ndarray:
-    """The n-th Kraus operator as a dense matrix on Alice x wedge I.
-
-    Built from :func:`~unruhsim.fock.creation_matrix` by dense products, so
-    it is an independent reference for :meth:`KrausSet.sub_diagonals`.
-    The ladder power is accumulated as in the module docstring.  Actions
-    on the initial subspace:
-        A_n |0,1> = (tanh^n r / cosh^2 r) sqrt(n+1) |0, n+1>
-        A_n |1,0> = (tanh^n r / cosh r) |1, n>
-    """
-    if not 0 <= n <= cfg.n_max:
-        raise ConfigError(f"Kraus index {n} outside 0..{cfg.n_max}")
-    check_r(r)
-    step = creation_matrix(cfg)
-    ladder = np.eye(cfg.dim)
-    for k in range(1, n + 1):
-        ladder = (step / math.sqrt(k)) @ ladder
-    ladder = ladder * _tanh_powers(r, n + 1)[n]
-    return np.kron(_alice_weight(r), ladder) * (1.0 / math.cosh(r) ** 2)
-
-
 @dataclass(frozen=True)
 class KrausSet:
     """The family {A_n, n = 0..n_max} at fixed r and truncation.
@@ -105,8 +74,7 @@ class KrausSet:
     one nonzero sub-diagonal.  :meth:`sub_diagonals` generates all of them
     at once on the Fock levels an input occupies; nothing is stored.  The
     index range is tied to the Fock truncation so one knob governs both.
-    `fault`, set by :meth:`with_scalar_offset`, is (index, offset).  Dense
-    matrices come from :func:`kraus_operator`.
+    `fault`, set by :meth:`with_scalar_offset`, is (index, offset).
     """
 
     r: float
@@ -157,7 +125,7 @@ class KrausSet:
         factors[1:] = np.where(inside, np.sqrt(m_n) / np.sqrt(n), 1.0)
         ladders = np.multiply.accumulate(factors, axis=0) * _tanh_powers(self.r, count)[:, None]
         ladders[1:] = np.where(inside, ladders[1:], 0.0)
-        alice = np.diag(_alice_weight(self.r))[:, None]
+        alice = np.array([1.0, math.cosh(self.r)])[:, None]  # (cosh r)^{N_A}
         table = alice * ladders[:, None, :] * (1.0 / math.cosh(self.r) ** 2)
         if self.fault is not None and self.fault[0] < count:
             table[self.fault[0]] *= 1.0 + self.fault[1]

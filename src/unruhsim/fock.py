@@ -139,10 +139,13 @@ def _entries(key, vals, size: int) -> tuple[np.ndarray, np.ndarray]:
     vals = np.asarray(vals, dtype=np.float64).ravel()
     if key.shape != vals.shape:
         raise LayoutMismatchError(f"{key.size} indices for {vals.size} values")
-    if key.size and not (0 <= key.min() and key.max() < size):
+    order = np.argsort(key, kind="stable")  # listed order within a key
+    key, vals = key[order], vals[order]
+    if key.size and not (0 <= key[0] and key[-1] < size):
         raise LayoutMismatchError(f"entry index outside 0..{size - 1}")
-    key, where = np.unique(key, return_inverse=True)
-    vals = np.bincount(where, weights=vals, minlength=key.size)
+    first = np.diff(key, prepend=-1) != 0  # where each run of one key starts
+    vals = np.bincount(np.cumsum(first) - 1, weights=vals)
+    key = key[first]
     nonzero = vals != 0.0
     key, vals = key[nonzero], vals[nonzero]
     key.setflags(write=False)
@@ -165,24 +168,24 @@ class StateVector:
     index: np.ndarray
     vals: np.ndarray
 
+    def __init__(self, *args, **kwargs):
+        raise TypeError("build a StateVector with StateVector.from_entries")
+
     @classmethod
     def from_entries(cls, layout: FactorLayout, index, vals) -> "StateVector":
         """The state with amplitude vals[k] at flat basis index index[k].
 
         Amplitudes listed at one index are added in the order listed.
         """
-        psi = object.__new__(cls)
-        psi._set(layout, index, vals)
-        return psi
-
-    def _set(self, layout: FactorLayout, index, vals) -> None:
         index, vals = _entries(index, vals, layout.dim)
-        object.__setattr__(self, "layout", layout)
-        object.__setattr__(self, "index", index)
-        object.__setattr__(self, "vals", vals)
-        norm_sq = self.norm_sq
+        psi = object.__new__(cls)
+        object.__setattr__(psi, "layout", layout)
+        object.__setattr__(psi, "index", index)
+        object.__setattr__(psi, "vals", vals)
+        norm_sq = psi.norm_sq
         if not norm_sq <= 1.0 + 1e-8:  # a NaN norm fails too
             raise ConfigError(f"state norm^2 = {norm_sq} is not at most 1")
+        return psi
 
     @property
     def norm_sq(self) -> float:
@@ -245,6 +248,9 @@ class DensityMatrix:
     cols: np.ndarray
     vals: np.ndarray
 
+    def __init__(self, *args, **kwargs):
+        raise TypeError("build a DensityMatrix with DensityMatrix.from_entries")
+
     @classmethod
     def from_entries(cls, layout: FactorLayout, rows, cols, vals) -> "DensityMatrix":
         """The matrix with value vals[k] at (rows[k], cols[k]) and 0 elsewhere.
@@ -258,21 +264,17 @@ class DensityMatrix:
         cols = np.asarray(cols, dtype=np.int64)
         if np.any((rows < 0) | (rows >= d) | (cols < 0) | (cols >= d)):
             raise LayoutMismatchError(f"entry index outside 0..{d - 1}")
-        rho = object.__new__(cls)
-        rho._set(layout, rows * d + cols, vals)
-        return rho
-
-    def _set(self, layout: FactorLayout, key, vals) -> None:
-        d = layout.dim
-        key, vals = _entries(key, vals, d * d)
+        key, vals = _entries(rows * d + cols, vals, d * d)
         rows, cols = np.divmod(key, d)
-        _check_symmetric(d, rows, cols, vals)
+        _check_symmetric(key, cols * d + rows, vals)
         rows.setflags(write=False)
         cols.setflags(write=False)
-        object.__setattr__(self, "layout", layout)
-        object.__setattr__(self, "rows", rows)
-        object.__setattr__(self, "cols", cols)
-        object.__setattr__(self, "vals", vals)
+        rho = object.__new__(cls)
+        object.__setattr__(rho, "layout", layout)
+        object.__setattr__(rho, "rows", rows)
+        object.__setattr__(rho, "cols", cols)
+        object.__setattr__(rho, "vals", vals)
+        return rho
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -296,22 +298,6 @@ class DensityMatrix:
         if ev.size and ev[-1] < -SYMMETRY_TOL:
             raise PositivityError(f"eigenvalue {ev[-1]:.3e} below -{SYMMETRY_TOL}")
         return ev
-
-
-def creation_matrix(cfg: TruncationConfig) -> np.ndarray:
-    """Matrix of the bosonic creation operator b^dag in the truncated basis.
-
-    Entry (m+1, m) is sqrt(m+1) for 0 <= m < n_max.  The action on the edge
-    state |n_max> would leave the truncated space and is dropped: column
-    n_max is identically zero.  Repeated application therefore loses the
-    weight that crosses the edge; callers account for it through the
-    geometric tail formulas rather than through wrap-around.
-    """
-    dim = cfg.dim
-    mat = np.zeros((dim, dim))
-    m = np.arange(cfg.n_max)
-    mat[m + 1, m] = np.sqrt(m + 1.0)
-    return mat
 
 
 def partial_trace(rho: DensityMatrix, keep: Iterable[str]) -> DensityMatrix:
@@ -341,18 +327,17 @@ def partial_trace(rho: DensityMatrix, keep: Iterable[str]) -> DensityMatrix:
     )
 
 
-def _check_symmetric(d: int, rows, cols, vals) -> None:
+def _check_symmetric(key, mirror, vals) -> None:
     """NotSymmetricError unless the entries are finite and symmetric within SYMMETRY_TOL.
 
-    The entries of a d x d matrix, in ascending row-major order.  Each
-    entry's mirror (cols, rows) is looked up by binary search, 0.0 where it
-    is not listed, and the skew max|a - a^T| decides; a NaN or inf entry,
-    on the diagonal too, makes it NaN or inf and fails.
+    The entries at ascending flat row-major keys `key`, and `mirror` the
+    key of each one's transpose position.  Each mirror is looked up by
+    binary search, 0.0 where it is not listed, and the skew max|a - a^T|
+    decides; a NaN or inf entry, on the diagonal too, makes it NaN or inf
+    and fails.
     """
     if not vals.size:
         return
-    key = rows * d + cols
-    mirror = cols * d + rows
     at = np.minimum(np.searchsorted(key, mirror), key.size - 1)
     mirror_vals = np.where(key[at] == mirror, vals[at], 0.0)
     with np.errstate(invalid="ignore"):  # inf - inf is NaN, and refused below
@@ -410,6 +395,11 @@ def sym_eigenvalues(rho: DensityMatrix) -> np.ndarray:
     untouched, so positivity enforcement stays with the callers that
     require it.
     """
+    if not isinstance(rho, DensityMatrix):
+        raise TypeError(
+            f"sym_eigenvalues takes a DensityMatrix, not {type(rho).__name__}; "
+            "build one with DensityMatrix.from_entries"
+        )
     d, rows, cols, vals = rho.shape[0], rho.rows, rho.cols, rho.vals
     label = _components(d, rows, cols)
     order = np.argsort(label, kind="stable")

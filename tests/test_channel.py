@@ -4,7 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from dense import from_dense
+from dense import creation_matrix, from_dense, kraus_operator
 from unruhsim import (
     ConfigError,
     KrausSet,
@@ -12,13 +12,12 @@ from unruhsim import (
     TruncationConfig,
     apply_channel,
     bell_input_density,
-    kraus_operator,
     rho_alice_rob,
     trace_preservation_defect,
 )
 from unruhsim import channel, measures
-from unruhsim.channel import _alice_weight, bell_state
-from unruhsim.fock import SYMMETRY_TOL, creation_matrix
+from unruhsim.channel import bell_state
+from unruhsim.fock import SYMMETRY_TOL
 from unruhsim.measures import input_overlap_traces
 from unruhsim.rindler import discarded_weights, joint_layout
 
@@ -56,7 +55,7 @@ def test_kraus_factored_form(n):
     r, cfg = 0.6, TruncationConfig(10)
     scalar = math.tanh(r) ** n / (math.sqrt(math.factorial(n)) * math.cosh(r) ** 2)
     power = np.linalg.matrix_power(creation_matrix(cfg), n)
-    expected = scalar * np.kron(_alice_weight(r), power)
+    expected = scalar * np.kron(np.diag([1.0, math.cosh(r)]), power)
     assert np.allclose(kraus_operator(n, r, cfg), expected, atol=1e-15)
 
 

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from dense import from_dense
+from dense import creation_matrix, from_dense
 from unruhsim import (
     ConfigError,
     DensityMatrix,
@@ -15,7 +15,6 @@ from unruhsim import (
     PositivityError,
     StateVector,
     TruncationConfig,
-    creation_matrix,
     partial_trace,
     sym_eigenvalues,
 )
@@ -158,15 +157,19 @@ def test_reduced_density_matches_partial_trace():
 
 
 def test_states_are_built_from_entries_only():
-    # no dense constructor and no dense spectrum: an array becomes a state
-    # through from_entries over its nonzeros (tests/dense.py)
+    # no dense constructor, no bare one and no dense spectrum: each refusal
+    # names from_entries, through which an array becomes a state over its
+    # nonzeros (tests/dense.py)
     lay = FactorLayout((2,), ("x",))
-    with pytest.raises(TypeError):
-        StateVector(lay, np.array([1.0, 0.0]))
-    with pytest.raises(TypeError):
-        DensityMatrix(lay, np.eye(2) / 2)
-    with pytest.raises(AttributeError):
-        sym_eigenvalues(np.eye(2) / 2)
+    for call in (
+        lambda: StateVector(),
+        lambda: StateVector(lay, np.array([1.0, 0.0])),
+        lambda: DensityMatrix(),
+        lambda: DensityMatrix(lay, np.eye(2) / 2),
+        lambda: sym_eigenvalues(np.eye(2) / 2),
+    ):
+        with pytest.raises(TypeError, match="from_entries"):
+            call()
 
 
 def test_state_vector_rejects_overnormalized():
@@ -234,6 +237,20 @@ def test_entry_form_is_the_dense_form():
         DensityMatrix.from_entries(lay, [4], [0], [1.0])
     with pytest.raises(LayoutMismatchError):
         StateVector.from_entries(lay, [0, 1], [1.0])
+
+
+def test_duplicate_entries_add_in_the_order_listed():
+    # with e = 2**-54, e + e + 0.5 is 0.5 + 2**-53 but 0.5 + e + e rounds
+    # (to even) back to 0.5 at each step; the keys are listed interleaved
+    # and out of order
+    e = 2.0**-54
+    keys, vals = [2, 1, 2, 1, 1, 2], [0.5, e, e, e, 0.5, e]
+    lay = FactorLayout((3,), ("a",))
+    psi = StateVector.from_entries(lay, keys, vals)
+    rho = DensityMatrix.from_entries(lay, keys, keys, vals)
+    for index, got in ((psi.index, psi.vals), (rho.rows, rho.vals)):
+        assert index.tolist() == [1, 2]
+        assert got.tolist() == [0.5 + 2.0**-53, 0.5]
 
 
 @pytest.mark.parametrize("value", [1e-6, math.nan, math.inf, -math.inf])

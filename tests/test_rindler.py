@@ -4,7 +4,7 @@ import mpmath
 import numpy as np
 import pytest
 
-from dense import from_dense
+from dense import creation_matrix, from_dense
 from unruhsim import (
     ConfigError,
     KrausSet,
@@ -13,7 +13,6 @@ from unruhsim import (
     bell_input_density,
     entanglement_fidelity_closed,
     joint_entropy_series,
-    kraus_operator,
     one_particle_mode_weights,
     partial_trace,
     rho_alice_rob,
@@ -22,7 +21,6 @@ from unruhsim import (
     tripartite_state,
     vacuum_mode_weights,
 )
-from unruhsim.fock import creation_matrix
 from unruhsim.rindler import (
     ALICE,
     WEDGE_I,
@@ -45,7 +43,6 @@ def test_every_r_entry_point_rejects_invalid_r(r):
         lambda: vacuum_mode_weights(r, cfg),
         lambda: one_particle_mode_weights(r, cfg),
         lambda: rho_alice_rob(r, cfg),
-        lambda: kraus_operator(0, r, cfg),
         lambda: KrausSet.build(r, cfg),
         lambda: entanglement_fidelity_closed(r),
         lambda: joint_entropy_series(r, cfg),
